@@ -19,6 +19,7 @@ import pathlib
 from conftest import once
 
 from repro.serve.loadgen import run_benchmark
+from repro.supervision.records import FAILURE_KINDS
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_serve.json"
@@ -53,7 +54,11 @@ def test_serve_loadgen_survives_faults_and_restart(benchmark):
     assert closed["accepted"] == closed["completed"] + closed["failed"]
     assert closed["throughput_rps"] > 0.5
     assert doc["coalesce_hits"] >= 1
-    assert doc["failure_kinds"].get("crash", 0) >= 0  # taxonomy present
+    # Every failed job names one taxonomy kind (or an open breaker).
+    kinds = doc["failure_kinds"]
+    assert set(kinds) <= set(FAILURE_KINDS) | {"breaker_open"}, kinds
+    assert sum(kinds.values()) == \
+        doc["daemon_stats"]["counters"].get("failed", 0)
     assert doc["error_rate"] <= ERROR_RATE_BOUND
     restart = doc["restart"]
     assert restart["accepted_before_kill"] >= 2

@@ -117,37 +117,20 @@ def _atomic_write(path, text) -> None:
 def _backends_of(args):
     """Parse and validate ``--backends 'highs,bnb,sat'`` (or None).
 
-    Unknown names and duplicates are rejected here, at the CLI
-    boundary, with the same message shape the solver layer uses — a
-    malformed roster must never reach the race and fail mid-dispatch.
+    Rejected here, at the CLI boundary — a malformed roster must never
+    reach the race and fail mid-dispatch.
     """
-    from repro.parallel.race import PORTFOLIO_BACKENDS
+    from repro.core.errors import SchedulingError
+    from repro.parallel.race import _validate_roster
 
     raw = getattr(args, "backends", None)
     if raw is None:
         return None
-    roster = tuple(
-        name.strip() for name in raw.split(",") if name.strip()
-    )
-    if not roster:
-        raise SystemExit(
-            "--backends must name at least one backend "
-            f"(choose from: {', '.join(PORTFOLIO_BACKENDS)})"
-        )
-    seen = set()
-    for name in roster:
-        if name not in PORTFOLIO_BACKENDS:
-            raise SystemExit(
-                f"unknown backend {name!r} in --backends; "
-                f"choose from: {', '.join(PORTFOLIO_BACKENDS)}"
-            )
-        if name in seen:
-            raise SystemExit(
-                f"--backends lists {name!r} twice; a roster is a set "
-                "of distinct solvers to race"
-            )
-        seen.add(name)
-    return roster
+    roster = [name.strip() for name in raw.split(",") if name.strip()]
+    try:
+        return _validate_roster(roster, "feasibility")
+    except SchedulingError as exc:
+        raise SystemExit(f"--backends: {exc}")
 
 
 def _print_store_line(result) -> None:

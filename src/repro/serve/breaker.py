@@ -16,9 +16,9 @@ and walks the classic three states:
   first recorded success closes the breaker, the first failure re-opens
   it for another full cooldown.
 
-The breaker is duck-typed into :func:`repro.parallel.race_periods`
-(``breaker=``) so the race layer never imports this module; anything
-with ``allows`` / ``record_success`` / ``record_failure`` works.  All
+The daemon applies the breaker as a roster filter in front of the cell
+race (:meth:`CircuitBreaker.filter_roster`) and feeds it every finished
+cell's outcome, so the race layer never imports this module.  All
 methods are thread-safe — the daemon's dispatcher thread and the HTTP
 admission path consult one shared instance — and the clock is
 injectable so tests step through cooldowns without sleeping.
@@ -70,7 +70,7 @@ class CircuitBreaker:
             state = self._backends[backend] = _BackendState()
         return state
 
-    # -- the race-facing protocol ---------------------------------------
+    # -- the dispatcher-facing protocol ---------------------------------
 
     def allows(self, backend: str) -> bool:
         """Whether ``backend`` may be dispatched right now.

@@ -1,10 +1,11 @@
 """Job objects and the picklable worker body the daemon dispatches.
 
 A :class:`Job` lives on the daemon side only; what crosses the process
-boundary is :func:`solve_request` — the same shape as the batch
-runner's worker body (parse, validate, supervised ``run_sweep`` with
-the worker-local caches and the shared store), returning the entry as
-a plain JSON dict so the HTTP layer serves it verbatim.  Anything the
+boundary is :func:`solve_request` and the job's plain request dict.
+The body has the same shape as the batch runner's (parse, validate,
+``run_sweep`` with the worker-local caches and the shared store) and
+returns the entry as a plain JSON dict so the HTTP layer serves it
+verbatim.  Anything the
 solve raises surfaces through the supervisor's failure taxonomy
 (``MemoryError`` re-raised for OOM classification, everything else a
 ``solver_error``), so a job's failure always names a kind.
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional
 
 from repro.core.scheduler import AttemptConfig
 from repro.machine import presets
-from repro.parallel import cache
-from repro.parallel.batch import BatchEntry
+from repro.parallel.batch import BatchEntry, cached_sweep
 from repro.supervision import faults
 
 #: Job lifecycle states (terminal: done/failed/shed/cancelled).
@@ -54,7 +55,8 @@ class Job:
     ) -> None:
         self.id = job_id
         self.client = client
-        #: ``store.keys.store_key`` of the request — the coalescing key.
+        #: ``store.keys.store_key`` of the request (coalescing also needs
+        #: the same DDG text; see ``ServeDaemon._inflight``).
         self.key = key
         #: Picklable request payload (ddg text, machine name, config
         #: fields) — exactly what the journal replays on resume.
@@ -116,69 +118,30 @@ def request_config(request: Dict[str, object]) -> AttemptConfig:
 
 
 def solve_request(
-    text: str,
-    machine_name: str,
+    request: Dict[str, object],
     backend: str,
-    objective: str,
-    time_limit: float,
     max_extra: int,
-    warmstart: bool = True,
     store_path: Optional[str] = None,
 ) -> dict:
     """Worker body: schedule one submitted loop, return its entry dict.
 
-    Runs in a supervised worker process.  Errors are deliberately *not*
-    swallowed into an error entry (unlike the batch body): the
-    supervisor's taxonomy is the service's failure channel, and the
-    breaker needs real per-backend failures to count.
+    Runs in a supervised worker process, one call per ``(job,
+    backend)`` cell.  Errors are deliberately *not* swallowed into an
+    error entry (unlike the batch body): the supervisor's taxonomy is
+    the service's failure channel, and the breaker needs real
+    per-backend failures to count.
     """
-    from repro.core.scheduler import run_sweep
     from repro.ddg.builders import parse_ddg
 
-    machine = presets.by_name(machine_name)
-    ddg = parse_ddg(text)
+    machine = presets.by_name(str(request["machine"]))
+    ddg = parse_ddg(str(request["ddg"]))
     ddg.validate_against(machine)
     faults.fire("solve", loop=ddg.name, backend=backend)
-    config = AttemptConfig(
-        backend=backend,
-        objective=objective,
-        time_limit=time_limit,
-        warmstart=warmstart,
-    )
-    store = None
-    if store_path is not None:
-        from repro.store import open_store
-
-        store = open_store(store_path)
-    result = run_sweep(
-        ddg, machine, config, max_extra,
-        bounds=cache.cached_lower_bounds(ddg, machine),
-        formulation_builder=cache.cached_formulation,
-        warmstart_provider=cache.cached_warmstart,
-        store=store,
-    )
+    config = replace(request_config(request), backend=backend)
+    result = cached_sweep(ddg, machine, config, max_extra, store_path)
     return BatchEntry(
         name=ddg.name,
         source=SERVE_SOURCE,
         num_ops=ddg.num_ops,
         result=result,
     ).to_json_dict()
-
-
-def solve_args(
-    request: Dict[str, object],
-    backend: str,
-    max_extra: int,
-    store_path: Optional[str],
-) -> Tuple:
-    """Positional args for :func:`solve_request` (picklable)."""
-    return (
-        request["ddg"],
-        request["machine"],
-        backend,
-        request.get("objective", "feasibility"),
-        request["time_limit"],
-        max_extra,
-        request.get("warmstart", True),
-        store_path,
-    )

@@ -58,6 +58,9 @@ CANCELLED = "cancelled"
 _MIN_WAIT = 0.01
 _MAX_WAIT = 0.25
 
+#: Signals blocked in the forking thread while a worker starts.
+_WORKER_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
 
 class SupervisedTask:
     """One unit of work and its outcome (result *or* failure, never a raise)."""
@@ -98,9 +101,18 @@ def _worker_main(conn, initializer, initargs, memory_mb) -> None:
     death without a reply is the parent's signal of a crash.
     """
     # The parent owns interrupt policy; a Ctrl-C must not kill workers
-    # before the supervisor has settled the run.
+    # before the supervisor has settled the run.  A forked child also
+    # inherits the parent's Python-level handlers and its signal
+    # wakeup fd (asyncio's self-pipe): both go before the signals the
+    # parent blocked across the fork are let through, so a SIGTERM
+    # aimed at this worker kills it instead of waking the parent.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        signal.set_wakeup_fd(-1)
+    except ValueError:
+        pass  # not the main thread of a spawned interpreter
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     if memory_mb is not None:
         try:
             import resource
@@ -150,7 +162,13 @@ class _Worker:
             args=(child_conn, initializer, initargs, memory_mb),
             daemon=True,
         )
-        self.process.start()
+        # Held off across the fork until the child has reset its
+        # handlers (see _worker_main).
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+        try:
+            self.process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         child_conn.close()
         self.conn = parent_conn
         self.task: Optional[SupervisedTask] = None

@@ -27,6 +27,7 @@ from repro.parallel import (
 )
 from repro.parallel.batch import REPORT_VERSION, load_report
 from repro.parallel.race import CANCELLED, _validate_roster
+from repro.supervision.executor import RUNNING, SupervisedExecutor
 
 
 @pytest.fixture
@@ -92,7 +93,23 @@ class TestRacePortfolio:
         verify_schedule(par.schedule)
         assert not _no_stray_children()
 
-    def test_portfolio_stats_shape(self, ddg, machine):
+    def test_portfolio_stats_shape(self, ddg, machine, monkeypatch):
+        # Count what the executor actually reaped: a successful
+        # kill_task on a running task is a kill, on a queued one a
+        # cancellation.  The record must report exactly those.
+        reaped = {"killed_running": 0, "cancelled_queued": 0}
+        kill_task = SupervisedExecutor.kill_task
+
+        def counting_kill_task(executor, task):
+            running = task.state == RUNNING
+            killed = kill_task(executor, task)
+            if killed:
+                reaped["killed_running" if running
+                       else "cancelled_queued"] += 1
+            return killed
+
+        monkeypatch.setattr(SupervisedExecutor, "kill_task",
+                            counting_kill_task)
         result = race_periods(
             ddg, machine, jobs=4, backends=("highs", "bnb", "sat"),
             warmstart=False,
@@ -101,8 +118,11 @@ class TestRacePortfolio:
         assert port is not None
         assert port["backends"] == ["highs", "bnb", "sat"]
         assert port["winner_backend"] in ("highs", "bnb", "sat")
-        assert port["killed_running"] >= 0
-        assert port["cancelled_queued"] >= 0
+        assert port["killed_running"] == reaped["killed_running"]
+        assert port["cancelled_queued"] == reaped["cancelled_queued"]
+        # Every reaped cell is logged as a cancelled attempt.
+        cancelled = sum(1 for a in result.attempts if a.status == CANCELLED)
+        assert cancelled >= sum(reaped.values()) > 0
 
     def test_cells_are_per_period_per_backend(self, ddg, machine):
         result = race_periods(

@@ -5,7 +5,10 @@ and spawn start methods alike.  Deadlines and backoffs are kept tiny so
 the whole file runs in seconds.
 """
 
+import asyncio
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -333,3 +336,42 @@ class TestKillTask:
         finally:
             executor.shutdown()
         assert executor.live_children() == []
+
+
+def _kill_fresh_workers(rounds):
+    """Kill tasks the moment they are dispatched, from this thread."""
+    for _ in range(rounds):
+        with SupervisedExecutor(max_workers=2) as executor:
+            tasks = [executor.submit(_sleep, 5.0) for _ in range(2)]
+            executor.poll(timeout=0.0)  # dispatch: fork and send
+            for task in tasks:
+                executor.kill_task(task)
+
+
+class TestSignalIsolation:
+    """A killed worker must never signal the process that forked it."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the inherited wakeup fd only exists under fork",
+    )
+    def test_killed_fresh_worker_does_not_wake_parent_handler(self):
+        # The serve daemon's shape: an asyncio loop owning a SIGTERM
+        # handler (its self-pipe is the signal wakeup fd) while another
+        # thread forks workers and kills them straight after dispatch.
+        # A child still holding the inherited handler and wakeup fd
+        # when its SIGTERM lands would write into the parent's
+        # self-pipe and fire the parent's handler.
+        fired = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, fired.append, "TERM")
+            try:
+                await loop.run_in_executor(None, _kill_fresh_workers, 12)
+                await asyncio.sleep(0.3)  # let a stray wakeup land
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+
+        asyncio.run(main())
+        assert fired == []

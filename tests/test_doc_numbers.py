@@ -1,0 +1,40 @@
+"""Numbers the docs quote must match the committed BENCH files."""
+
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _flat_text(relpath):
+    """The doc with all whitespace runs collapsed (line wraps vanish)."""
+    text = (ROOT / relpath).read_text(encoding="utf-8")
+    return " ".join(text.split())
+
+
+def test_portfolio_paragraph_matches_bench_portfolio():
+    doc = json.loads(
+        (ROOT / "BENCH_portfolio.json").read_text(encoding="utf-8")
+    )
+    text = _flat_text("docs/performance.md")
+    singles = doc["single_backend"]
+    portfolio = doc["portfolio"]
+    quoted = {
+        "sat 0.32 s": singles["sat"]["wall_seconds"],
+        "highs 1.17 s": singles["highs"]["wall_seconds"],
+        "bnb 295.9 s": singles["bnb"]["wall_seconds"],
+        "finished in 3.6 s": portfolio["wall_seconds"],
+    }
+    for phrase, seconds in quoted.items():
+        assert phrase in text, phrase
+        figure = phrase.split()[-2]
+        decimals = len(figure.partition(".")[2])
+        assert round(seconds, decimals) == float(figure), (phrase, seconds)
+    assert portfolio["jobs"] == 4 and "with 4 jobs" in text
+    assert portfolio["scheduled"] == portfolio["proven"] == 29
+    assert "all 29 loops scheduled and proven" in text
+    assert portfolio["wins"] == {"highs": 19, "bnb": 8, "sat": 2}
+    assert "`highs` 19, `bnb` 8, `sat` 2" in text
+    assert portfolio["killed_running"] == 119
+    assert portfolio["cancelled_queued"] == 73
+    assert "119 running losers killed and 73 queued ones dropped" in text
