@@ -4,9 +4,10 @@ Sweeps a seeded corpus on the §2 motivating machine (the hazard-heavy
 configuration where infeasibility proofs at T_lb..T-1 dominate the
 sweep) under two regimes per backend:
 
-* **baseline** — ``incremental=False`` and, on the pure-python solver,
-  ``REPRO_LP_ENGINE=cold``: every attempt rebuilds its analysis from
-  scratch and every branch-and-bound node solves its LP cold;
+* **baseline** — no sweep context (``context_for`` patched to return
+  None) and, on the pure-python solver, ``REPRO_LP_ENGINE=cold``: every
+  attempt rebuilds its analysis from scratch and every branch-and-bound
+  node solves its LP cold;
 * **incremental** — the defaults: a sweep-wide
   :class:`repro.core.incremental.SweepContext` (shared T-independent
   analysis, recycled infeasibility cuts) plus warm dual-simplex
@@ -15,9 +16,9 @@ sweep) under two regimes per backend:
 Asserts the headline claim — at least a 15% end-to-end wall-clock
 reduction on the ``bnb`` backend and non-regression on ``highs`` (where
 scipy exposes no basis I/O, so only the formulation-side reuse applies)
-— and the safety claim: with the LP engine held fixed, toggling
-``incremental`` leaves every schedule byte-identical (start cycles, FU
-colors, per-period statuses, bounds, proof flags).  Writes the measured
+— and the safety claim: with the LP engine held fixed, dropping the
+context leaves every schedule byte-identical (start cycles, FU colors,
+per-period statuses, bounds, proof flags).  Writes the measured
 numbers to ``BENCH_incremental.json`` at the repo root.
 
 ``warmstart=False`` keeps the heuristic pre-pass out of the loop so the
@@ -25,10 +26,10 @@ measurement isolates the ILP sweep the issue targets.
 """
 
 import json
-import os
 import pathlib
 import time
 
+import pytest
 from conftest import once
 
 from repro.core import schedule_loop, verify_schedule
@@ -49,31 +50,31 @@ HIGHS_TIME_LIMIT = 10.0
 
 
 def _sweep(loops, machine, backend, time_limit, incremental, lp_engine):
-    """Run the corpus sequentially; return (results, wall_seconds)."""
+    """Run the corpus sequentially; return (results, wall_seconds).
+
+    ``incremental=False`` makes ``context_for`` return None, so every
+    attempt builds cold (the path ``presolve=False`` takes).
+    """
     clear_contexts()
-    previous = os.environ.get(LP_ENGINE_ENV)
-    os.environ[LP_ENGINE_ENV] = lp_engine
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(LP_ENGINE_ENV, lp_engine)
+        if not incremental:
+            patch.setattr("repro.core.incremental.context_for",
+                          lambda ddg, machine: None)
         start = time.monotonic()
         results = [
             schedule_loop(
                 ddg, machine, backend=backend, warmstart=False,
                 time_limit_per_t=time_limit, max_extra=MAX_EXTRA,
-                incremental=incremental,
             )
             for ddg in loops
         ]
         elapsed = time.monotonic() - start
-    finally:
-        if previous is None:
-            os.environ.pop(LP_ENGINE_ENV, None)
-        else:
-            os.environ[LP_ENGINE_ENV] = previous
     return results, elapsed
 
 
 def _fields(result):
-    """Everything the incremental toggle is forbidden to change."""
+    """Everything the sweep context is forbidden to change."""
     return {
         "achieved_t": result.achieved_t,
         "proven": result.is_rate_optimal_proven,
@@ -135,7 +136,7 @@ def test_incremental_speedup(benchmark, motivating):
     bnb_reduction = 1.0 - bnb_on_secs / bnb_off_secs
     bnb_stats = incremental_stats()
 
-    # Safety: same engine, incremental toggled — byte-identical results.
+    # Safety: same engine, context dropped — byte-identical results.
     bnb_off_warm, _ = _sweep(
         loops, motivating, "bnb", BNB_TIME_LIMIT,
         incremental=False, lp_engine="warm",

@@ -29,10 +29,11 @@ import pytest
 from conftest import once
 
 from repro.core import schedule_loop
+from repro.core.incremental import clear_contexts
 from repro.ddg.generators import suite
 from repro.machine.presets import deep_unclean
 from repro.parallel import race_periods
-from repro.parallel.cache import clear_caches
+from repro.store.tiering import clear_tiers
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_portfolio.json"
@@ -68,7 +69,8 @@ def loops(machine):
 
 def _single_sweep(loops, machine, backend):
     """Sequential per-loop sweeps on one backend; (results, seconds)."""
-    clear_caches()
+    clear_contexts()
+    clear_tiers()
     start = time.monotonic()
     results = [
         schedule_loop(
@@ -81,7 +83,8 @@ def _single_sweep(loops, machine, backend):
 
 
 def _portfolio_sweep(loops, machine):
-    clear_caches()
+    clear_contexts()
+    clear_tiers()
     start = time.monotonic()
     results = [
         race_periods(

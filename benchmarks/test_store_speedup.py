@@ -20,9 +20,9 @@ import random
 from conftest import once
 
 from repro.core import schedule_loop, verify_schedule
+from repro.core.incremental import clear_contexts
 from repro.ddg.generators import suite
 from repro.ddg.transforms import scrambled
-from repro.parallel.cache import clear_caches
 from repro.store.tiering import clear_tiers
 
 BENCH_PATH = (
@@ -38,7 +38,7 @@ def _run_corpus(loops, machine, store_dir):
     # Fresh process-local tiers each run: only the on-disk store may
     # carry answers across runs, exactly as separate processes would.
     clear_tiers()
-    clear_caches()
+    clear_contexts()
     results = [
         schedule_loop(
             ddg, machine, time_limit_per_t=TIME_LIMIT,

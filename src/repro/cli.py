@@ -168,7 +168,6 @@ def _cmd_schedule(args) -> int:
             max_extra=args.max_extra,
             presolve=not args.no_presolve,
             warmstart=not args.no_warmstart,
-            incremental=not args.no_incremental,
             supervision=_policy_of(args),
             store=args.store,
         )
@@ -245,7 +244,6 @@ def _cmd_batch(args) -> int:
                 presolve=not args.no_presolve,
                 jobs=args.jobs,
                 warmstart=not args.no_warmstart,
-                incremental=not args.no_incremental,
                 policy=_policy_of(args),
                 journal=args.journal,
                 resume=args.resume,
@@ -284,7 +282,6 @@ def _cmd_race(args) -> int:
                 presolve=not args.no_presolve,
                 jobs=args.jobs,
                 warmstart=not args.no_warmstart,
-                incremental=not args.no_incremental,
                 policy=_policy_of(args),
                 store=args.store,
                 backends=_backends_of(args),
@@ -443,26 +440,23 @@ def _print_attempt_profile(t_period: int, label: str, attempt) -> None:
 
 
 def _print_cache_counters() -> None:
-    """In-process memoization counters (LRU caches + store tiers)."""
-    from repro.parallel.cache import cache_stats
+    """In-process reuse counters: store tiers + sweep-context registry."""
+    from repro.core.incremental import incremental_stats
     from repro.store.tiering import tier_stats
 
     print()
     print("in-process caches (this run):")
-    for name, counters in {**cache_stats(), **tier_stats()}.items():
-        if name == "incremental":
-            print(
-                f"  {name:<12} {counters['contexts']} context(s), "
-                f"{counters['analysis_hits']} analysis hit(s), "
-                f"{counters['cuts_harvested']} cut(s) banked, "
-                f"{counters['attempts_skipped']} attempt(s) cut-skipped"
-            )
-            continue
+    for name, counters in tier_stats().items():
         total = counters["hits"] + counters["misses"]
-        line = f"  {name:<12} {counters['hits']}/{total} hit(s)"
-        if "size" in counters:
-            line += f", {counters['size']} entries"
-        print(line)
+        print(f"  {name:<12} {counters['hits']}/{total} hit(s), "
+              f"{counters['size']} entries")
+    counters = incremental_stats()
+    print(
+        f"  {'incremental':<12} {counters['contexts']} context(s), "
+        f"{counters['analysis_hits']} analysis hit(s), "
+        f"{counters['cuts_harvested']} cut(s) banked, "
+        f"{counters['attempts_skipped']} attempt(s) cut-skipped"
+    )
 
 
 def _cmd_cache(args) -> int:
@@ -880,9 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.add_argument("--no-warmstart", action="store_true",
                             help="disable the heuristic warm-start "
                                  "pre-pass")
-    p_schedule.add_argument("--no-incremental", action="store_true",
-                            help="rebuild every sweep attempt cold "
-                                 "(no shared analysis / recycled cuts)")
     p_schedule.add_argument("--store", metavar="DIR",
                             help="persistent schedule store directory "
                                  "(hits skip the solve entirely)")
@@ -921,9 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable the ILP presolve pass")
     p_batch.add_argument("--no-warmstart", action="store_true",
                          help="disable the heuristic warm-start pre-pass")
-    p_batch.add_argument("--no-incremental", action="store_true",
-                         help="rebuild every sweep attempt cold "
-                              "(no shared analysis / recycled cuts)")
     p_batch.add_argument("--journal", metavar="PATH",
                          help="append every finished loop to this JSONL "
                               "checkpoint file")
@@ -961,9 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the ILP presolve pass")
     p_race.add_argument("--no-warmstart", action="store_true",
                         help="disable the heuristic warm-start pre-pass")
-    p_race.add_argument("--no-incremental", action="store_true",
-                        help="rebuild every sweep attempt cold "
-                             "(no shared analysis / recycled cuts)")
     p_race.add_argument("--store", metavar="DIR",
                         help="persistent schedule store directory "
                              "(hits skip the race entirely)")

@@ -39,18 +39,25 @@ deterministically (see :meth:`CutPool.consult`), which is what keeps the
 incremental-on/off differential byte-identical.
 
 **SweepContext** — one loop's bundle of the above plus reuse counters.
-Contexts live in a per-process registry keyed by content digests, so the
-sequential sweep, every race worker, and every supervised worker each
-self-serve their own context without anything crossing a pickle
-boundary (the same pattern as :mod:`repro.parallel.cache`).
+Contexts live in a per-process registry keyed by exact content digests
+(:func:`ddg_digest`, :func:`machine_digest`), so the sequential sweep,
+every race worker, and every supervised worker each self-serve their
+own context without anything crossing a pickle boundary.  The digests
+are exact, not canonical: :class:`LoopAnalysis` indexes ops and FU types
+by name and order, so only a byte-identical loop on a machine with the
+same FU-type and op-class names may share one.  (The schedule store
+keys on canonical digests instead and remaps every hit; see
+:mod:`repro.store.keys`.)
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.ddg.builders import serialize_ddg
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
 
@@ -318,12 +325,9 @@ class SweepContext:
         self.stats = ContextStats()
         self._analyses: "OrderedDict[str, LoopAnalysis]" = OrderedDict()
 
-    def analysis_for(
-        self, machine: Machine, machine_key: Optional[str] = None
-    ) -> LoopAnalysis:
+    def analysis_for(self, machine: Machine) -> LoopAnalysis:
         """The :class:`LoopAnalysis` for an attempt machine (cached)."""
-        if machine_key is None:
-            machine_key = _machine_key(machine)
+        machine_key = machine_digest(machine)
         analysis = self._analyses.get(machine_key)
         if analysis is None:
             analysis = LoopAnalysis(self.ddg, machine)
@@ -338,38 +342,40 @@ class SweepContext:
         return analysis
 
 
-def _machine_key(machine: Machine) -> str:
-    # Late import: parallel.cache imports core modules at module scope.
-    from repro.parallel.cache import machine_digest
-
-    return machine_digest(machine)
+def ddg_digest(ddg: Ddg) -> str:
+    """Exact content digest of a DDG (its text serialization)."""
+    return hashlib.sha256(serialize_ddg(ddg).encode("utf-8")).hexdigest()
 
 
-def machine_key(machine: Machine) -> str:
-    """Content digest used for context / cut-pool keying (public alias)."""
-    return _machine_key(machine)
+def machine_digest(machine: Machine) -> str:
+    """Content digest of a machine description.
+
+    Built from every field that affects scheduling — FU types (count,
+    cost, reservation rows) and op classes (FU binding, latency, table
+    override) — and *only* those: the display ``name`` is deliberately
+    excluded, so two machines differing only in what they are called
+    share contexts (and batch journals).
+    """
+    parts = []
+    for name in sorted(machine.fu_types):
+        fu = machine.fu_types[name]
+        parts.append(f"fu {name} {fu.count} {fu.cost} {fu.table!r}")
+    for name in sorted(machine.op_classes):
+        cls = machine.op_classes[name]
+        parts.append(f"class {name} {cls.fu_type} {cls.latency} {cls.table!r}")
+    blob = "\n".join(parts).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
-def _ddg_key(ddg: Ddg) -> str:
-    from repro.parallel.cache import ddg_digest
-
-    return ddg_digest(ddg)
-
-
-#: Per-process context registry.  Bounded like the parallel caches;
-#: worker processes each warm their own copy.
+#: Per-process context registry, LRU-bounded; worker processes each
+#: warm their own copy.
 _MAX_CONTEXTS = 64
 _CONTEXTS: "OrderedDict[Tuple[str, str], SweepContext]" = OrderedDict()
 _REGISTRY_HITS = 0
 _REGISTRY_MISSES = 0
 
 
-def context_for(
-    ddg: Ddg,
-    machine: Machine,
-    ddg_key: Optional[str] = None,
-    machine_key: Optional[str] = None,
-) -> SweepContext:
+def context_for(ddg: Ddg, machine: Machine) -> SweepContext:
     """The process-wide :class:`SweepContext` for a (ddg, machine) pair.
 
     Keyed by content digests so structurally identical loops — distinct
@@ -378,11 +384,8 @@ def context_for(
     repaired variants nest inside the context via :meth:`analysis_for`.
     """
     global _REGISTRY_HITS, _REGISTRY_MISSES
-    if ddg_key is None:
-        ddg_key = _ddg_key(ddg)
-    if machine_key is None:
-        machine_key = _machine_key(machine)
-    key = (ddg_key, machine_key)
+    machine_key = machine_digest(machine)
+    key = (ddg_digest(ddg), machine_key)
     context = _CONTEXTS.get(key)
     if context is None:
         context = SweepContext(ddg, machine_key)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from repro.core import incremental
 from repro.core.bounds import LowerBounds, lower_bounds, modulo_feasible_t
 from repro.core.errors import SchedulingError
 from repro.core.formulation import Formulation, FormulationOptions
@@ -274,16 +275,6 @@ class AttemptConfig:
     #: Run the iterative-modulo heuristic first and use its schedule to
     #: bracket the sweep / seed the solver (see repro.core.warmstart).
     warmstart: bool = True
-    #: Carry a :class:`repro.core.incremental.SweepContext` across the
-    #: T-sweep: T-independent analysis products feed each formulation
-    #: build, and infeasibility certificates from earlier periods skip
-    #: attempts they already prove.  Reuse is outcome-identical — the
-    #: fed build produces a byte-identical model, and cuts fire only
-    #: where the cold path deterministically returns INFEASIBLE — so
-    #: toggling this never changes schedules, bounds, or proof flags.
-    #: Only takes effect alongside ``presolve`` (the cut validity
-    #: arguments lean on presolve's checks).
-    incremental: bool = True
 
 
 @dataclass
@@ -299,9 +290,6 @@ def attempt_period(
     machine: Machine,
     t_period: int,
     config: Optional[AttemptConfig] = None,
-    formulation_builder: Optional[
-        Callable[[Ddg, Machine, int, FormulationOptions], Formulation]
-    ] = None,
     incumbent: Optional[Schedule] = None,
     context=None,
 ) -> AttemptOutcome:
@@ -313,10 +301,6 @@ def attempt_period(
     :func:`schedule_loop` and :func:`repro.parallel.race.race_periods`
     funnel through here, which is what keeps their results identical.
 
-    ``formulation_builder`` lets callers inject a memoized constructor
-    (see :mod:`repro.parallel.cache`); it is an in-process hook only and
-    never crosses a pickle boundary.
-
     ``incumbent`` is an already-verified schedule at this exact period
     (normally the heuristic's); it is converted into a full variable
     assignment and handed to the solver as its starting incumbent.  A
@@ -326,13 +310,17 @@ def attempt_period(
 
     ``context`` is the loop's :class:`~repro.core.incremental.SweepContext`
     (the sequential sweep fetches one and passes it down); when omitted
-    under an incremental config the per-process registry self-serves it,
-    which is how each race / supervised worker process gets its own
-    without anything crossing a pickle boundary.  Before building, the
+    the per-process registry self-serves it, which is how each race /
+    supervised worker process gets its own without anything crossing a
+    pickle boundary.  Reuse is outcome-identical: the context-fed build
+    is byte-identical to a cold one, and a cut fires only where the cold
+    path deterministically returns INFEASIBLE.  Before building, the
     context's cut pool is consulted: a certificate covering this attempt
     returns INFEASIBLE immediately, with ``model_stats["cut_skip"]``
     naming the cut kind.  After an infeasible attempt, the verdict is
-    harvested back into the pool.
+    harvested back into the pool.  Without ``presolve`` there is no
+    context (the cut validity arguments lean on presolve's checks) and
+    every attempt builds cold.
     """
     config = config or AttemptConfig()
     faults.fire("attempt", loop=ddg.name, t=t_period,
@@ -351,18 +339,14 @@ def attempt_period(
             )
         attempt_machine = patched
         repaired = True
-    if not (config.incremental and config.presolve):
+    if not config.presolve:
         context = None
     elif context is None:
-        from repro.core.incremental import context_for
-
-        context = context_for(ddg, machine)
+        context = incremental.context_for(ddg, machine)
     machine_key: Optional[str] = None
     if context is not None:
         if repaired:
-            from repro.core.incremental import machine_key as key_of
-
-            machine_key = key_of(attempt_machine)
+            machine_key = incremental.machine_digest(attempt_machine)
         else:
             machine_key = context.base_machine_key
         kind = context.cuts.consult(
@@ -381,14 +365,9 @@ def attempt_period(
         mapping=config.mapping, objective=config.objective,
         presolve=config.presolve,
     )
-    if formulation_builder is not None and not repaired:
-        formulation = formulation_builder(
-            ddg, attempt_machine, t_period, options
-        )
-    else:
-        formulation = Formulation(
-            ddg, attempt_machine, t_period, options, context=context
-        )
+    formulation = Formulation(
+        ddg, attempt_machine, t_period, options, context=context
+    )
     formulation.build()
     mip_start = None
     if (incumbent is not None and not repaired
@@ -458,8 +437,6 @@ def _harvest_cuts(
     of the period that exposed them); a solver-completed INFEASIBLE is
     memoized for exact-tuple replay only.
     """
-    from repro.core.incremental import CAPACITY_FLOOR, CYCLE_FLOOR
-
     info = formulation.presolve_info
     if info is not None and info.infeasible:
         context.cuts.memoize_infeasible(
@@ -469,10 +446,11 @@ def _harvest_cuts(
         analysis = formulation.analysis
         if analysis is not None:
             context.cuts.assert_floor(
-                CYCLE_FLOOR, machine_key, analysis.t_dep()
+                incremental.CYCLE_FLOOR, machine_key, analysis.t_dep()
             )
             context.cuts.assert_floor(
-                CAPACITY_FLOOR, machine_key, analysis.t_res_floor
+                incremental.CAPACITY_FLOOR, machine_key,
+                analysis.t_res_floor,
             )
     elif solution.status is SolveStatus.INFEASIBLE:
         context.cuts.memoize_infeasible(
@@ -517,13 +495,6 @@ def run_sweep(
     machine: Machine,
     config: AttemptConfig,
     max_extra: int,
-    bounds: Optional[LowerBounds] = None,
-    formulation_builder: Optional[
-        Callable[[Ddg, Machine, int, FormulationOptions], Formulation]
-    ] = None,
-    warmstart_provider: Optional[
-        Callable[[Ddg, Machine, int], WarmStart]
-    ] = None,
     store=None,
     roster: Sequence[str] = (),
     workers: int = 0,
@@ -533,8 +504,7 @@ def run_sweep(
     """The §6 increasing-T sweep, as one cell race over period groups.
 
     Shared by :func:`schedule_loop`, :func:`repro.parallel.race_periods`
-    and the batch/serve worker bodies (which inject memoized
-    bound/formulation/warm-start providers).  With warm starts enabled
+    and the batch/serve worker bodies.  With warm starts enabled
     the heuristic runs first; its achieved II caps the candidate range
     from above, settles its own period outright under the feasibility
     objective (status ``"heuristic"``, no ILP), and seeds the solver's
@@ -577,25 +547,20 @@ def run_sweep(
             stored.store = store_stats
             stored.total_seconds = time.monotonic() - start_clock
             return stored
-    if bounds is None:
-        bounds = lower_bounds(ddg, machine)
+    bounds = lower_bounds(ddg, machine)
     context = None
-    if config.incremental and config.presolve and workers == 0:
+    if config.presolve and workers == 0:
         # One context serves the whole in-process sweep; pool workers
         # can't take it across the pickle boundary — they self-serve
         # from the per-process registry inside attempt_period.
-        from repro.core.incremental import context_for
-
-        context = context_for(ddg, machine)
+        context = incremental.context_for(ddg, machine)
     ws: Optional[WarmStart] = None
     ws_stats = WarmStartStats(enabled=False)
     if config.warmstart and config.mapping is not False:
         # Never under the counting-only relaxation (mapping=False): the
         # heuristic solves the *mapped* problem, whose answers must not
         # leak into an experiment about the unmapped one.
-        ws = (warmstart_provider or compute_warmstart)(
-            ddg, machine, max_extra
-        )
+        ws = compute_warmstart(ddg, machine, max_extra)
         ws_stats = WarmStartStats(
             enabled=True, heuristic_ii=ws.ii, heuristic_mii=ws.mii,
             heuristic_seconds=ws.seconds, placements=ws.placements,
@@ -631,8 +596,7 @@ def run_sweep(
                     "incumbent": ws.schedule if at_heuristic_ii else None
                 }
                 if workers == 0:
-                    kwargs.update(formulation_builder=formulation_builder,
-                                  context=context)
+                    kwargs["context"] = context
                 cells = [
                     Cell(name, attempt_period,
                          (ddg, machine, t_period, cfg), kwargs)
@@ -764,7 +728,6 @@ def schedule_loop(
     repair_modulo: bool = False,
     presolve: bool = True,
     warmstart: bool = True,
-    incremental: bool = True,
     supervision=None,
     store=None,
 ) -> SchedulingResult:
@@ -796,12 +759,10 @@ def schedule_loop(
     by :func:`repro.store.open_store`) consults the persistent schedule
     store before doing any work and publishes clean results back.
 
-    ``incremental`` (the default) carries a
-    :class:`~repro.core.incremental.SweepContext` across the sweep —
-    shared T-independent analysis plus recycled infeasibility cuts; see
-    ``docs/performance.md``.  Disabling it reproduces the fully cold
-    per-attempt behavior bit-for-bit (same schedules, bounds and proof
-    flags — only timings and reuse counters change).
+    With ``presolve`` (the default) a
+    :class:`~repro.core.incremental.SweepContext` is carried across the
+    sweep — shared T-independent analysis plus recycled infeasibility
+    cuts; see ``docs/performance.md``.
     """
     if backend == "portfolio":
         raise SchedulingError(
@@ -819,7 +780,6 @@ def schedule_loop(
         repair_modulo=repair_modulo,
         presolve=presolve,
         warmstart=warmstart,
-        incremental=incremental,
     )
     if store is not None:
         from repro.store import open_store

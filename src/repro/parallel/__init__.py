@@ -6,9 +6,7 @@ infeasibility of several small periods concurrently instead of one at a
 time — and (b) batchable — :func:`run_batch` spreads a whole corpus of
 loops across worker processes with deterministic result ordering and a
 JSON report.  Both dispatch through :mod:`repro.supervision.cells`, the
-one cell race every driver (and the ``repro serve`` dispatcher) runs;
-:mod:`repro.parallel.cache` memoizes lower-bound and formulation
-construction per worker.
+one cell race every driver (and the ``repro serve`` dispatcher) runs.
 
 Both entry points preserve the sequential driver's semantics exactly
 (same achieved ``T``, same ``is_rate_optimal_proven`` proof obligation);
@@ -21,16 +19,6 @@ from repro.parallel.batch import (
     collect_sources,
     load_report,
     run_batch,
-)
-from repro.parallel.cache import (
-    LruCache,
-    cache_stats,
-    cached_formulation,
-    cached_lower_bounds,
-    cached_warmstart,
-    clear_caches,
-    ddg_digest,
-    machine_digest,
 )
 from repro.parallel.race import (
     CANCELLED,
@@ -46,17 +34,9 @@ __all__ = [
     "CANCELLED",
     "PORTFOLIO_BACKENDS",
     "default_portfolio",
-    "LruCache",
-    "cache_stats",
-    "cached_formulation",
-    "cached_lower_bounds",
-    "cached_warmstart",
-    "clear_caches",
     "collect_sources",
-    "ddg_digest",
     "default_jobs",
     "load_report",
-    "machine_digest",
     "race_periods",
     "run_batch",
 ]

@@ -23,10 +23,7 @@ schema (see :meth:`BatchReport.to_json_dict`).  Guarantees:
   :func:`repro.supervision.graceful_interrupts`, SIGINT/SIGTERM settles
   the batch: finished loops keep their results, unfinished ones are
   recorded as ``interrupted``, the journal is flushed, and the report is
-  still written;
-* **warm caches** — each worker memoizes lower bounds and built
-  formulations (:mod:`repro.parallel.cache`), so corpora with repeated
-  loop shapes skip redundant construction work.
+  still written.
 
 The JSON report (one object per loop: name, ``T_lb``/``T_dep``/``T_res``,
 achieved ``T``, delta, proof flag, seconds, and the full per-period
@@ -44,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.incremental import machine_digest
 from repro.core.scheduler import (
     AttemptConfig,
     SchedulingResult,
@@ -53,8 +51,8 @@ from repro.core.scheduler import (
 from repro.ddg.builders import parse_ddg, serialize_ddg
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
-from repro.parallel import cache
 from repro.parallel.race import default_jobs, resolve_roster
+from repro.store import open_store
 from repro.supervision import faults
 from repro.supervision.atomicio import atomic_write_text
 from repro.supervision.cells import CLEAN, FAILED, WIN, Cell, CellRace, Group
@@ -102,7 +100,8 @@ from repro.supervision.records import (
 #: period cell that died without a verdict (supervision failures *and*
 #: cancelled portfolio losers), so a degraded winner's missing proofs
 #: are auditable from the report alone.
-REPORT_VERSION = 8
+#: v9: the report-level ``cache`` aggregate is gone (entries unchanged).
+REPORT_VERSION = 9
 
 from repro.corpusgen.manifest import (
     MANIFEST_NAME,
@@ -130,10 +129,6 @@ class BatchEntry:
     #: Pre-serialized entry carried over from a resume journal; when
     #: set it *is* the JSON form and the other fields are advisory.
     raw: Optional[dict] = None
-    #: Cumulative LRU counters of the process that scheduled this loop
-    #: (``{"pid": ..., "caches": cache_stats()}``) — *cumulative*, so
-    #: report aggregation takes the max per pid, not the sum.
-    cache_snapshot: Optional[dict] = None
     #: Loop-level portfolio record when the loop was raced across
     #: backends: roster, winning backend, per-loser dispositions and
     #: kill/cancel counters.  None for single-backend batches.
@@ -342,43 +337,6 @@ class BatchReport:
             ),
         }
 
-    def cache_summary(self) -> Optional[dict]:
-        """Sum the per-process LRU counters across worker snapshots.
-
-        Snapshots are cumulative per pid, so the latest (largest) one
-        per pid stands for that whole process.
-        """
-        latest: dict = {}
-        for entry in self.entries:
-            snap = entry.cache_snapshot
-            if not snap:
-                continue
-            pid = snap.get("pid")
-            caches = snap.get("caches") or {}
-            best = latest.get(pid)
-            if best is None or _snapshot_weight(caches) >= _snapshot_weight(
-                best
-            ):
-                latest[pid] = caches
-        if not latest:
-            return None
-        totals: dict = {}
-        for caches in latest.values():
-            for name, counters in caches.items():
-                if name == "incremental":
-                    # Not an LRU: sum its scalar counters directly
-                    # (the per-kind cut_skips dict stays per-process).
-                    slot = totals.setdefault(name, {})
-                    for key, value in counters.items():
-                        if isinstance(value, (int, float)):
-                            slot[key] = slot.get(key, 0) + value
-                    continue
-                slot = totals.setdefault(name, {"hits": 0, "misses": 0})
-                slot["hits"] += counters.get("hits", 0)
-                slot["misses"] += counters.get("misses", 0)
-        totals["processes"] = len(latest)
-        return totals
-
     def to_json_dict(self) -> dict:
         doc = {
             "report_version": REPORT_VERSION,
@@ -395,9 +353,6 @@ class BatchReport:
         store = self.store_summary()
         if store is not None:
             doc["store"] = store
-        cache_totals = self.cache_summary()
-        if cache_totals is not None:
-            doc["cache"] = cache_totals
         portfolio = self.portfolio_summary()
         if portfolio is not None:
             doc["portfolio"] = portfolio
@@ -474,25 +429,6 @@ class BatchReport:
                 f"disk), {store['published']} published, "
                 f"{store['evicted']} evicted"
             )
-        cache_totals = self.cache_summary()
-        if cache_totals is not None:
-            parts = ", ".join(
-                f"{name} {c['hits']}/{c['hits'] + c['misses']}"
-                for name, c in sorted(cache_totals.items())
-                if isinstance(c, dict) and "hits" in c
-            )
-            lines.append(
-                f"lru hits across {cache_totals['processes']} "
-                f"process(es): {parts}"
-            )
-            inc = cache_totals.get("incremental")
-            if inc:
-                lines.append(
-                    f"incremental: {inc.get('analysis_hits', 0)} analysis "
-                    f"hit(s), {inc.get('cuts_harvested', 0)} cut(s) "
-                    f"banked, {inc.get('attempts_skipped', 0)} attempt(s) "
-                    f"settled by recycled cuts"
-                )
         portfolio = self.portfolio_summary()
         if portfolio is not None:
             wins = ", ".join(
@@ -507,17 +443,8 @@ class BatchReport:
         return "\n".join(lines)
 
 
-def _snapshot_weight(caches: dict) -> int:
-    """Total event count of a cumulative cache snapshot (for max-per-pid)."""
-    return sum(
-        counters.get("hits", 0) + counters.get("misses", 0)
-        for counters in caches.values()
-        if isinstance(counters, dict)
-    )
-
-
 def load_report(path) -> BatchReport:
-    """Load a saved batch report (any v3..v8 schema)."""
+    """Load a saved batch report (any v3..v9 schema)."""
     with open(path, encoding="utf-8") as handle:
         return BatchReport.from_json_dict(json.load(handle))
 
@@ -548,40 +475,14 @@ def collect_sources(paths: Iterable[LoopSource]) -> List[LoopSource]:
     return sources
 
 
-def cached_sweep(
-    ddg: Ddg, machine: Machine, config: AttemptConfig, max_extra: int,
-    store_path: Optional[str] = None,
-) -> SchedulingResult:
-    """:func:`run_sweep` with this process's caches and the shared store.
-
-    The sweep of every batch and service worker: the worker-local
-    bounds/formulation/warm-start caches let corpora with repeated loop
-    shapes skip redundant construction and heuristic work, and
-    ``store_path`` opens the persistent store in this process
-    (concurrent-writer safe).
-    """
-    store = None
-    if store_path is not None:
-        from repro.store import open_store
-
-        store = open_store(store_path)
-    return run_sweep(
-        ddg, machine, config, max_extra,
-        bounds=cache.cached_lower_bounds(ddg, machine),
-        formulation_builder=cache.cached_formulation,
-        warmstart_provider=cache.cached_warmstart,
-        store=store,
-    )
-
-
 def _schedule_source(
     text: str, source: str, machine: Machine, config: AttemptConfig,
     max_extra: int, store_path: Optional[str] = None,
 ) -> BatchEntry:
     """Worker body: schedule one serialized loop (picklable in and out).
 
-    Runs :func:`cached_sweep`; each entry carries a cumulative snapshot
-    of this process's LRU counters for report-level aggregation.
+    ``store_path`` opens the persistent store in this process
+    (concurrent-writer safe).
     """
     loop_id = Path(source).stem if source != "<memory>" else source
     faults.fire("batch", loop=loop_id, source=source,
@@ -589,16 +490,13 @@ def _schedule_source(
     try:
         ddg = parse_ddg(text)
         ddg.validate_against(machine)
-        result = cached_sweep(ddg, machine, config, max_extra, store_path)
+        result = run_sweep(ddg, machine, config, max_extra,
+                           store=open_store(store_path))
         return BatchEntry(
             name=ddg.name,
             source=source,
             num_ops=ddg.num_ops,
             result=result,
-            cache_snapshot={
-                "pid": os.getpid(),
-                "caches": cache.cache_stats(),
-            },
         )
     except MemoryError:
         raise  # let the supervisor classify this as an OOM
@@ -658,14 +556,9 @@ def _load_tasks(
 
 def _batch_digest(machine: Machine, config: AttemptConfig,
                   max_extra: int) -> str:
-    """Journal config digest: everything that must match on resume.
-
-    ``incremental`` is deliberately excluded: toggling it never changes
-    schedules, bounds or proof flags (only timings and reuse counters),
-    so a journal from either mode is safe to resume in the other.
-    """
+    """Journal config digest: everything that must match on resume."""
     return config_digest(
-        cache.machine_digest(machine),
+        machine_digest(machine),
         backend=config.backend,
         objective=config.objective,
         mapping=config.mapping,
@@ -690,7 +583,6 @@ def run_batch(
     presolve: bool = True,
     jobs: Optional[int] = None,
     warmstart: bool = True,
-    incremental: bool = True,
     policy: Optional[SupervisionPolicy] = None,
     journal: Optional[Union[str, "os.PathLike[str]"]] = None,
     resume: Optional[Union[str, "os.PathLike[str]"]] = None,
@@ -739,7 +631,6 @@ def run_batch(
         verify=verify,
         presolve=presolve,
         warmstart=warmstart,
-        incremental=incremental,
     )
     store_path = str(store) if store is not None else None
     sources = collect_sources(paths)

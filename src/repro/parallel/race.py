@@ -163,7 +163,6 @@ def race_periods(
     jobs: Optional[int] = None,
     window: Optional[int] = None,
     warmstart: bool = True,
-    incremental: bool = True,
     policy: Optional[SupervisionPolicy] = None,
     store=None,
     backends: Optional[Sequence[str]] = None,
@@ -194,8 +193,8 @@ def race_periods(
     hit returns immediately without spawning workers, and a clean cold
     result is published back for future runs.
 
-    With ``incremental`` (the default) every worker process self-serves
-    a :class:`~repro.core.incremental.SweepContext` from its own
+    Every worker process self-serves a
+    :class:`~repro.core.incremental.SweepContext` from its own
     per-process registry inside :func:`attempt_period` — nothing crosses
     a pickle boundary, and a worker handling several periods of the same
     loop reuses the shared analysis and banked cuts across them.
@@ -230,7 +229,6 @@ def race_periods(
         repair_modulo=repair_modulo,
         presolve=presolve,
         warmstart=warmstart,
-        incremental=incremental,
     )
     if store is not None:
         from repro.store import open_store

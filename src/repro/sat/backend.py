@@ -16,10 +16,6 @@ row-by-row against the built model before being returned
 agreement structural: a decode that violated any ILP row would raise,
 never silently return a different schedule space.
 
-The CNF is memoized on the formulation object (one encode per
-formulation, however many solves race over it); counters are surfaced
-through :func:`encode_stats` into ``repro cache stats``.
-
 ``REPRO_SAT_CARD`` selects the capacity cardinality encoding
 (``auto``/``sequential``/``totalizer``) for differential testing.
 """
@@ -34,7 +30,6 @@ from repro.ilp.errors import SolverError
 from repro.ilp.model import Model, Variable
 from repro.ilp.solution import Solution, SolveStatus
 from repro.sat.encode import (
-    SatEncoding,
     decode_model,
     encode_formulation,
     phase_hints,
@@ -43,19 +38,6 @@ from repro.sat.solver import SAT, UNSAT, CdclSolver
 
 #: Environment override for the capacity cardinality encoding.
 SAT_CARD_ENV = "REPRO_SAT_CARD"
-
-#: Per-process encode counters (mirrors the formulation cache stats).
-_ENCODE_STATS = {"encodes": 0, "memo_hits": 0}
-
-
-def encode_stats() -> Dict[str, int]:
-    """Per-process SAT encode counters (encodes vs memo hits)."""
-    return dict(_ENCODE_STATS)
-
-
-def reset_encode_stats() -> None:
-    _ENCODE_STATS["encodes"] = 0
-    _ENCODE_STATS["memo_hits"] = 0
 
 
 def solve_sat(
@@ -75,18 +57,6 @@ def solve_sat(
     return solve_formulation(
         formulation, time_limit=time_limit, mip_start=mip_start
     )
-
-
-def _encoding_for(formulation) -> SatEncoding:
-    card = os.environ.get(SAT_CARD_ENV, "auto")
-    cached = getattr(formulation, "_sat_encoding", None)
-    if cached is not None and cached[0] == card:
-        _ENCODE_STATS["memo_hits"] += 1
-        return cached[1]
-    encoding = encode_formulation(formulation, card=card)
-    _ENCODE_STATS["encodes"] += 1
-    formulation._sat_encoding = (card, encoding)
-    return encoding
 
 
 def solve_formulation(
@@ -128,7 +98,9 @@ def solve_formulation(
                 stats={"sat_warm_shortcircuit": 1.0},
             )
 
-    encoding = _encoding_for(formulation)
+    encoding = encode_formulation(
+        formulation, card=os.environ.get(SAT_CARD_ENV, "auto")
+    )
     stats: Dict[str, float] = {
         "sat_encode_seconds": round(encoding.encode_seconds, 6),
         "sat_vars": float(encoding.cnf.num_vars),

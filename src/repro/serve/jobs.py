@@ -3,9 +3,8 @@
 A :class:`Job` lives on the daemon side only; what crosses the process
 boundary is :func:`solve_request` and the job's plain request dict.
 The body has the same shape as the batch runner's (parse, validate,
-``run_sweep`` with the worker-local caches and the shared store) and
-returns the entry as a plain JSON dict so the HTTP layer serves it
-verbatim.  Anything the
+``run_sweep`` against the shared store) and returns the entry as a
+plain JSON dict so the HTTP layer serves it verbatim.  Anything the
 solve raises surfaces through the supervisor's failure taxonomy
 (``MemoryError`` re-raised for OOM classification, everything else a
 ``solver_error``), so a job's failure always names a kind.
@@ -18,9 +17,10 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.core.scheduler import AttemptConfig
+from repro.core.scheduler import AttemptConfig, run_sweep
 from repro.machine import presets
-from repro.parallel.batch import BatchEntry, cached_sweep
+from repro.parallel.batch import BatchEntry
+from repro.store import open_store
 from repro.supervision import faults
 
 #: Job lifecycle states (terminal: done/failed/shed/cancelled).
@@ -138,7 +138,8 @@ def solve_request(
     ddg.validate_against(machine)
     faults.fire("solve", loop=ddg.name, backend=backend)
     config = replace(request_config(request), backend=backend)
-    result = cached_sweep(ddg, machine, config, max_extra, store_path)
+    result = run_sweep(ddg, machine, config, max_extra,
+                       store=open_store(store_path))
     return BatchEntry(
         name=ddg.name,
         source=SERVE_SOURCE,

@@ -26,9 +26,12 @@ caller falls back to a cold solve which then re-publishes fresh content.
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from collections import OrderedDict
+from typing import Generic, Optional, Tuple, TypeVar
 
+from repro.core.bounds import lower_bounds
 from repro.core.errors import VerificationError
+from repro.core.incremental import ddg_digest
 from repro.core.scheduler import (
     AttemptConfig,
     SchedulingResult,
@@ -38,7 +41,6 @@ from repro.core.verify import verify_schedule
 from repro.ddg.canonical import CanonicalForm, canonical_form
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
-from repro.parallel.cache import LruCache, cached_lower_bounds, ddg_digest
 from repro.store.disk import ScheduleStore
 from repro.store.entry import EntryError, entry_to_result, result_to_entry
 from repro.store.keys import (
@@ -46,6 +48,50 @@ from repro.store.keys import (
     config_fingerprint,
     store_key,
 )
+
+K = TypeVar("K")
+V = TypeVar("V")
+
+
+class LruCache(Generic[K, V]):
+    """A small, None-safe LRU map (``None`` is never a cached value)."""
+
+    def __init__(self, maxsize: int = 256) -> None:
+        if maxsize < 1:
+            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self._data: "OrderedDict[K, V]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get(self, key: K) -> Optional[V]:
+        try:
+            value = self._data[key]
+        except KeyError:
+            self.misses += 1
+            return None
+        self._data.move_to_end(key)
+        self.hits += 1
+        return value
+
+    def put(self, key: K, value: V) -> None:
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+
+    def pop(self, key: K) -> Optional[V]:
+        """Remove and return ``key``'s value (None if absent); no counters."""
+        return self._data.pop(key, None)
+
+    def clear(self) -> None:
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
+
 
 #: raw DDG digest -> CanonicalForm.  Canonicalization is cheap but the
 #: batch runner queries the same handful of shapes thousands of times.
@@ -98,7 +144,7 @@ def _validated_result(
         result = entry_to_result(entry, ddg, machine, form.order)
     except EntryError:
         return None
-    bounds = cached_lower_bounds(ddg, machine)
+    bounds = lower_bounds(ddg, machine)
     if (result.bounds.t_dep, result.bounds.t_res) != (
         bounds.t_dep, bounds.t_res,
     ):

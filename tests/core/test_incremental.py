@@ -7,8 +7,11 @@ models, field-identical presolve info), and every recycled cut may fire
 only where the cold path deterministically returns INFEASIBLE.
 """
 
+import pathlib
+
 import pytest
 
+from repro.core import incremental
 from repro.core.formulation import Formulation, FormulationOptions
 from repro.core.incremental import (
     CAPACITY_FLOOR,
@@ -19,15 +22,19 @@ from repro.core.incremental import (
     SweepContext,
     clear_contexts,
     context_for,
+    ddg_digest,
     incremental_stats,
-    machine_key,
+    machine_digest,
 )
 from repro.core.presolve import _collapsed_edges, presolve
 from repro.core.scheduler import AttemptConfig, attempt_period, schedule_loop
+from repro.ddg.builders import parse_ddg, serialize_ddg
 from repro.ddg.generators import suite
 from repro.ddg.graph import Ddg
 from repro.ddg.kernels import motivating_example
 from repro.machine.presets import motivating_machine, powerpc604
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parents[2] / "corpus"
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +42,12 @@ def _fresh_registry():
     clear_contexts()
     yield
     clear_contexts()
+
+
+def _no_context(ddg, machine):
+    """``context_for`` with the registry switched off: every attempt
+    then builds cold, the path ``presolve=False`` takes."""
+    return None
 
 
 def _loops(machine, count=6, seed=1207, max_ops=9):
@@ -192,15 +205,15 @@ class TestCutPool:
             CYCLE_FLOOR, CAPACITY_FLOOR,
         )
 
-    def test_cuts_never_fire_without_incremental(self):
+    def test_cuts_never_fire_without_incremental(self, monkeypatch):
         machine = motivating_machine()
         ddg = motivating_example()
         context = context_for(ddg, machine)
         context.cuts.memoize_infeasible(
             context.base_machine_key, 3, "feasibility", None, None, "solver"
         )
-        config = AttemptConfig(backend="bnb", warmstart=False,
-                               incremental=False)
+        monkeypatch.setattr(incremental, "context_for", _no_context)
+        config = AttemptConfig(backend="bnb", warmstart=False)
         outcome = attempt_period(ddg, machine, 3, config)
         assert outcome.attempt.status == "infeasible"
         assert "cut_skip" not in outcome.attempt.model_stats
@@ -244,7 +257,7 @@ class TestRegistry:
     def test_machine_key_matches_context_base(self):
         machine = motivating_machine()
         context = context_for(motivating_example(), machine)
-        assert context.base_machine_key == machine_key(machine)
+        assert context.base_machine_key == machine_digest(machine)
 
     def test_context_survives_sweep_and_banks_cuts(self):
         machine = motivating_machine()
@@ -283,17 +296,73 @@ class TestSweepDifferential:
         )
 
     @pytest.mark.parametrize("backend", ["bnb", "highs"])
-    def test_smoke_differential(self, backend):
+    def test_smoke_differential(self, backend, monkeypatch):
         machine = motivating_machine()
         for ddg in _loops(machine, count=3, max_ops=8):
             clear_contexts()
             on = schedule_loop(
                 ddg, machine, backend=backend, warmstart=False,
-                incremental=True,
             )
-            clear_contexts()
-            off = schedule_loop(
-                ddg, machine, backend=backend, warmstart=False,
-                incremental=False,
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(incremental, "context_for", _no_context)
+                off = schedule_loop(
+                    ddg, machine, backend=backend, warmstart=False,
+                )
             assert self._key(on) == self._key(off), (backend, ddg.name)
+
+
+class TestDigests:
+    def test_ddg_digest_is_content_based(self):
+        ddg = motivating_example()
+        clone = parse_ddg(serialize_ddg(ddg))
+        assert ddg_digest(ddg) == ddg_digest(clone)
+
+    def test_ddg_digest_distinguishes(self):
+        ddg = motivating_example()
+        other = ddg.copy()
+        other.add_dep(0, 5)
+        assert ddg_digest(ddg) != ddg_digest(other)
+
+    def test_machine_digest_distinguishes(self):
+        assert machine_digest(motivating_machine()) != (
+            machine_digest(powerpc604())
+        )
+        assert machine_digest(motivating_machine(fp_units=2)) != (
+            machine_digest(motivating_machine(fp_units=3))
+        )
+
+    def test_machine_digest_stable(self):
+        assert machine_digest(powerpc604()) == machine_digest(powerpc604())
+
+    def test_machine_digest_ignores_display_name(self):
+        # Regression: the digest once folded in ``machine.name``, so two
+        # identical machines loaded under different file names could not
+        # share contexts (or batch journals).
+        from repro.machine.machine import Machine
+        from repro.machine.reservation import ReservationTable
+
+        def build(name):
+            m = Machine(name)
+            m.add_fu_type("FP", count=2, table=ReservationTable.clean(2))
+            m.add_op_class("fadd", "FP", latency=2)
+            return m
+
+        assert machine_digest(build("alpha")) == machine_digest(build("beta"))
+
+    def test_golden_digests_keep_old_journals_resumable(self):
+        # Batch journals store _batch_digest, which folds in
+        # machine_digest: any change to these bytes makes every journal
+        # written earlier refuse to resume.
+        from repro.parallel.batch import _batch_digest
+
+        ddg = parse_ddg((CORPUS_DIR / "loop0000.ddg").read_text("utf-8"))
+        machine = powerpc604()
+        assert ddg_digest(ddg) == (
+            "165899a8f4743b2639634f6eb7007849fcace8cb3ab10faaacf14763b5cb5331"
+        )
+        assert machine_digest(machine) == (
+            "4e13bf4ca445b15b6bffc7faf01c689c06f0cad15a5e377dcc519dde5218bd2b"
+        )
+        assert _batch_digest(machine, AttemptConfig(), 10) == (
+            "cd1f058acd3ede8c65b8401fd7149302eae1dc028062ce3c4411a6656e034531"
+        )

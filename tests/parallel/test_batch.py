@@ -275,13 +275,13 @@ class TestStoreReporting:
         assert summary["published"] == 0
         assert warm.store_hits == 3
 
-    def test_cache_summary_present_and_rendered(self, warm_report):
+    def test_v9_report_has_no_cache_block(self, warm_report):
         _, warm = warm_report
-        summary = warm.cache_summary()
-        assert summary is not None and summary["processes"] >= 1
+        assert REPORT_VERSION == 9
+        assert "cache" not in warm.to_json_dict()
         text = warm.render()
         assert "3 disk" in text
-        assert "lru hits across" in text
+        assert "lru hits" not in text and "incremental:" not in text
 
     def test_no_store_no_summary(self, report):
         assert report.store_summary() is None
@@ -323,7 +323,6 @@ class TestLoaderCompat:
         assert loaded.version == version
         assert loaded.scheduled == report.scheduled
         assert loaded.store_summary() is None
-        assert loaded.cache_summary() is None
         # table5 runs off raw entries regardless of version.
         from repro.experiments.table5 import run_table5_from_batch
 

@@ -219,7 +219,7 @@ class TestBatchPortfolio:
             paths, machine, jobs=4, backends=("highs", "bnb", "sat"),
         )
         doc = report.to_json_dict()
-        assert doc["report_version"] == REPORT_VERSION == 8
+        assert doc["report_version"] == REPORT_VERSION == 9
 
         agg = doc["portfolio"]
         assert agg["raced"] == len(paths)

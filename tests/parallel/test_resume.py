@@ -28,17 +28,11 @@ TIME_KEYS = frozenset({
 
 
 def scrubbed(doc):
-    """Deep-copy ``doc`` with every timing field zeroed.
-
-    The report-level ``cache`` aggregate is dropped too: LRU hit/miss
-    counters are cumulative per process, so they legitimately differ
-    between a resumed run (fewer loops scheduled) and a fresh one.
-    """
+    """Deep-copy ``doc`` with every timing field zeroed."""
     if isinstance(doc, dict):
         return {
             key: (0 if key in TIME_KEYS else scrubbed(value))
             for key, value in doc.items()
-            if key != "cache"
         }
     if isinstance(doc, list):
         return [scrubbed(item) for item in doc]

@@ -21,12 +21,7 @@ from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
 from repro.ilp.solve import set_process_time_budget, solve
 from repro.machine.presets import motivating_machine
-from repro.sat.backend import (
-    SAT_CARD_ENV,
-    encode_stats,
-    reset_encode_stats,
-    solve_formulation,
-)
+from repro.sat.backend import SAT_CARD_ENV
 from repro.sat.errors import SatEncodeError
 
 
@@ -183,15 +178,6 @@ class TestWarmStartAndMemo:
         solution = solve(f.model, backend="sat", mip_start=bogus)
         assert solution.status == SolveStatus.OPTIMAL
         assert "sat_warm_shortcircuit" not in solution.stats
-
-    def test_encoding_memoized_per_formulation(self, machine):
-        reset_encode_stats()
-        f = _formulation(motivating_example(), machine, 4)
-        solve_formulation(f)
-        solve_formulation(f)
-        stats = encode_stats()
-        assert stats["encodes"] == 1
-        assert stats["memo_hits"] == 1
 
 
 class TestBudgetClamp:

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from repro.core.incremental import clear_contexts
 from repro.core.scheduler import AttemptConfig, run_sweep, schedule_loop
 from repro.ddg.kernels import daxpy, dot_product, motivating_example
 from repro.ddg.transforms import scrambled
 from repro.machine.presets import motivating_machine
-from repro.parallel import cache
 from repro.store import ScheduleStore, open_store
 from repro.store.tiering import (
+    LruCache,
     clear_tiers,
     lookup,
     publish,
@@ -21,10 +22,10 @@ from repro.store.tiering import (
 @pytest.fixture(autouse=True)
 def fresh_state():
     clear_tiers()
-    cache.clear_caches()
+    clear_contexts()
     yield
     clear_tiers()
-    cache.clear_caches()
+    clear_contexts()
 
 
 @pytest.fixture
@@ -154,7 +155,7 @@ class TestVerifyOnRead:
         _, weak_stats = lookup(store, ddg, weaker, weak_cfg, 10)
         store.write(weak_stats.key, entry)
         clear_tiers()
-        cache.clear_caches()
+        clear_contexts()
         stored, stats = lookup(store, ddg, weaker, weak_cfg, 10)
         assert stored is None
         assert stats.evicted
@@ -224,3 +225,35 @@ class TestScheduleLoopAndOpenStore:
         assert set(stats) == {"canonical", "entry"}
         for counters in stats.values():
             assert {"hits", "misses", "size"} <= set(counters)
+
+
+class TestLruCache:
+    def test_basic_roundtrip(self):
+        lru = LruCache(maxsize=2)
+        lru.put("a", 1)
+        assert lru.get("a") == 1
+        assert lru.get("b") is None
+        assert lru.hits == 1 and lru.misses == 1
+
+    def test_eviction_is_lru(self):
+        lru = LruCache(maxsize=2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        lru.get("a")          # refresh a; b is now least-recent
+        lru.put("c", 3)
+        assert lru.get("b") is None
+        assert lru.get("a") == 1
+        assert lru.get("c") == 3
+
+    def test_bad_maxsize(self):
+        with pytest.raises(ValueError, match="maxsize"):
+            LruCache(maxsize=0)
+
+    def test_pop_removes_without_counting(self):
+        lru = LruCache(maxsize=2)
+        lru.put("a", 1)
+        assert lru.pop("a") == 1
+        assert lru.pop("a") is None
+        assert lru.hits == 0 and lru.misses == 0
+        assert lru.get("a") is None  # really gone: this is the only miss
+        assert lru.misses == 1

@@ -5,10 +5,10 @@ import pathlib
 
 import pytest
 
+from repro.core.incremental import clear_contexts
 from repro.core.scheduler import AttemptConfig
 from repro.machine.presets import powerpc604
 from repro.parallel import run_batch
-from repro.parallel.cache import clear_caches
 from repro.store import ScheduleStore
 from repro.store.tiering import clear_tiers, lookup
 from repro.store.warm import warm_store
@@ -22,10 +22,10 @@ CONFIG = AttemptConfig(time_limit=10.0)
 @pytest.fixture(autouse=True)
 def fresh_state():
     clear_tiers()
-    clear_caches()
+    clear_contexts()
     yield
     clear_tiers()
-    clear_caches()
+    clear_contexts()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
@@ -133,6 +135,22 @@ class TestScheduleExtras:
         text = path.read_text(encoding="utf-8")
         assert "Subject To" in text
         assert "General" in text
+
+
+class TestProfileCommand:
+    def test_counters_are_store_tiers_and_context_registry(self, capsys):
+        corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+        code = main([
+            "profile", "--ddg", str(corpus / "loop0000.ddg"),
+            "--machine", "powerpc604", "--backend", "sat",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        _, counters = out.split("in-process caches (this run):\n")
+        names = [line.split()[0] for line in counters.splitlines() if line]
+        assert names == ["canonical", "entry", "incremental"]
+        for gone in ("bounds", "formulation", "warmstart", "sat_encode"):
+            assert gone not in counters
 
 
 class TestAnalyzeCommand:

@@ -1,13 +1,15 @@
 """Differential tests: incremental sweep on vs. off, byte-identical.
 
-The ``incremental`` knob (shared :class:`~repro.core.incremental.
-SweepContext`, recycled infeasibility cuts, T-independent analysis
-reuse) is a pure wall-clock optimization: over the seeded 50-loop
-corpus pinned by the issue (master seed 604, mixed families), toggling
-it must leave every observable result field untouched — achieved
-period, proven-optimality flag, lower bounds, per-attempt statuses, and
-the schedule itself (start cycles and FU colors) — on both solver
-backends.
+The sweep context (shared :class:`~repro.core.incremental.SweepContext`,
+recycled infeasibility cuts, T-independent analysis reuse) is a pure
+wall-clock optimization: over a seeded 50-loop corpus (master seed 604,
+mixed families), switching it off must leave every observable result
+field untouched — achieved period, proven-optimality flag, lower
+bounds, per-attempt statuses, and the schedule itself (start cycles and
+FU colors) — on both solver backends.  The "off" leg replaces
+:func:`repro.core.incremental.context_for` with one that returns None,
+which is exactly the cold path every attempt takes under
+``presolve=False``.
 
 Cut-skipped attempts report ``infeasible``, the same terminal status
 the cold path reaches by solving, so the status vectors compare equal
@@ -22,13 +24,13 @@ import pathlib
 
 import pytest
 
-from repro.core import schedule_loop, verify_schedule
+from repro.core import incremental, schedule_loop, verify_schedule
 from repro.core.incremental import clear_contexts
 from repro.corpusgen import default_families, generate_corpus
 from repro.ddg.builders import parse_ddg
 from repro.ddg.generators import GenParams
 from repro.machine.presets import coreblocks, motivating_machine, powerpc604
-from repro.parallel.cache import clear_caches
+from repro.store.tiering import clear_tiers
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 FILES = sorted(CORPUS_DIR.glob("*.ddg"))
@@ -48,9 +50,11 @@ def machine():
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    clear_caches()
+    clear_contexts()
+    clear_tiers()
     yield
-    clear_caches()
+    clear_contexts()
+    clear_tiers()
 
 
 def _generated_sample(machine):
@@ -60,8 +64,12 @@ def _generated_sample(machine):
     )
 
 
+def _no_context(ddg, machine):
+    return None
+
+
 def _result_fields(result):
-    """Everything an incremental toggle is forbidden to change."""
+    """Everything the sweep context is forbidden to change."""
     return {
         "achieved_t": result.achieved_t,
         "proven": result.is_rate_optimal_proven,
@@ -81,13 +89,15 @@ def _assert_identical(ddg, machine, backend, time_limit):
     clear_contexts()
     on = schedule_loop(
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
-        max_extra=30, incremental=True,
+        max_extra=30,
     )
     clear_contexts()
-    off = schedule_loop(
-        ddg, machine, backend=backend, time_limit_per_t=time_limit,
-        max_extra=30, incremental=False,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incremental, "context_for", _no_context)
+        off = schedule_loop(
+            ddg, machine, backend=backend, time_limit_per_t=time_limit,
+            max_extra=30,
+        )
     assert _result_fields(on) == _result_fields(off), ddg.name
     if on.schedule is not None:
         verify_schedule(on.schedule)

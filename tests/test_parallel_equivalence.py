@@ -15,12 +15,12 @@ import pathlib
 import pytest
 
 from repro.core import schedule_loop, verify_schedule
+from repro.core.incremental import clear_contexts
 from repro.corpusgen import default_families, generate_corpus
 from repro.ddg.builders import parse_ddg
 from repro.ddg.generators import GenParams
 from repro.machine.presets import coreblocks, powerpc604
 from repro.parallel import race_periods, run_batch
-from repro.parallel.cache import clear_caches
 from repro.store.tiering import clear_tiers
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -105,10 +105,10 @@ def _generated_sample(machine):
 @pytest.fixture
 def fresh_store_state():
     clear_tiers()
-    clear_caches()
+    clear_contexts()
     yield
     clear_tiers()
-    clear_caches()
+    clear_contexts()
 
 
 def _timed_out_below_winner(result):
