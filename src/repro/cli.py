@@ -114,25 +114,6 @@ def _atomic_write(path, text) -> None:
     atomic_write_text(path, text)
 
 
-def _backends_of(args):
-    """Parse and validate ``--backends 'highs,bnb,sat'`` (or None).
-
-    Rejected here, at the CLI boundary — a malformed roster must never
-    reach the race and fail mid-dispatch.
-    """
-    from repro.core.errors import SchedulingError
-    from repro.parallel.race import _validate_roster
-
-    raw = getattr(args, "backends", None)
-    if raw is None:
-        return None
-    roster = [name.strip() for name in raw.split(",") if name.strip()]
-    try:
-        return _validate_roster(roster, "feasibility")
-    except SchedulingError as exc:
-        raise SystemExit(f"--backends: {exc}")
-
-
 def _print_store_line(result) -> None:
     """One-line store outcome for schedule/race results (when enabled)."""
     stats = result.store
@@ -248,7 +229,6 @@ def _cmd_batch(args) -> int:
                 journal=args.journal,
                 resume=args.resume,
                 store=args.store,
-                backends=_backends_of(args),
             )
     except (OSError, ValueError, SchedulingError) as exc:
         raise SystemExit(f"batch: {exc}")
@@ -284,20 +264,11 @@ def _cmd_race(args) -> int:
                 warmstart=not args.no_warmstart,
                 policy=_policy_of(args),
                 store=args.store,
-                backends=_backends_of(args),
             )
     except SchedulingError as exc:
         raise SystemExit(f"race: {exc}")
     print(result.summary())
     _print_store_line(result)
-    if result.portfolio is not None:
-        port = result.portfolio
-        print(
-            f"  portfolio [{', '.join(port['backends'])}]: "
-            f"winner={port['winner_backend'] or 'none'}, "
-            f"{port['killed_running']} loser(s) killed, "
-            f"{port['cancelled_queued']} cancelled in queue"
-        )
     for attempt in result.attempts:
         tag = f" [{attempt.backend}]" if attempt.backend else ""
         print(f"  T={attempt.t_period}: {attempt.status}{tag} "
@@ -893,12 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="machine description file (overrides "
                               "--machine)")
     p_batch.add_argument("--backend", default="auto",
-                         choices=("auto", "highs", "bnb", "sat",
-                                  "portfolio"))
-    p_batch.add_argument("--backends", metavar="LIST",
-                         help="explicit portfolio roster, e.g. "
-                              "'highs,bnb,sat' (implies "
-                              "--backend portfolio)")
+                         choices=("auto", "highs", "bnb", "sat"))
     p_batch.add_argument("--time-limit", type=float, default=10.0,
                          help="per-period solver budget (seconds)")
     p_batch.add_argument("--max-extra", type=int, default=10)
@@ -936,12 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_race.add_argument("--machine", default="motivating")
     p_race.add_argument("--machine-file", metavar="PATH")
     p_race.add_argument("--backend", default="auto",
-                        choices=("auto", "highs", "bnb", "sat",
-                                 "portfolio"))
-    p_race.add_argument("--backends", metavar="LIST",
-                        help="explicit portfolio roster, e.g. "
-                             "'highs,bnb,sat' (implies "
-                             "--backend portfolio)")
+                        choices=("auto", "highs", "bnb", "sat"))
     p_race.add_argument("--time-limit", type=float, default=30.0)
     p_race.add_argument("--max-extra", type=int, default=10)
     p_race.add_argument("--jobs", type=int, default=None)
@@ -1181,8 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(requests/second)")
     p_loadgen.add_argument("--time-limit", type=float, default=5.0)
     p_loadgen.add_argument("--backend", default="auto",
-                           choices=("auto", "highs", "bnb", "sat",
-                                    "portfolio"))
+                           choices=("auto", "highs", "bnb", "sat"))
     p_loadgen.add_argument("--no-warmstart", action="store_true",
                            help="submit with warmstart off so solves "
                                 "reach the ILP attempt sites (where "

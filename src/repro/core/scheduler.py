@@ -8,7 +8,7 @@ assignment* — every smaller admissible period was proven infeasible.
 
 The per-attempt body lives in :func:`attempt_period`, a module-level
 function whose arguments and result are picklable.  :func:`run_sweep`
-races it over period groups with :class:`repro.supervision.cells.CellRace`
+races it over period cells with :class:`repro.supervision.cells.CellRace`
 — in-process here, across worker processes for
 :func:`repro.parallel.race_periods` — so every driver shares one
 prologue (store, bounds, heuristic), one dispatch loop and one
@@ -22,21 +22,23 @@ solver time each took).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.core import incremental
 from repro.core.bounds import LowerBounds, lower_bounds, modulo_feasible_t
 from repro.core.errors import SchedulingError
-from repro.core.formulation import Formulation, FormulationOptions
+from repro.core.formulation import OBJECTIVES, Formulation, FormulationOptions
 from repro.core.schedule import Schedule
 from repro.core.verify import verify_schedule
 from repro.core.warmstart import WarmStart, compute_warmstart, warmstart_assignment
 from repro.ddg.graph import Ddg
+from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
+from repro.ilp.solve import _BACKENDS, _validate_time_limit
 from repro.machine import Machine
 from repro.supervision import faults
-from repro.supervision.cells import CLEAN, PROOF, WIN, Cell, CellRace, Group
+from repro.supervision.cells import CLEAN, PROOF, WIN, Cell, CellRace
 from repro.supervision.records import (
     DEGRADED,
     FailureRecord,
@@ -49,8 +51,8 @@ from repro.supervision.signals import interrupted
 #: solved for it.
 HEURISTIC = "heuristic"
 
-#: Attempt status for a cell reaped before it reported: a portfolio
-#: sibling of a settled period, or a period above the winner.
+#: Attempt status for a period cell reaped before it reported: a
+#: period above the winner.
 CANCELLED = "cancelled"
 
 #: Statuses that settle a period as "no schedule exists here".
@@ -176,10 +178,6 @@ class SchedulingResult:
     degraded: bool = False
     #: Persistent-store interaction record (None when no store was used).
     store: Optional[StoreStats] = None
-    #: Portfolio-race bookkeeping (None for single-backend runs): the
-    #: backend roster, the winning backend, and loser kill/cancel
-    #: counters (see :func:`repro.parallel.race_periods`).
-    portfolio: Optional[Dict[str, object]] = None
 
     @property
     def achieved_t(self) -> Optional[int]:
@@ -189,15 +187,10 @@ class SchedulingResult:
     def is_rate_optimal_proven(self) -> bool:
         """Schedule found and every smaller admissible T proven infeasible.
 
-        Judged per period, not per attempt: a period below the winner
-        counts as settled when *any* attempt at it proved infeasibility
-        (solver INFEASIBLE, a recycled cut, or the modulo-admissibility
-        check).  Portfolio races legitimately leave extra attempts at a
-        settled period — cancelled losers, timed-out stragglers — and
-        those must not retract a proof a sibling backend already
-        delivered.  Every period in ``[t_lb, T)`` must carry a proof;
-        a gap (no attempt at all, or only non-proof attempts) means the
-        claim would be unsupported.
+        Every period in ``[t_lb, T)`` must carry a proof — solver
+        INFEASIBLE, a recycled cut, or the modulo-admissibility check; a
+        gap (no attempt at all, or a non-proof one) means the claim
+        would be unsupported.
         """
         if self.schedule is None:
             return False
@@ -221,13 +214,13 @@ class SchedulingResult:
     def lost_cells(self) -> List[Dict[str, object]]:
         """Provenance of every period cell that died without a verdict.
 
-        A degraded settle means some ``(T, backend)`` cells never
-        produced feasible/infeasible: they crashed, hung, OOMed, raised,
-        were interrupted, or were cancelled as portfolio losers.  Each
-        such attempt yields ``{"t", "backend", "kind", "detail"}`` —
-        ``kind`` is the supervision failure taxonomy kind, or
-        ``"cancelled"`` for reaped losers (detail empty).  Order follows
-        the attempt list, so reports stay deterministic.
+        A degraded settle means some period cells never produced
+        feasible/infeasible: they crashed, hung, OOMed, raised, were
+        interrupted, or were cancelled above a win.  Each such attempt
+        yields ``{"t", "backend", "kind", "detail"}`` — ``kind`` is the
+        supervision failure taxonomy kind, or ``"cancelled"`` for
+        reaped cells (detail empty).  Order follows the attempt list,
+        so reports stay deterministic.
         """
         lost: List[Dict[str, object]] = []
         for attempt in self.attempts:
@@ -275,6 +268,33 @@ class AttemptConfig:
     #: Run the iterative-modulo heuristic first and use its schedule to
     #: bracket the sweep / seed the solver (see repro.core.warmstart).
     warmstart: bool = True
+
+    def __post_init__(self) -> None:
+        """Reject a config no solver could run, before any work starts.
+
+        Checked here rather than at solve time because a warm start or
+        a store hit can settle a loop before any solver is asked.
+        """
+        if self.backend not in _BACKENDS:
+            raise SchedulingError(
+                f"unknown backend {self.backend!r}; expected one of "
+                f"{_BACKENDS}"
+            )
+        if self.objective not in OBJECTIVES:
+            raise SchedulingError(
+                f"unknown objective {self.objective!r}; expected one of "
+                f"{OBJECTIVES}"
+            )
+        if self.backend == "sat" and self.objective != "feasibility":
+            raise SchedulingError(
+                "the sat backend only solves the feasibility objective "
+                f"(got {self.objective!r}); use an ILP backend"
+            )
+        if self.time_limit is not None:
+            try:
+                _validate_time_limit(self.time_limit)
+            except SolverError as exc:
+                raise SchedulingError(str(exc)) from None
 
 
 @dataclass
@@ -472,22 +492,16 @@ def _period_verdict(outcome: AttemptOutcome) -> int:
     return PROOF if outcome.attempt.status in _PROOFS else CLEAN
 
 
-def _cell_attempt(cell, t_period: int, label: str) -> ScheduleAttempt:
+def _cell_attempt(cell: Cell) -> ScheduleAttempt:
     """The attempt-log record of one accounted-for period cell."""
     if cell.failure is not None:
         return ScheduleAttempt(
-            t_period=t_period, status=cell.failure.kind,
+            t_period=cell.key, status=cell.failure.kind,
             seconds=cell.failure.elapsed, failure=cell.failure,
-            backend=label,
         )
     if cell.result is None:
-        return ScheduleAttempt(
-            t_period=t_period, status=CANCELLED, backend=label
-        )
-    attempt = cell.result.attempt
-    if label and not attempt.backend:
-        attempt.backend = label
-    return attempt
+        return ScheduleAttempt(t_period=cell.key, status=CANCELLED)
+    return cell.result.attempt
 
 
 def run_sweep(
@@ -496,12 +510,11 @@ def run_sweep(
     config: AttemptConfig,
     max_extra: int,
     store=None,
-    roster: Sequence[str] = (),
     workers: int = 0,
     window: Optional[int] = 1,
     policy: Optional[SupervisionPolicy] = None,
 ) -> SchedulingResult:
-    """The §6 increasing-T sweep, as one cell race over period groups.
+    """The §6 increasing-T sweep, as one cell race over periods.
 
     Shared by :func:`schedule_loop`, :func:`repro.parallel.race_periods`
     and the batch/serve worker bodies.  With warm starts enabled
@@ -510,16 +523,13 @@ def run_sweep(
     objective (status ``"heuristic"``, no ILP), and seeds the solver's
     incumbent otherwise.
 
-    Each candidate period is a group of cells, one per ``roster``
-    backend (the config's own backend when the roster is empty), raced
-    by :class:`repro.supervision.cells.CellRace`: ``workers=0`` runs them
+    Each candidate period is one cell on the config's backend, raced by
+    :class:`repro.supervision.cells.CellRace`: ``workers=0`` runs them
     in-process, ``workers>=1`` in a supervised pool under ``policy``
     with at most ``window`` cells in flight (in-process too when the
     window is wider than 1 and at most one period needs a solve).
     ``window=1`` is the plain §6 loop — a win ends the sweep — whichever
-    the worker count.  A
-    roster of two or more is a portfolio: attempts carry their backend
-    and the result a ``portfolio`` record.
+    the worker count.
 
     A cell lost to a crash, hang, OOM or solver error is recorded and
     the sweep goes on; a win above a lost period is ``degraded``.  When
@@ -565,54 +575,49 @@ def run_sweep(
             enabled=True, heuristic_ii=ws.ii, heuristic_mii=ws.mii,
             heuristic_seconds=ws.seconds, placements=ws.placements,
         )
-    roster = tuple(roster) or (config.backend,)
-    portfolio = len(roster) > 1
-    configs = [
-        (name, replace(config, backend=name) if portfolio else config)
-        for name in roster
-    ]
     upper = bounds.t_lb + max_extra
     if ws is not None and ws.ii is not None:
         upper = min(upper, ws.ii)
-    groups: List[Group] = []
+    cells: List[Cell] = []
 
-    def period_groups():
+    def period_cells():
         for t_period in range(bounds.t_lb, upper + 1):
             at_heuristic_ii = ws is not None and ws.ii == t_period
             if at_heuristic_ii and config.objective == "feasibility":
                 # Any feasible point is optimal for pure feasibility,
                 # and the heuristic already delivered a verified one.
-                cells = [Cell("", result=AttemptOutcome(ScheduleAttempt(
-                    t_period=t_period, status=HEURISTIC, warm_started=True,
-                ), ws.schedule))]
+                cell = Cell(t_period, _period_verdict, period=True,
+                            result=AttemptOutcome(ScheduleAttempt(
+                                t_period=t_period, status=HEURISTIC,
+                                warm_started=True,
+                            ), ws.schedule))
             elif not config.repair_modulo and not modulo_feasible_t(
                 ddg, machine, t_period
             ):
-                cells = [Cell("", result=AttemptOutcome(ScheduleAttempt(
-                    t_period=t_period, status="modulo_infeasible"
-                )))]
+                cell = Cell(t_period, _period_verdict, period=True,
+                            result=AttemptOutcome(ScheduleAttempt(
+                                t_period=t_period,
+                                status="modulo_infeasible",
+                            )))
             else:
                 kwargs = {
                     "incumbent": ws.schedule if at_heuristic_ii else None
                 }
                 if workers == 0:
                     kwargs["context"] = context
-                cells = [
-                    Cell(name, attempt_period,
-                         (ddg, machine, t_period, cfg), kwargs)
-                    for name, cfg in configs
-                ]
-            groups.append(Group(t_period, cells, _period_verdict,
-                                period=True))
-            yield groups[-1]
+                cell = Cell(t_period, _period_verdict, attempt_period,
+                            (ddg, machine, t_period, config), kwargs,
+                            period=True)
+            cells.append(cell)
+            yield cell
 
-    feed = period_groups()
+    feed = period_cells()
     if window != 1:
-        # Every group is admitted up front anyway.  With at most one
+        # Every cell is admitted up front anyway.  With at most one
         # solve among them a worker pool would only add its start-up:
         # run that solve here.
         feed = list(feed)
-        if sum(c.fn is not None for g in feed for c in g.cells) <= 1:
+        if sum(cell.fn is not None for cell in feed) <= 1:
             workers = 0
     policy = policy or SupervisionPolicy()
     race = CellRace(
@@ -628,29 +633,26 @@ def run_sweep(
 
     winner = None  # the cell that won the smallest period
     lost_below = False  # a period below it was lost to a failure
-    for group in groups:
-        rep = group.rep
-        if rep is not None and rep.verdict == WIN:
-            winner = rep
+    for cell in cells:
+        if cell.verdict == WIN:
+            winner = cell
             break
-        if rep is not None and rep.failure is not None:
+        if cell.failure is not None:
             lost_below = True
     settled = winner.result.attempt if winner is not None else None
     schedule = winner.result.schedule if winner is not None else None
     degraded = winner is not None and lost_below
     replaced = None  # the record a degraded settle stands in for
     if winner is None and ws is not None and ws.schedule is not None:
-        at_ii = [c for g in groups if g.key == ws.ii for c in g.cells
-                 if c.verdict is not None]
-        replaced = min(at_ii, key=lambda c: (c.verdict, c.name),
-                       default=None)
+        replaced = next((c for c in cells if c.key == ws.ii
+                         and c.verdict is not None), None)
         if interrupted() or (replaced is not None
                              and replaced.failure is not None):
             # Every solve at the heuristic's period was lost to a
             # crash/hang/interrupt, but the heuristic schedule itself is
             # verified: settle to it rather than report nothing.  The
-            # degraded record replaces that period's representative and
-            # carries its failure.
+            # degraded record replaces that period's record and carries
+            # its failure.
             settled = ScheduleAttempt(
                 t_period=ws.ii, status=DEGRADED, warm_started=True,
                 failure=replaced.failure if replaced is not None else None,
@@ -659,17 +661,13 @@ def run_sweep(
             degraded = True
         else:
             replaced = None
+    # Cells come in period order, so the log is too.
     attempts: List[ScheduleAttempt] = [
-        settled if cell is replaced
-        else _cell_attempt(cell, group.key, cell.name if portfolio else "")
-        for group in groups for cell in group.cells
-        if cell.verdict is not None
+        settled if cell is replaced else _cell_attempt(cell)
+        for cell in cells if cell.verdict is not None
     ]
     if degraded and replaced is None and winner is None:
         attempts.append(settled)
-    # Cells of one period are logged in backend order, so the log is
-    # deterministic whatever order the race settled them in.
-    attempts.sort(key=lambda a: (a.t_period, a.backend))
     if schedule is None and not attempts and not interrupted():
         raise SchedulingError(
             f"no candidate periods for loop {ddg.name!r} "
@@ -681,20 +679,6 @@ def run_sweep(
                             DEGRADED)
         and a.failure is None
     )
-    portfolio_stats = None
-    if portfolio:
-        portfolio_stats = {
-            "backends": list(roster),
-            # The backend that produced the winning attempt; falls back
-            # to the status label for wins no solver produced (a
-            # heuristic settle or a degraded incumbent).
-            "winner_backend": (
-                (settled.backend or settled.status)
-                if settled is not None else None
-            ),
-            "killed_running": sum(g.killed_running for g in groups),
-            "cancelled_queued": sum(g.cancelled_queued for g in groups),
-        }
     result = SchedulingResult(
         loop_name=ddg.name,
         bounds=bounds,
@@ -704,7 +688,6 @@ def run_sweep(
         warmstart=ws_stats,
         degraded=degraded,
         store=store_stats,
-        portfolio=portfolio_stats,
     )
     if store is not None:
         from repro.store.tiering import publish as store_publish
@@ -764,13 +747,6 @@ def schedule_loop(
     sweep — shared T-independent analysis plus recycled infeasibility
     cuts; see ``docs/performance.md``.
     """
-    if backend == "portfolio":
-        raise SchedulingError(
-            "backend='portfolio' races several backends per period and "
-            "needs a racing driver: use repro.parallel.race_periods(..., "
-            "backend='portfolio') or repro.parallel.run_batch(..., "
-            "backend='portfolio') instead of schedule_loop"
-        )
     config = AttemptConfig(
         backend=backend,
         objective=objective,

@@ -69,8 +69,8 @@ class Solution:
     #: means the solve was unbounded.
     effective_time_limit: Optional[float] = None
     #: True when the process budget shrank a caller-supplied
-    #: ``time_limit`` — portfolio deadline accounting needs to know
-    #: the attempt ran under a smaller budget than configured.
+    #: ``time_limit`` — deadline accounting needs to know the attempt
+    #: ran under a smaller budget than configured.
     time_limit_clamped: bool = False
     #: Backend-specific counters (e.g. the SAT backend's conflict /
     #: learned-clause / phase-seconds numbers), merged into the

@@ -81,8 +81,8 @@ def solve(
         )
     solution = _dispatch(model, backend, time_limit, gap, mip_start)
     # Record the budget the backend actually ran under — the process
-    # cap must not silently shrink a caller's limit (portfolio
-    # deadline accounting reads these).
+    # cap must not silently shrink a caller's limit (deadline
+    # accounting reads these).
     solution.effective_time_limit = time_limit
     solution.time_limit_clamped = (
         requested is not None

@@ -22,9 +22,7 @@ from repro.parallel.batch import (
 )
 from repro.parallel.race import (
     CANCELLED,
-    PORTFOLIO_BACKENDS,
     default_jobs,
-    default_portfolio,
     race_periods,
 )
 
@@ -32,8 +30,6 @@ __all__ = [
     "BatchEntry",
     "BatchReport",
     "CANCELLED",
-    "PORTFOLIO_BACKENDS",
-    "default_portfolio",
     "collect_sources",
     "default_jobs",
     "load_report",

@@ -37,9 +37,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.core.incremental import machine_digest
 from repro.core.scheduler import (
@@ -51,11 +51,11 @@ from repro.core.scheduler import (
 from repro.ddg.builders import parse_ddg, serialize_ddg
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
-from repro.parallel.race import default_jobs, resolve_roster
+from repro.parallel.race import default_jobs
 from repro.store import open_store
 from repro.supervision import faults
 from repro.supervision.atomicio import atomic_write_text
-from repro.supervision.cells import CLEAN, FAILED, WIN, Cell, CellRace, Group
+from repro.supervision.cells import CLEAN, FAILED, WIN, Cell, CellRace
 from repro.supervision.journal import (
     BatchJournal,
     completed_entries,
@@ -89,16 +89,13 @@ from repro.supervision.records import (
 #: recycled infeasibility cut settled the attempt without a solve), and
 #: the report-level ``cache`` aggregate gains an ``incremental`` block
 #: (context registry, analysis reuse and cut-pool counters).
-#: v7: portfolio racing — per-attempt ``backend`` (which solver
-#: produced the verdict), per-entry ``portfolio`` object (roster,
-#: winning backend, loser dispositions, kill/cancel counters) when the
-#: loop was raced across backends, and a report-level ``portfolio``
-#: aggregate (per-backend win counts plus total losers killed/
-#: cancelled).
+#: v7: per-attempt ``backend`` (which solver produced the verdict),
+#: plus per-entry and report-level records of multi-backend races (no
+#: longer written: every sweep now runs on one backend).
 #: v8: degraded-settling provenance — entries with ``degraded: true``
 #: carry ``lost_cells``: one ``{t, backend, kind, detail}`` record per
 #: period cell that died without a verdict (supervision failures *and*
-#: cancelled portfolio losers), so a degraded winner's missing proofs
+#: cells cancelled above a win), so a degraded winner's missing proofs
 #: are auditable from the report alone.
 #: v9: the report-level ``cache`` aggregate is gone (entries unchanged).
 REPORT_VERSION = 9
@@ -129,10 +126,6 @@ class BatchEntry:
     #: Pre-serialized entry carried over from a resume journal; when
     #: set it *is* the JSON form and the other fields are advisory.
     raw: Optional[dict] = None
-    #: Loop-level portfolio record when the loop was raced across
-    #: backends: roster, winning backend, per-loser dispositions and
-    #: kill/cancel counters.  None for single-backend batches.
-    portfolio: Optional[dict] = None
 
     @property
     def scheduled(self) -> bool:
@@ -163,8 +156,6 @@ class BatchEntry:
             entry["error"] = self.error
             if self.failure is not None:
                 entry["failure"] = self.failure.to_json_dict()
-            if self.portfolio is not None:
-                entry["portfolio"] = self.portfolio
             return entry
         result = self.result
         entry.update(
@@ -188,10 +179,6 @@ class BatchEntry:
             entry["warmstart"] = result.warmstart.to_json_dict()
         if result.store is not None:
             entry["store"] = result.store.to_json_dict()
-        if self.portfolio is not None:
-            entry["portfolio"] = self.portfolio
-        elif result.portfolio is not None:
-            entry["portfolio"] = result.portfolio
         if result.schedule is not None:
             entry["schedule"] = result.schedule.to_dict()
         return entry
@@ -305,38 +292,6 @@ class BatchReport:
             ),
         }
 
-    def _entry_portfolio(self, entry: BatchEntry) -> Optional[dict]:
-        if entry.raw is not None:
-            return entry.raw.get("portfolio")
-        if entry.portfolio is not None:
-            return entry.portfolio
-        if entry.result is not None:
-            return entry.result.portfolio
-        return None
-
-    def portfolio_summary(self) -> Optional[dict]:
-        """Aggregate portfolio counters, or None for single-backend runs."""
-        docs = [
-            d for d in map(self._entry_portfolio, self.entries) if d
-        ]
-        if not docs:
-            return None
-        wins: Dict[str, int] = {}
-        for doc in docs:
-            winner = doc.get("winner_backend")
-            if winner:
-                wins[winner] = wins.get(winner, 0) + 1
-        return {
-            "raced": len(docs),
-            "wins": dict(sorted(wins.items())),
-            "killed_running": sum(
-                int(d.get("killed_running", 0)) for d in docs
-            ),
-            "cancelled_queued": sum(
-                int(d.get("cancelled_queued", 0)) for d in docs
-            ),
-        }
-
     def to_json_dict(self) -> dict:
         doc = {
             "report_version": REPORT_VERSION,
@@ -353,9 +308,6 @@ class BatchReport:
         store = self.store_summary()
         if store is not None:
             doc["store"] = store
-        portfolio = self.portfolio_summary()
-        if portfolio is not None:
-            doc["portfolio"] = portfolio
         return doc
 
     @classmethod
@@ -428,17 +380,6 @@ class BatchReport:
                 f"({store['memory_hits']} memory, {store['disk_hits']} "
                 f"disk), {store['published']} published, "
                 f"{store['evicted']} evicted"
-            )
-        portfolio = self.portfolio_summary()
-        if portfolio is not None:
-            wins = ", ".join(
-                f"{name} {count}"
-                for name, count in portfolio["wins"].items()
-            ) or "none"
-            lines.append(
-                f"portfolio: {portfolio['raced']} loop(s) raced, wins: "
-                f"{wins}; losers: {portfolio['killed_running']} killed, "
-                f"{portfolio['cancelled_queued']} cancelled"
             )
         return "\n".join(lines)
 
@@ -587,13 +528,12 @@ def run_batch(
     journal: Optional[Union[str, "os.PathLike[str]"]] = None,
     resume: Optional[Union[str, "os.PathLike[str]"]] = None,
     store: Optional[Union[str, "os.PathLike[str]"]] = None,
-    backends: Optional[Sequence[str]] = None,
 ) -> BatchReport:
     """Schedule every loop reachable from ``paths`` across ``jobs`` workers.
 
     Results always come back in input order (directories expand to
     sorted file lists).  ``jobs=1`` runs in-process with no pool, and
-    so does a batch with a single loop to schedule on a single backend.
+    so does a batch with a single loop to schedule.
 
     ``policy`` tunes the supervision layer around each worker (deadline,
     memory cap, retries); with the default policy loops run unbounded
@@ -609,20 +549,11 @@ def run_batch(
     published back.  Safe under concurrent writers — publication is
     atomic per entry with last-writer-wins.
 
-    ``backend="portfolio"`` (or an explicit ``backends`` roster) races
-    the backends at *loop* granularity: each backend runs the loop's
-    whole sweep in its own worker, the first to come back with a
-    schedule wins the loop, and the sibling workers are killed (worker
-    processes cannot nest pools, so the per-period portfolio of
-    :func:`repro.parallel.race_periods` stays a race-driver feature).
-    The winning entry carries a ``portfolio`` record naming the winner
-    and every loser's disposition.
     """
     jobs = jobs if jobs is not None else default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = policy or SupervisionPolicy()
-    backend, roster = resolve_roster(backend, backends, objective)
     config = AttemptConfig(
         backend=backend,
         objective=objective,
@@ -662,11 +593,8 @@ def run_batch(
 
     start_clock = time.monotonic()
     entries: List[Optional[BatchEntry]] = [None] * len(tasks)
-    configs = [
-        (name, replace(config, backend=name)) for name in roster
-    ] or [(backend, config)]
     try:
-        groups: List[Group] = []
+        cells: List[Cell] = []
         for index, (name, text, label, load_error) in enumerate(tasks):
             if load_error is not None:
                 entries[index] = BatchEntry(
@@ -678,24 +606,21 @@ def run_batch(
             if record is not None and label != "<memory>":
                 entries[index] = BatchEntry.from_json_dict(record["entry"])
                 continue
-            groups.append(Group(index, [
-                Cell(cell_name, _schedule_source,
-                     (text, label, machine, cell_config, max_extra,
-                      store_path))
-                for cell_name, cell_config in configs
-            ], _entry_verdict))
+            cells.append(Cell(index, _entry_verdict, _schedule_source, (
+                text, label, machine, config, max_extra, store_path,
+            )))
         # One cell to run gains nothing from a pool but its start-up.
-        in_process = jobs == 1 or sum(len(g.cells) for g in groups) <= 1
+        in_process = jobs == 1 or len(cells) <= 1
         race = CellRace(
             workers=0 if in_process else jobs, policy=policy,
             initializer=init_solver_budget, initargs=(time_limit_per_t,),
         )
         with race:
-            race.add(groups)
-            for group in race.run():
-                entry = _group_entry(group, tasks[group.key][2], roster)
-                entries[group.key] = entry
-                _journal_entry(writer, group.key, entry)
+            race.add(cells)
+            for cell in race.run():
+                entry = _cell_entry(cell, tasks[cell.key][2])
+                entries[cell.key] = entry
+                _journal_entry(writer, cell.key, entry)
     finally:
         if writer is not None:
             writer.close()
@@ -722,48 +647,21 @@ def _entry_verdict(entry: BatchEntry) -> int:
     return FAILED if entry.error is not None else CLEAN
 
 
-def _group_entry(group: Group, label: str,
-                 roster: Tuple[str, ...]) -> BatchEntry:
-    """The report entry for one settled loop group.
+def _cell_entry(cell: Cell, label: str) -> BatchEntry:
+    """The report entry for one settled loop cell.
 
-    The winning cell's entry, else the group's best-ranked one (a clean
-    unscheduled sweep before an errored one, in roster order); a cell
-    lost to a supervision failure becomes an error entry carrying its
-    :class:`FailureRecord`.  Portfolio groups also record the roster,
-    the winner and every loser's disposition.
+    A cell lost to a supervision failure (or never run before an
+    interrupt) becomes an error entry carrying its
+    :class:`FailureRecord`.
     """
+    if cell.result is not None:
+        return cell.result
     name = Path(label).stem if label != "<memory>" else label
-    rep = group.rep
-    if rep is None or rep.failure is not None:
-        failure = rep.failure if rep is not None else FailureRecord(
-            kind=INTERRUPTED, detail="interrupted (SIGINT/SIGTERM)"
-        )
-        entry = BatchEntry(
-            name=name, source=label, num_ops=0,
-            error=f"loop {name!r} ({label}): {failure.summary()}",
-            failure=failure,
-        )
-    else:
-        entry = rep.result
-    if roster:
-        entry.portfolio = {
-            "backends": list(roster),
-            "winner_backend": group.winner.name if group.winner else None,
-            "losers": {
-                cell.name: _loser_disposition(cell)
-                for cell in group.cells if cell is not rep
-            },
-            "killed_running": group.killed_running,
-            "cancelled_queued": group.cancelled_queued,
-        }
-    return entry
-
-
-def _loser_disposition(cell: Cell) -> str:
-    if cell.failure is not None:
-        return cell.failure.kind
-    if cell.result is None:
-        return "cancelled"
-    if cell.result.error is not None:
-        return "error"
-    return "unscheduled"
+    failure = cell.failure or FailureRecord(
+        kind=INTERRUPTED, detail="interrupted (SIGINT/SIGTERM)"
+    )
+    return BatchEntry(
+        name=name, source=label, num_ops=0,
+        error=f"loop {name!r} ({label}): {failure.summary()}",
+        failure=failure,
+    )

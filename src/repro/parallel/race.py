@@ -4,7 +4,7 @@ The sequential driver proves infeasibility of ``T_lb, T_lb+1, ...`` one
 period at a time; on hard loops nearly all wall-clock goes into those
 proofs.  The per-``T`` ILPs are completely independent, so
 :func:`race_periods` runs the same sweep (:func:`repro.core.scheduler.
-run_sweep`) with its period groups spread over a supervised worker pool
+run_sweep`) with its period cells spread over a supervised worker pool
 by :class:`repro.supervision.cells.CellRace`:
 
 * the **winner** is the smallest ``T`` whose solve returned a feasible
@@ -29,31 +29,12 @@ Every cell runs :func:`repro.core.scheduler.attempt_period` — the same
 body the sequential driver runs — so the two drivers return identical
 achieved periods and proof flags (asserted corpus-wide by
 ``tests/test_parallel_equivalence.py``).
-
-**Portfolio racing** (``backend="portfolio"`` or an explicit
-``backends=(...)`` roster of two or more) gives every period group one
-cell per roster backend:
-
-* the **first decisive cell** settles its period for the whole roster
-  — a feasible point makes it the (provisional) winner, an INFEASIBLE
-  proof settles the period — and its sibling cells are killed;
-* a backend that crashes or errors on a period it cannot express (the
-  SAT backend only lowers feasibility formulations) loses **only its
-  own (period, backend) cell** — the siblings keep racing, so the
-  portfolio's verdict per period is as strong as its strongest member;
-* the achieved period and proof flag are identical to any single
-  backend's — only wall-clock changes, tracking whichever backend is
-  fastest per period.
-
-Losers are recorded as ``"cancelled"`` attempts tagged with their
-backend, and :attr:`SchedulingResult.portfolio` carries the roster, the
-winning backend and the race's kill/cancel counters.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.errors import SchedulingError
 from repro.core.scheduler import (  # noqa: F401 - CANCELLED re-exported
@@ -66,87 +47,10 @@ from repro.ddg.graph import Ddg
 from repro.machine import Machine
 from repro.supervision.records import SupervisionPolicy
 
-#: Backends a portfolio roster may name (``auto`` excluded on purpose —
-#: a roster is exactly the set of *distinct* solvers to race).
-PORTFOLIO_BACKENDS = ("highs", "bnb", "sat")
-
 
 def default_jobs() -> int:
     """Worker count when the caller does not choose one."""
     return max(1, os.cpu_count() or 1)
-
-
-def default_portfolio(objective: str = "feasibility") -> Tuple[str, ...]:
-    """The backends worth racing for ``objective`` on this interpreter.
-
-    HiGHS joins only when scipy's MILP interface imports; the SAT
-    backend joins only under the pure-feasibility objective (it lowers
-    the presolved feasibility formulation, nothing else).  The built-in
-    branch-and-bound is always present, so the roster is never empty.
-    """
-    roster: List[str] = []
-    try:
-        from scipy.optimize import milp  # noqa: F401
-
-        roster.append("highs")
-    except ImportError:
-        pass
-    roster.append("bnb")
-    if objective == "feasibility":
-        roster.append("sat")
-    return tuple(roster)
-
-
-def _validate_roster(
-    backends: Sequence[str], objective: str
-) -> Tuple[str, ...]:
-    """Check a backend roster: known, distinct, able to solve ``objective``.
-
-    The one validation behind ``backends=`` and the CLI's ``--backends``.
-    """
-    roster = tuple(backends)
-    choices = ", ".join(PORTFOLIO_BACKENDS)
-    if not roster:
-        raise SchedulingError(
-            f"a roster must name >= 1 backend: at least one backend "
-            f"from {choices}"
-        )
-    for index, name in enumerate(roster):
-        if name not in PORTFOLIO_BACKENDS:
-            raise SchedulingError(
-                f"unknown backend {name!r}; choose from: {choices}"
-            )
-        if name in roster[:index]:
-            raise SchedulingError(
-                f"the roster lists {name!r} twice; a roster is a set of "
-                "distinct solvers to race"
-            )
-    if "sat" in roster and objective != "feasibility":
-        raise SchedulingError(
-            "the sat backend only solves the feasibility objective; "
-            f"drop it from the roster or use objective='feasibility' "
-            f"(got {objective!r})"
-        )
-    return roster
-
-
-def resolve_roster(
-    backend: str, backends: Optional[Sequence[str]], objective: str
-) -> Tuple[str, Tuple[str, ...]]:
-    """``(backend, roster)`` for a driver call.
-
-    An explicit ``backends`` roster or ``backend="portfolio"`` names the
-    solvers to race; a roster of two or more runs as ``"portfolio"``,
-    and a roster of one is just that solver (empty roster).
-    """
-    roster: Tuple[str, ...] = ()
-    if backends is not None:
-        roster = _validate_roster(backends, objective)
-    elif backend == "portfolio":
-        roster = default_portfolio(objective)
-    if len(roster) == 1:
-        return roster[0], ()
-    return ("portfolio" if roster else backend), roster
 
 
 def race_periods(
@@ -165,7 +69,6 @@ def race_periods(
     warmstart: bool = True,
     policy: Optional[SupervisionPolicy] = None,
     store=None,
-    backends: Optional[Sequence[str]] = None,
 ) -> SchedulingResult:
     """Drop-in parallel replacement for :func:`repro.core.schedule_loop`.
 
@@ -198,15 +101,6 @@ def race_periods(
     per-process registry inside :func:`attempt_period` — nothing crosses
     a pickle boundary, and a worker handling several periods of the same
     loop reuses the shared analysis and banked cuts across them.
-
-    ``backend="portfolio"`` (or an explicit ``backends`` roster) races
-    every solver over every candidate period and takes the first
-    verdict per period, killing the losers — see the module docstring.
-    The achieved period, schedule validity and proof flag are the same
-    as any single backend's; the backend column and the wall-clock are
-    what change.  With ``jobs=1`` the portfolio is an ordered fallback
-    chain per period: backends run in roster order until one settles
-    the period, the rest are recorded cancelled.
     """
     if max_extra < 0:
         raise SchedulingError(f"max_extra must be >= 0, got {max_extra}")
@@ -219,7 +113,6 @@ def race_periods(
         window = 2 * jobs
     elif window < 1:
         raise SchedulingError(f"window must be >= 1, got {window}")
-    backend, roster = resolve_roster(backend, backends, objective)
     config = AttemptConfig(
         backend=backend,
         objective=objective,
@@ -235,6 +128,6 @@ def race_periods(
 
         store = open_store(store)
     return run_sweep(
-        ddg, machine, config, max_extra, store=store, roster=roster,
+        ddg, machine, config, max_extra, store=store,
         workers=0 if jobs == 1 else jobs, window=window, policy=policy,
     )

@@ -33,6 +33,7 @@ from repro.sat.encode import (
     decode_model,
     encode_formulation,
     phase_hints,
+    require_feasibility,
 )
 from repro.sat.solver import SAT, UNSAT, CdclSolver
 
@@ -78,6 +79,9 @@ def solve_formulation(
     """
     from repro.core.warmstart import violated_rows
 
+    # Before the warm-start shortcut: a valid start proves feasibility,
+    # not optimality under a real objective.
+    require_feasibility(formulation)
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
     formulation.build()

@@ -78,6 +78,16 @@ class SatEncoding:
         return lits[j]
 
 
+def require_feasibility(formulation) -> None:
+    """Raise SatEncodeError unless ``formulation`` is a feasibility one."""
+    if formulation.options.objective != "feasibility":
+        raise SatEncodeError(
+            "the sat backend is feasibility-only; objective "
+            f"{formulation.options.objective!r} needs an ILP backend "
+            "(highs/bnb)"
+        )
+
+
 def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
     """Lower ``formulation`` to CNF; raises SatEncodeError if unsupported."""
     start = time.monotonic()
@@ -86,12 +96,7 @@ def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
             f"unknown cardinality encoding {card!r}; "
             f"expected one of {ENCODINGS}"
         )
-    if formulation.options.objective != "feasibility":
-        raise SatEncodeError(
-            "the sat backend is feasibility-only; objective "
-            f"{formulation.options.objective!r} needs an ILP backend "
-            "(highs/bnb)"
-        )
+    require_feasibility(formulation)
     formulation.build()
     if not formulation._u_binary:
         raise SatEncodeError(

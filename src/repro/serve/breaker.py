@@ -1,24 +1,24 @@
-"""Per-backend circuit breaker for the solver portfolio.
+"""Per-backend circuit breaker for the service's named solvers.
 
 A backend that starts crashing or hanging (a broken native library, a
 pathological input class, an OOM-prone formulation) must not keep
-eating worker slots and per-cell time budgets while healthy siblings
-could serve every request.  The breaker watches per-backend outcomes
+eating worker slots and per-job time budgets while other backends
+could serve their requests.  The breaker watches per-backend outcomes
 and walks the classic three states:
 
 * **closed** — healthy; every cell is allowed.  ``threshold``
   *consecutive* failures trip it open (any success resets the count —
   solver workloads fail in bursts, not trickles).
-* **open** — the backend is dropped from every roster
+* **open** — requests naming the backend are refused
   (:meth:`CircuitBreaker.allows` is False) until ``cooldown`` seconds
   pass, bounding how long a broken backend can keep hurting.
 * **half-open** — after the cooldown, probes are allowed through; the
   first recorded success closes the breaker, the first failure re-opens
   it for another full cooldown.
 
-The daemon applies the breaker as a roster filter in front of the cell
-race (:meth:`CircuitBreaker.filter_roster`) and feeds it every finished
-cell's outcome, so the race layer never imports this module.  All
+The daemon consults the breaker at admission (503 + ``Retry-After``
+for a request naming an open backend) and feeds it every finished
+job's outcome, so the race layer never imports this module.  All
 methods are thread-safe — the daemon's dispatcher thread and the HTTP
 admission path consult one shared instance — and the clock is
 injectable so tests step through cooldowns without sleeping.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
 CLOSED = "closed"
 OPEN = "open"
@@ -133,10 +133,6 @@ class CircuitBreaker:
                 return None
             remaining = self.cooldown - (self._clock() - state.opened_at)
             return max(0.0, remaining)
-
-    def filter_roster(self, roster: Sequence[str]) -> Tuple[str, ...]:
-        """The subset of ``roster`` currently allowed to race."""
-        return tuple(name for name in roster if self.allows(name))
 
     def snapshot(self) -> Dict[str, dict]:
         """Per-backend state for ``/stats`` (open cooldowns included)."""

@@ -11,12 +11,10 @@ Architecture — two threads, one direction of ownership:
   (:class:`repro.supervision.cells.CellRace`, over a single-threaded
   :class:`~repro.supervision.SupervisedExecutor`): while fewer than
   ``workers`` cells are in flight it pulls jobs off the weighted fair
-  queue (the rest wait there, bounded and weighted), filters each
-  job's roster through the circuit breaker, adds one group per job —
-  one cell per remaining backend — and steps the race.  A job settles
-  by the batch rule: the first scheduled entry wins and its sibling
-  cells are killed; otherwise the best-ranked entry answers once every
-  cell has reported.  Every finished cell's outcome feeds the breaker.
+  queue (the rest wait there, bounded and weighted), adds one cell per
+  job on the job's one backend, and steps the race.  A job settles
+  when its cell reports, and every finished job on a named backend
+  feeds that backend's circuit breaker.
 
 Shared state (job registry, fair queue, stats, breaker, journal) is
 individually thread-safe; jobs signal completion through a
@@ -57,11 +55,8 @@ import uuid
 from typing import Dict, List, Optional, Tuple
 
 from repro.ddg.builders import parse_ddg
+from repro.ilp.solve import _BACKENDS
 from repro.machine import presets
-from repro.parallel.race import (
-    PORTFOLIO_BACKENDS,
-    default_portfolio,
-)
 from repro.serve.admission import FairQueue, TokenBucket
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
@@ -80,7 +75,7 @@ from repro.serve.journal import (
 )
 from repro.serve.stats import ServeStats
 from repro.store.tiering import request_key
-from repro.supervision.cells import CLEAN, WIN, Cell, CellRace, Group
+from repro.supervision.cells import CLEAN, WIN, Cell, CellRace
 from repro.supervision.journal import config_digest
 from repro.supervision.records import (
     INTERRUPTED,
@@ -93,9 +88,6 @@ _REASONS = {
     405: "Method Not Allowed", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
-
-#: Backends a request may name (``portfolio`` expands to a roster).
-_REQUEST_BACKENDS = ("auto", "portfolio") + PORTFOLIO_BACKENDS
 
 #: Daemon modes.  running -> draining -> halted is the only path.
 _RUNNING = "running"
@@ -111,6 +103,11 @@ def _coalesce_key(job: Job) -> Tuple[str, str]:
 
 def _entry_doc_verdict(entry: dict) -> int:
     return WIN if entry.get("achieved_t") is not None else CLEAN
+
+
+def _breaker_tracks(backend) -> bool:
+    """The breaker watches every named solver; ``auto`` is not one."""
+    return backend != "auto" and backend in _BACKENDS
 
 
 def _close_inherited_fds(fds) -> None:
@@ -313,7 +310,6 @@ class ServeDaemon:
         if self._mode != _RUNNING:
             return 503, {"error": "daemon is draining"}, []
         client = str(payload.get("client") or "anon")
-        weight = int(payload.get("weight", 1))
         wait = self._bucket(client).take()
         if wait is not None:
             self.stats.bump("rate_limited")
@@ -330,22 +326,30 @@ class ServeDaemon:
             return 400, {"error": "missing 'ddg' text"}, []
         if not isinstance(machine_name, str):
             return 400, {"error": "missing 'machine' preset name"}, []
-        backend = str(payload.get("backend", "portfolio"))
-        if backend not in _REQUEST_BACKENDS:
-            return 400, {
-                "error": f"unknown backend {backend!r}; expected one of "
-                         f"{_REQUEST_BACKENDS}",
-            }, []
-        objective = str(payload.get("objective", "feasibility"))
+        # Everything below is outside input: reject it here, before it
+        # is journaled or reaches a worker and the breaker.
         try:
+            weight = int(payload.get("weight", 1))
+            request = {
+                "ddg": text,
+                "machine": machine_name,
+                "backend": str(payload.get("backend", "auto")),
+                "objective": str(payload.get("objective", "feasibility")),
+                "time_limit": float(
+                    payload.get("time_limit", self.config.time_limit)
+                ),
+                "warmstart": bool(payload.get("warmstart", True)),
+            }
+            config = request_config(request)
             machine = presets.by_name(machine_name)
             ddg = parse_ddg(text)
             ddg.validate_against(machine)
         except Exception as exc:  # noqa: BLE001 - user input boundary
             return 400, {"error": f"{type(exc).__name__}: {exc}"}, []
-        # Backend health: refuse now rather than queue work that the
-        # dispatcher would only bounce off an open breaker.
-        if backend in PORTFOLIO_BACKENDS and not self.breaker.allows(backend):
+        # Backend health: refuse now rather than queue work that would
+        # only feed a backend the breaker has tripped.
+        backend = config.backend
+        if _breaker_tracks(backend) and not self.breaker.allows(backend):
             retry = math.ceil(self.breaker.retry_after(backend) or 1)
             self.stats.bump("breaker_rejected")
             return (
@@ -354,25 +358,7 @@ class ServeDaemon:
                  "retry_after": retry},
                 [("Retry-After", str(retry))],
             )
-        if backend == "portfolio" and not self.breaker.filter_roster(
-            default_portfolio(objective)
-        ):
-            self.stats.bump("breaker_rejected")
-            return 503, {"error": "every portfolio backend is "
-                                  "circuit-broken"}, []
-        request = {
-            "ddg": text,
-            "machine": machine_name,
-            "backend": backend,
-            "objective": objective,
-            "time_limit": float(
-                payload.get("time_limit", self.config.time_limit)
-            ),
-            "warmstart": bool(payload.get("warmstart", True)),
-        }
-        key = request_key(
-            ddg, machine, request_config(request), self.config.max_extra
-        )
+        key = request_key(ddg, machine, config, self.config.max_extra)
         job = Job(uuid.uuid4().hex[:12], client, key, request, weight)
         with self._registry_lock:
             primary_id = self._inflight.get(_coalesce_key(job))
@@ -416,16 +402,6 @@ class ServeDaemon:
             backoff=self.config.backoff,
         )
 
-    def _job_backends(self, job: Job) -> Tuple[str, ...]:
-        """The job's roster, filtered by the circuit breaker."""
-        backend = job.request.get("backend", "auto")
-        objective = job.request.get("objective", "feasibility")
-        if backend == "portfolio":
-            return self.breaker.filter_roster(default_portfolio(objective))
-        if backend in PORTFOLIO_BACKENDS:
-            return self.breaker.filter_roster((backend,))
-        return (str(backend),)  # "auto": untracked by the breaker
-
     def _dispatch_loop(self) -> None:
         initializer, initargs = None, ()
         if multiprocessing.get_start_method() == "fork":
@@ -439,7 +415,6 @@ class ServeDaemon:
             workers=self.config.workers, policy=self._policy(),
             deadline=self.config.deadline,
             initializer=initializer, initargs=initargs,
-            on_cell=self._cell_reported,
         )
         try:
             while self._mode != _HALTED:
@@ -452,62 +427,43 @@ class ServeDaemon:
                     job = self.queue.pop()
                     if job is None:
                         break
-                    roster = self._job_backends(job)
-                    if not roster:
-                        self._finish_job(
-                            job, FAILED,
-                            error="every eligible backend is "
-                                  "circuit-broken",
-                            failure={"kind": "breaker_open", "detail":
-                                     "roster empty after breaker "
-                                     "filtering"},
-                        )
-                        continue
                     job.state = RUNNING
-                    race.add([Group(job.id, [
-                        Cell(name, solve_request, (
-                            job.request, name, self.config.max_extra,
+                    race.add([Cell(
+                        job.id, _entry_doc_verdict, solve_request, (
+                            job.request, self.config.max_extra,
                             self.config.store,
-                        ))
-                        for name in roster
-                    ], _entry_doc_verdict)])
+                        ),
+                    )])
                 if race.idle():
                     time.sleep(0.05)
                     continue
-                for group in race.step(timeout=0.2):
+                for cell in race.step(timeout=0.2):
                     with self._registry_lock:
-                        job = self._registry[group.key]
-                    self._settle_job(job, group)
+                        job = self._registry[cell.key]
+                    self._settle_job(job, cell)
         finally:
             # Whatever is still outstanding stays accepted-but-
             # unfinished in the journal; the next incarnation re-admits.
             race.close()
 
-    def _cell_reported(self, cell) -> None:
-        """Feed every finished cell's health to the breaker."""
-        if cell.name not in PORTFOLIO_BACKENDS:
-            return  # "auto" is untracked
-        if cell.failure is not None:
-            self.breaker.record_failure(cell.name, cell.failure.kind)
-        else:
-            self.breaker.record_success(cell.name)
-
-    def _settle_job(self, job: Job, group) -> None:
-        """Answer ``job`` from its settled group (the batch rule)."""
-        rep = group.rep
-        if rep is None or rep.failure is not None:
-            failure = rep.failure if rep is not None else FailureRecord(
-                kind=INTERRUPTED, detail="dispatch interrupted",
-            )
-            self._finish_job(
-                job, FAILED,
-                error=f"solve failed ({failure.kind}): {failure.detail}",
-                failure=failure.to_json_dict(),
-            )
+    def _settle_job(self, job: Job, cell) -> None:
+        """Answer ``job`` from its settled cell; feed the breaker."""
+        backend = job.request.get("backend")
+        if cell.result is not None:
+            if _breaker_tracks(backend):
+                self.breaker.record_success(backend)
+            self._finish_job(job, DONE, entry=cell.result)
             return
-        entry = dict(rep.result)
-        entry.setdefault("winner_backend", rep.name)
-        self._finish_job(job, DONE, entry=entry)
+        failure = cell.failure or FailureRecord(
+            kind=INTERRUPTED, detail="dispatch interrupted",
+        )
+        if cell.failure is not None and _breaker_tracks(backend):
+            self.breaker.record_failure(backend, failure.kind)
+        self._finish_job(
+            job, FAILED,
+            error=f"solve failed ({failure.kind}): {failure.detail}",
+            failure=failure.to_json_dict(),
+        )
 
     def _finish_job(self, job: Job, state: str,
                     entry: Optional[dict] = None,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.core.scheduler import AttemptConfig, run_sweep
@@ -103,11 +102,11 @@ class Job:
 
 
 def request_config(request: Dict[str, object]) -> AttemptConfig:
-    """The :class:`AttemptConfig` a request resolves to (admission-time).
+    """The :class:`AttemptConfig` a request resolves to.
 
-    ``backend="portfolio"`` stays symbolic here — the dispatcher expands
-    it against the breaker-filtered roster; the config fingerprint (and
-    hence the coalescing key) treats the portfolio as one logical solve.
+    Raises on a request no solver could run (unknown backend or
+    objective, a bad time limit): admission turns that into a 400, and
+    a journaled request from an older daemon fails its job instead.
     """
     return AttemptConfig(
         backend=str(request.get("backend", "auto")),
@@ -119,25 +118,23 @@ def request_config(request: Dict[str, object]) -> AttemptConfig:
 
 def solve_request(
     request: Dict[str, object],
-    backend: str,
     max_extra: int,
     store_path: Optional[str] = None,
 ) -> dict:
     """Worker body: schedule one submitted loop, return its entry dict.
 
-    Runs in a supervised worker process, one call per ``(job,
-    backend)`` cell.  Errors are deliberately *not* swallowed into an
-    error entry (unlike the batch body): the supervisor's taxonomy is
-    the service's failure channel, and the breaker needs real
-    per-backend failures to count.
+    Runs in a supervised worker process, one call per job.  Errors are
+    deliberately *not* swallowed into an error entry (unlike the batch
+    body): the supervisor's taxonomy is the service's failure channel,
+    and the breaker needs real per-backend failures to count.
     """
     from repro.ddg.builders import parse_ddg
 
     machine = presets.by_name(str(request["machine"]))
     ddg = parse_ddg(str(request["ddg"]))
     ddg.validate_against(machine)
-    faults.fire("solve", loop=ddg.name, backend=backend)
-    config = replace(request_config(request), backend=backend)
+    config = request_config(request)
+    faults.fire("solve", loop=ddg.name, backend=config.backend)
     result = run_sweep(ddg, machine, config, max_extra,
                        store=open_store(store_path))
     return BatchEntry(

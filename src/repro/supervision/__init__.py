@@ -7,9 +7,9 @@ layer under it, which assumes those workers will hang, crash, or eat
 all the memory — and turns every such event into data instead of a
 dead run:
 
-* :mod:`~repro.supervision.cells` — the cell race: groups of
-  ``(key, backend)`` cells dispatched in-process or to the executor,
-  each group settled by its first decisive cell;
+* :mod:`~repro.supervision.cells` — the cell race: keyed cells
+  dispatched in-process or to the executor, each settled by its own
+  report, a period win retiring the periods above it;
 * :mod:`~repro.supervision.records` — the failure taxonomy
   (:class:`FailureRecord`) and the guard-rail knobs
   (:class:`SupervisionPolicy`);

@@ -190,8 +190,8 @@ class _Worker:
         SIGTERM first so a cooperative worker exits cleanly; SIGKILL
         only if it is still alive after the bounded join.  Every join
         is bounded, so reaping a wedged loser can never block the
-        supervisor for more than ~2x ``join_timeout`` — the portfolio
-        race reaps losers on the winner's critical path.
+        supervisor for more than ~2x ``join_timeout`` — the period
+        race reaps cells above a win on the winner's critical path.
         """
         try:
             if self.process.is_alive():
@@ -291,8 +291,8 @@ class SupervisedExecutor:
         (bounded TERM->KILL escalation) and not replaced until the
         dispatcher next needs one.  Either way the task lands in state
         ``CANCELLED`` with neither result nor failure — this is how the
-        portfolio race reaps losers the moment a winner is known, so a
-        cancellation is an expected outcome, not an error.  Returns
+        period race reaps periods above a win the moment it is known,
+        so a cancellation is an expected outcome, not an error.  Returns
         False when the task already finished (its result/failure
         stands) or was already cancelled.
 

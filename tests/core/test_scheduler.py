@@ -1,11 +1,19 @@
 """Tests for the rate-optimal scheduling driver."""
 
+import pathlib
+
 import pytest
 
 from repro.core import schedule_loop, verify_schedule
-from repro.core.scheduler import ScheduleAttempt, SchedulingResult
+from repro.core.errors import SchedulingError
+from repro.core.scheduler import (
+    AttemptConfig,
+    ScheduleAttempt,
+    SchedulingResult,
+)
 from repro.core.bounds import LowerBounds
 from repro.ddg import Ddg
+from repro.ddg.builders import parse_ddg
 from repro.ddg.kernels import KERNELS, motivating_example
 from repro.machine.presets import (
     motivating_machine,
@@ -166,3 +174,46 @@ class TestResultProperties:
             schedule=schedule,
         )
         assert result.is_rate_optimal_proven
+
+
+class TestConfigValidation:
+    """An impossible config is refused up front, even when a warm start
+    or a store hit would settle the loop before any solver runs."""
+
+    LOOP = pathlib.Path(__file__).resolve().parents[2] / "corpus" / \
+        "loop0000.ddg"
+
+    def _loop(self):
+        return parse_ddg(self.LOOP.read_text())
+
+    @pytest.mark.parametrize("settings", [
+        {"backend": "bogus"},
+        {"backend": "portfolio"},
+        {"objective": "bogus"},
+        {"backend": "sat", "objective": "min_fu"},
+        {"time_limit": 0},
+        {"time_limit": -1.0},
+        {"time_limit": float("nan")},
+    ], ids=["unknown-backend", "portfolio", "unknown-objective",
+            "sat-min_fu", "zero-limit", "negative-limit", "nan-limit"])
+    def test_attempt_config_rejects(self, settings):
+        with pytest.raises(SchedulingError):
+            AttemptConfig(**settings)
+
+    def test_none_time_limit_means_unbounded(self):
+        assert AttemptConfig(time_limit=None).time_limit is None
+
+    def test_schedule_loop_rejects_unknown_backend(self):
+        with pytest.raises(SchedulingError, match="unknown backend"):
+            schedule_loop(self._loop(), powerpc604(), backend="bogus")
+
+    def test_schedule_loop_rejects_sat_objective_mismatch(self):
+        with pytest.raises(SchedulingError, match="feasibility"):
+            schedule_loop(self._loop(), powerpc604(), backend="sat",
+                          objective="min_fu")
+
+    def test_run_batch_rejects_unknown_backend(self):
+        from repro.parallel import run_batch
+
+        with pytest.raises(SchedulingError, match="unknown backend"):
+            run_batch([self.LOOP], powerpc604(), backend="bogus", jobs=1)

@@ -8,21 +8,27 @@ feasible/infeasible verdict per (loop, T), and the Solution metadata
 (stats, budget clamps, warm-start short-circuit) must round-trip.
 """
 
+import pathlib
+
 import pytest
 
 from repro.core.bounds import lower_bounds, modulo_feasible_t
 from repro.core.formulation import Formulation, FormulationOptions
 from repro.core.scheduler import AttemptConfig, attempt_period
 from repro.core.verify import verify_schedule
+from repro.core.warmstart import compute_warmstart, warmstart_assignment
+from repro.ddg.builders import parse_ddg
 from repro.ddg.generators import suite
 from repro.ddg.kernels import motivating_example
 from repro.ilp import Model
 from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
 from repro.ilp.solve import set_process_time_budget, solve
-from repro.machine.presets import motivating_machine
+from repro.machine.presets import motivating_machine, powerpc604
 from repro.sat.backend import SAT_CARD_ENV
 from repro.sat.errors import SatEncodeError
+
+CORPUS = pathlib.Path(__file__).resolve().parents[2] / "corpus"
 
 
 @pytest.fixture
@@ -86,6 +92,18 @@ class TestStatusSurface:
         with pytest.raises((SatEncodeError, SolverError),
                            match="feasibility-only"):
             solve(f.model, backend="sat")
+
+    def test_valid_start_does_not_bypass_the_objective_check(self):
+        # A valid warm start proves feasibility, not min_fu optimality:
+        # the backend must refuse rather than report optimal, gap 0.
+        ddg = parse_ddg((CORPUS / "loop0000.ddg").read_text())
+        machine = powerpc604()
+        ws = compute_warmstart(ddg, machine, 10)
+        f = _formulation(ddg, machine, ws.ii, objective="min_fu")
+        start = warmstart_assignment(f, ws.schedule)
+        assert start is not None
+        with pytest.raises(SatEncodeError, match="feasibility-only"):
+            solve(f.model, backend="sat", mip_start=start)
 
 
 class TestAttemptPeriodIntegration:

@@ -92,18 +92,7 @@ class TestCooldown:
         assert breaker.retry_after("highs") == 0.0
 
 
-class TestRosterAndSnapshot:
-    def test_filter_roster_drops_open_backends(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
-        breaker.record_failure("bnb", "oom")
-        assert breaker.filter_roster(("highs", "bnb", "sat")) == \
-            ("highs", "sat")
-        clock.advance(6.0)
-        # Cooldown elapsed: bnb is probe-eligible again.
-        assert breaker.filter_roster(("highs", "bnb", "sat")) == \
-            ("highs", "bnb", "sat")
-
+class TestSnapshot:
     def test_snapshot_reports_state_and_taxonomy(self):
         clock = FakeClock()
         breaker = CircuitBreaker(threshold=2, cooldown=10.0, clock=clock)

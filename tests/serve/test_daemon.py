@@ -46,7 +46,6 @@ class TestSubmitPoll:
         entry = doc["entry"]
         assert entry["schedule"] is not None
         assert entry["achieved_t"] >= entry["t_lb"]
-        assert entry["winner_backend"] == "auto"
 
     def test_healthz_and_stats_shape(self, daemon_factory):
         client = daemon_factory().start()
@@ -72,12 +71,37 @@ class TestSubmitPoll:
         ):
             assert status == 400
 
-    def test_portfolio_submit_names_a_winner(self, daemon_factory):
+    def test_bad_settings_are_400_before_journal_or_breaker(
+        self, daemon_factory, tmp_path
+    ):
+        journal = tmp_path / "serve.jsonl"
+        host = daemon_factory(journal=str(journal))
+        client = host.start()
+        for options in (
+            {"time_limit": "abc"},
+            {"weight": "x"},
+            {"time_limit": -1},
+            {"time_limit": "nan"},
+            {"objective": "bogus"},
+            {"objective": "min_fu"},  # sat is feasibility-only
+            {"backend": "portfolio"},
+        ):
+            status, body = client.submit_raw(
+                DOT, MACHINE, **{"backend": "sat", **options}
+            )
+            assert status == 400, (options, status, body)
+        assert host.daemon.stats.count("accepted") == 0
+        assert host.daemon.breaker.snapshot() == {}
+        _, accepted, _ = read_serve_journal(journal)
+        assert accepted == {}
+
+    def test_default_backend_is_auto(self, daemon_factory):
         client = daemon_factory().start()
-        response = client.submit(DOT, MACHINE, backend="portfolio")
-        doc = client.wait_for(response["job"], timeout=60)
+        job = client.submit(DOT, MACHINE)["job"]
+        doc = client.wait_for(job, timeout=60)
         assert doc["state"] == "done"
-        assert doc["entry"]["winner_backend"] in ("highs", "bnb", "sat")
+        assert doc["entry"]["achieved_t"] >= doc["entry"]["t_lb"]
+        assert client.stats()["breakers"] == {}  # auto is untracked
 
 
 class TestCoalescing:
@@ -225,6 +249,36 @@ class TestJournalResume:
         _, accepted, done = read_serve_journal(journal)
         assert "orphan0001ab" in done
 
+    def test_journaled_portfolio_request_fails_with_a_kind(
+        self, daemon_factory, tmp_path
+    ):
+        # Older daemons accepted backend "portfolio"; a journal holding
+        # such a request unfinished must not wedge the new one.
+        journal = tmp_path / "serve.jsonl"
+        config = ServeConfig(time_limit=5.0)
+        digest = config_digest("serve", **config.digest_settings())
+        with ServeJournal(journal, digest) as writer:
+            writer.accepted(
+                "oldport0001ab", client="survivor", key="k-old",
+                request={
+                    "ddg": DOT, "machine": MACHINE,
+                    "backend": "portfolio", "objective": "feasibility",
+                    "time_limit": 5.0, "warmstart": True,
+                },
+            )
+        host = daemon_factory(journal=str(journal), time_limit=5.0)
+        client = host.start()
+        doc = client.wait_for("oldport0001ab", timeout=60)
+        assert doc["state"] == "failed"
+        assert doc["failure"]["kind"] == "solver_error"
+        assert "portfolio" in doc["failure"]["detail"]
+        assert host.daemon.breaker.snapshot() == {}
+        # The dispatcher keeps serving.
+        fresh = client.submit(DAXPY, MACHINE, backend="auto")
+        assert client.wait_for(fresh["job"], timeout=60)["state"] == "done"
+        _, _, done = read_serve_journal(journal)
+        assert done["oldport0001ab"]["state"] == "failed"
+
     def test_finished_jobs_survive_restart_for_polling(
         self, daemon_factory, tmp_path
     ):
@@ -243,7 +297,7 @@ class TestJournalResume:
 
 
 class TestBreakerConfinement:
-    """A crashing backend is tripped out; the rest keep serving."""
+    """A crashing backend is refused while tripped; others keep serving."""
 
     def test_tripped_backend_is_confined_then_probed(
         self, daemon_factory, monkeypatch
@@ -270,20 +324,20 @@ class TestBreakerConfinement:
         assert body["retry_after"] >= 1
         assert host.daemon.stats.count("breaker_rejected") == 1
 
-        # 3. Portfolio jobs drop it from the roster and still serve.
-        survived = client.submit(DAXPY, MACHINE, backend="portfolio")
+        # 3. Jobs on other backends still serve.
+        survived = client.submit(DAXPY, MACHINE, backend="highs",
+                                 warmstart=False)
         doc = client.wait_for(survived["job"], timeout=60)
         assert doc["state"] == "done"
-        assert doc["entry"]["winner_backend"] != "bnb"
-        assert client.stats()["breakers"]["bnb"]["state"] == "open"
+        assert doc["entry"]["attempts"][-1]["backend"] == "highs"
+        breakers = client.stats()["breakers"]
+        assert breakers["bnb"]["state"] == "open"
+        assert breakers["highs"]["state"] == "closed"
 
         # 4. After the cooldown it re-enters half-open for one probe...
         time.sleep(2.1)
         assert host.daemon.breaker.allows("bnb")
         assert host.daemon.breaker.state("bnb") == "half_open"
-        assert "bnb" in host.daemon.breaker.filter_roster(
-            ("highs", "bnb", "sat")
-        )
 
         # 5. ...and the still-crashing probe re-opens it immediately.
         probe = client.submit(LK1, MACHINE, backend="bnb",

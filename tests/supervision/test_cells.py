@@ -15,7 +15,6 @@ from repro.supervision.cells import (
     WIN,
     Cell,
     CellRace,
-    Group,
 )
 
 VERDICTS = {"win": WIN, "proof": PROOF, "clean": CLEAN, "error": FAILED}
@@ -29,41 +28,24 @@ def _answer(label):
     return label
 
 
-def _group(key, *labels, period=True):
-    cells = [Cell(f"b{i}", _answer, (label,)) for i, label in
-             enumerate(labels)]
-    return Group(key, cells, VERDICTS.__getitem__, period=period)
+def _cell(key, label, period=True):
+    return Cell(key, VERDICTS.__getitem__, _answer, (label,),
+                period=period)
 
 
-def _race(groups, window=None):
+def _race(cells, window=None):
     CALLS.clear()
     race = CellRace(workers=0, window=window)
-    race.add(groups)
+    race.add(cells)
     return list(race.run())
 
 
-def test_first_decisive_cell_settles_and_siblings_are_cancelled():
-    group = _group(3, "clean", "proof", "win")
-    assert _race([group]) == [group]
-    assert CALLS == ["clean", "proof"]  # the third cell never ran
-    assert group.winner is group.cells[1]
-    assert [c.verdict for c in group.cells] == [CLEAN, PROOF, CANCELLED]
-    assert group.killed_running == group.cancelled_queued == 0
-
-
-def test_no_decisive_cell_settles_to_the_best_ranked():
-    group = _group(0, "error", "clean", "clean", period=False)
-    _race([group])
-    assert group.winner is None
-    assert group.rep is group.cells[1]  # clean beats error; roster order
-
-
 def test_wide_window_records_every_cell_above_a_win():
-    groups = [_group(t, "proof" if t < 4 else "win") for t in range(3, 7)]
-    _race(groups)
+    cells = [_cell(t, "proof" if t < 4 else "win") for t in range(3, 7)]
+    _race(cells)
     assert CALLS == ["proof", "win"]
-    assert [g.rep.verdict for g in groups] == [PROOF, WIN, CANCELLED,
-                                               CANCELLED]
+    assert [c.verdict for c in cells] == [PROOF, WIN, CANCELLED,
+                                          CANCELLED]
 
 
 def test_window_one_admits_nothing_above_a_win():
@@ -72,44 +54,34 @@ def test_window_one_admits_nothing_above_a_win():
     def feed():
         for t in range(3, 7):
             pulled.append(t)
-            yield _group(t, "proof" if t < 4 else "win")
+            yield _cell(t, "proof" if t < 4 else "win")
 
     settled = _race(feed(), window=1)
-    assert [g.key for g in settled] == [3, 4]
+    assert [c.key for c in settled] == [3, 4]
     assert pulled == [3, 4, 5]  # 5 was pulled to see the feed end
 
 
 def test_ready_made_result_reports_on_admission():
-    ready = Group(5, [Cell("", result="win")], VERDICTS.__getitem__,
-                  period=True)
-    group = _group(4, "clean")
-    settled = _race([group, ready])
-    assert {g.key for g in settled} == {4, 5}
-    assert ready.winner is ready.cells[0]
+    ready = Cell(5, VERDICTS.__getitem__, result="win", period=True)
+    cell = _cell(4, "clean")
+    settled = _race([cell, ready])
+    assert {c.key for c in settled} == {4, 5}
+    assert ready.verdict == WIN
     assert CALLS == ["clean"]
 
 
-def test_roster_of_one_lets_the_exception_propagate():
+def test_in_process_exception_propagates():
     with pytest.raises(ValueError, match="cannot express"):
-        _race([_group(3, "raise")])
-
-
-def test_wider_roster_fails_only_the_raising_cell():
-    group = _group(3, "raise", "proof")
-    _race([group])
-    failed, proved = group.cells
-    assert failed.verdict == FAILED
-    assert failed.failure.kind == "solver_error"
-    assert "cannot express" in failed.failure.detail
-    assert group.winner is proved
+        _race([_cell(3, "raise")])
 
 
 def test_in_flight_counts_cells_not_yet_run():
     # Callers that admit work while in_flight() is below their worker
     # count must see accepted cells before any step runs them.
     race = CellRace(workers=0)
-    race.add([_group(0, "clean", period=False),
-              _group(1, "clean", "clean", period=False)])
+    race.add([_cell(0, "clean", period=False),
+              _cell(1, "clean", period=False),
+              _cell(2, "clean", period=False)])
     assert race.in_flight() == 3
     race.step()
     assert race.in_flight() == 2

@@ -251,6 +251,85 @@ class TestRaceSupervised:
         assert result.attempts[-1].status == DEGRADED
         assert _failed(result, CRASH)
 
+    def test_degraded_settle_replaces_the_lost_record(
+        self, monkeypatch, ddg, machine
+    ):
+        monkeypatch.setenv(ENV_VAR, "crash@attempt")
+        result = race_periods(
+            ddg, machine, jobs=2, time_limit_per_t=10.0,
+            policy=NO_RETRY, objective="min_sum_t",
+        )
+        heuristic_ii = result.warmstart.heuristic_ii
+        at_ii = [a for a in result.attempts if a.t_period == heuristic_ii]
+        # One record per period: the degraded settle stands in for the
+        # crashed solve and carries its failure.
+        assert [(a.status, a.backend) for a in at_ii] == [(DEGRADED, "")]
+        assert at_ii[0].failure.kind == CRASH
+
+    def test_degraded_winner_carries_lost_cell_taxonomy(
+        self, monkeypatch, ddg, machine
+    ):
+        """v8 provenance: every lost period cell is accounted for.
+
+        A crash below the winner degrades it; the report must then name
+        each lost period cell with its failure kind — including periods
+        above the win that were merely cancelled.
+        """
+        from repro.parallel.batch import BatchEntry
+
+        t_lb = lower_bounds(ddg, machine).t_lb
+        monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
+        result = race_periods(
+            ddg, machine, jobs=2, time_limit_per_t=10.0,
+            policy=NO_RETRY, warmstart=False,
+        )
+        assert result.degraded
+        lost = result.lost_cells()
+        # Exactly the attempts without a verdict, one record each.
+        expected = [
+            a for a in result.attempts
+            if a.failure is not None or a.status == "cancelled"
+        ]
+        assert len(lost) == len(expected) > 0
+        assert {c["kind"] for c in lost} <= {
+            CRASH, HANG, OOM, SOLVER_ERROR, INTERRUPTED, "cancelled",
+        }
+        assert {CRASH, "cancelled"} <= {c["kind"] for c in lost}
+        for cell in lost:
+            assert cell["t"] >= result.bounds.t_lb
+            # "" marks a cell that never reached a backend.
+            assert cell["backend"] == ""
+        # The v8 report entry surfaces the same records verbatim.
+        entry = BatchEntry(
+            name=ddg.name, source="<memory>", num_ops=len(ddg.ops),
+            result=result,
+        ).to_json_dict()
+        assert entry["degraded"] is True
+        assert entry["lost_cells"] == lost
+
+    def test_no_live_children_after_faulted_race(
+        self, monkeypatch, ddg, machine
+    ):
+        import multiprocessing
+
+        t_lb = lower_bounds(ddg, machine).t_lb
+        monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
+        before = set(multiprocessing.active_children())
+        result = race_periods(
+            ddg, machine, jobs=2, time_limit_per_t=10.0,
+            policy=NO_RETRY, warmstart=False,
+        )
+        assert result.schedule is not None
+        leftover = [
+            p for p in multiprocessing.active_children()
+            if p not in before
+        ]
+        deadline = time.monotonic() + 5.0
+        while leftover and time.monotonic() < deadline:
+            time.sleep(0.05)
+            leftover = [p for p in leftover if p.is_alive()]
+        assert leftover == []
+
 
 class TestBatchSupervised:
     """run_batch isolates every fault to its own loop."""
@@ -341,163 +420,3 @@ class TestBatchSupervised:
         assert report.failed == len(paths)
         for entry in report.entries:
             assert entry.failure.kind == INTERRUPTED
-
-
-class TestPortfolioSupervised:
-    """(period x backend) portfolio races survive per-cell faults.
-
-    ``REPRO_FAULTS`` specs can target a single backend's cells
-    (``crash@attempt:backend=bnb``): the faulted backend loses only its
-    own (period, backend) cells while the sibling backends keep racing,
-    so the loop still schedules — and still proves rate-optimality when
-    a healthy sibling delivers every INFEASIBLE verdict.
-    """
-
-    ROSTER = ("highs", "bnb", "sat")
-
-    def _cells(self, result, backend):
-        return [a for a in result.attempts if a.backend == backend]
-
-    def test_crashed_loser_does_not_affect_winner(
-        self, monkeypatch, ddg, machine
-    ):
-        monkeypatch.setenv(ENV_VAR, "crash@attempt:backend=bnb")
-        result = race_periods(
-            ddg, machine, jobs=4, time_limit_per_t=10.0,
-            policy=NO_RETRY, warmstart=False, backends=self.ROSTER,
-        )
-        assert result.schedule is not None
-        assert result.achieved_t == 4
-        # Every crash is confined to a bnb cell, recorded per-(T,backend).
-        crashed = _failed(result, CRASH)
-        assert crashed
-        assert all(a.backend == "bnb" for a in crashed)
-        cells = {(a.t_period, a.backend) for a in crashed}
-        assert len(cells) == len(crashed)
-        # Healthy siblings proved T=3 infeasible regardless.
-        assert result.is_rate_optimal_proven
-        assert result.portfolio["winner_backend"] in ("highs", "sat")
-
-    def test_hung_loser_killed_and_winner_unaffected(
-        self, monkeypatch, ddg, machine
-    ):
-        monkeypatch.setenv(
-            ENV_VAR, "hang@attempt:backend=bnb:seconds=60"
-        )
-        policy = SupervisionPolicy(
-            deadline=2.0, grace=0.5, max_retries=0
-        )
-        start = time.monotonic()
-        result = race_periods(
-            ddg, machine, jobs=4, time_limit_per_t=10.0,
-            policy=policy, warmstart=False, backends=self.ROSTER,
-        )
-        assert time.monotonic() - start < 60.0
-        assert result.schedule is not None
-        assert result.achieved_t == 4
-        # Hung bnb cells were either deadline-killed (HANG failure) or
-        # reaped as losers once the period settled (cancelled).
-        bnb = self._cells(result, "bnb")
-        assert bnb
-        assert all(
-            a.status in (HANG, "cancelled") for a in bnb
-        )
-        hung = _failed(result, HANG)
-        assert all(a.backend == "bnb" for a in hung)
-
-    def test_whole_roster_crash_degrades_not_raises(
-        self, monkeypatch, ddg, machine
-    ):
-        monkeypatch.setenv(ENV_VAR, "crash@attempt")
-        result = race_periods(
-            ddg, machine, jobs=4, time_limit_per_t=10.0,
-            policy=NO_RETRY, objective="min_sum_t",
-            backends=("highs", "bnb"),
-        )
-        assert result.degraded
-        assert result.schedule is not None
-        # The attempt log is (T, backend)-sorted, so the degraded
-        # settle is not necessarily last as in single-backend races.
-        assert any(a.status == DEGRADED for a in result.attempts)
-
-    def test_degraded_settle_replaces_one_lost_cell(
-        self, monkeypatch, ddg, machine
-    ):
-        monkeypatch.setenv(ENV_VAR, "crash@attempt")
-        result = race_periods(
-            ddg, machine, jobs=4, time_limit_per_t=10.0,
-            policy=NO_RETRY, objective="min_sum_t",
-            backends=("highs", "bnb"),
-        )
-        heuristic_ii = result.warmstart.heuristic_ii
-        at_ii = [a for a in result.attempts if a.t_period == heuristic_ii]
-        # The degraded record stands in for the period's representative
-        # (first backend by name) and carries its failure; the other
-        # backend's lost cell stays in the log.
-        assert [(a.status, a.backend) for a in at_ii] == [
-            (DEGRADED, ""), (CRASH, "highs"),
-        ]
-        assert all(a.failure.kind == CRASH for a in at_ii)
-
-    def test_degraded_winner_carries_lost_cell_taxonomy(
-        self, monkeypatch, ddg, machine
-    ):
-        """v8 provenance: every lost period cell is accounted for.
-
-        Crashing the whole roster forces a degraded settle; the report
-        must then name each lost (T, backend) cell with its failure
-        kind — including portfolio losers that were merely cancelled.
-        """
-        from repro.parallel.batch import BatchEntry
-
-        monkeypatch.setenv(ENV_VAR, "crash@attempt")
-        result = race_periods(
-            ddg, machine, jobs=4, time_limit_per_t=10.0,
-            policy=NO_RETRY, objective="min_sum_t",
-            backends=("highs", "bnb"),
-        )
-        assert result.degraded
-        lost = result.lost_cells()
-        # Exactly the attempts without a verdict, one record each.
-        expected = [
-            a for a in result.attempts
-            if a.failure is not None or a.status == "cancelled"
-        ]
-        assert len(lost) == len(expected) > 0
-        assert {c["kind"] for c in lost} <= {
-            CRASH, HANG, OOM, SOLVER_ERROR, INTERRUPTED, "cancelled",
-        }
-        assert CRASH in {c["kind"] for c in lost}
-        for cell in lost:
-            assert cell["t"] >= result.bounds.t_lb
-            # "" marks a cell cancelled before it reached a backend.
-            assert cell["backend"] in ("highs", "bnb", "")
-        # The v8 report entry surfaces the same records verbatim.
-        entry = BatchEntry(
-            name=ddg.name, source="<memory>", num_ops=len(ddg.ops),
-            result=result,
-        ).to_json_dict()
-        assert entry["degraded"] is True
-        assert entry["lost_cells"] == lost
-
-    def test_no_live_children_after_faulted_race(
-        self, monkeypatch, ddg, machine
-    ):
-        import multiprocessing
-
-        monkeypatch.setenv(ENV_VAR, "crash@attempt:backend=sat")
-        before = set(multiprocessing.active_children())
-        result = race_periods(
-            ddg, machine, jobs=4, time_limit_per_t=10.0,
-            policy=NO_RETRY, warmstart=False, backends=self.ROSTER,
-        )
-        assert result.schedule is not None
-        leftover = [
-            p for p in multiprocessing.active_children()
-            if p not in before
-        ]
-        deadline = time.monotonic() + 5.0
-        while leftover and time.monotonic() < deadline:
-            time.sleep(0.05)
-            leftover = [p for p in leftover if p.is_alive()]
-        assert leftover == []

@@ -207,63 +207,40 @@ class TestSuiteCommand:
         assert "Table 4" in out
 
 
-class TestBackendRosterValidation:
-    """``--backends`` is validated at the CLI boundary (PR 9)."""
+class TestBackendValidation:
+    """Settings no solver could run are refused before any work."""
 
-    def _race(self, roster):
-        return main([
-            "race", "--kernel", "dotprod", "--machine", "powerpc604",
-            "--backend", "portfolio", "--backends", roster,
-            "--time-limit", "5",
-        ])
+    def test_portfolio_is_not_a_backend(self, capsys):
+        for command in ("race", "batch", "loadgen"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--backend", "portfolio"])
+            assert err.value.code == 2
+            assert "invalid choice: 'portfolio'" in capsys.readouterr().err
 
-    def test_unknown_backend_rejected(self):
+    def test_race_rejects_a_bad_time_limit(self):
         with pytest.raises(SystemExit) as err:
-            self._race("highs,gurobi")
-        assert "unknown backend 'gurobi'" in str(err.value)
-        assert "choose from: highs, bnb, sat" in str(err.value)
+            main([
+                "race", "--kernel", "dotprod", "--machine", "powerpc604",
+                "--time-limit", "-1",
+            ])
+        assert "race: time_limit must be > 0" in str(err.value)
 
-    def test_duplicate_backend_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            self._race("bnb,bnb")
-        assert "lists 'bnb' twice" in str(err.value)
-
-    def test_empty_roster_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            self._race(" , ")
-        assert "at least one backend" in str(err.value)
-
-    def test_batch_shares_the_validation(self, tmp_path):
+    def test_batch_rejects_a_bad_time_limit(self, tmp_path):
         path = tmp_path / "loop.ddg"
         path.write_text(serialize_ddg(dot_product()))
         with pytest.raises(SystemExit) as err:
             main([
                 "batch", str(path), "--machine", "powerpc604",
-                "--backend", "portfolio", "--backends", "cplex",
+                "--time-limit", "nan",
             ])
-        assert "unknown backend 'cplex'" in str(err.value)
+        assert "batch: time_limit must be > 0" in str(err.value)
 
-    def test_single_entry_roster_demotes_to_plain_race(self, capsys):
-        # A one-backend "portfolio" is just that backend: no portfolio
-        # fan-out, but the roster still validates and the named solver
-        # runs.  (--no-warmstart so the solve reaches the backend at
-        # all instead of settling on the heuristic.)
+    def test_named_backend_tags_its_attempts(self, capsys):
+        # --no-warmstart so the solve reaches the backend at all
+        # instead of settling on the heuristic.
         code = main([
             "race", "--kernel", "dotprod", "--machine", "powerpc604",
-            "--backend", "portfolio", "--backends", "bnb",
-            "--time-limit", "5", "--no-warmstart",
+            "--backend", "bnb", "--time-limit", "5", "--no-warmstart",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "[bnb]" in out
-        assert "portfolio [" not in out
-
-    def test_explicit_roster_portfolio_races(self, capsys):
-        code = main([
-            "race", "--kernel", "dotprod", "--machine", "powerpc604",
-            "--backend", "portfolio", "--backends", "highs,bnb",
-            "--time-limit", "5", "--no-warmstart",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "portfolio [highs, bnb]" in out
+        assert "[bnb]" in capsys.readouterr().out
