@@ -21,6 +21,7 @@ solver time each took).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -91,6 +92,52 @@ class ScheduleAttempt:
     #: Provenance only: never part of any cache or store fingerprint.
     backend: str = ""
 
+    def to_json_dict(self) -> dict:
+        doc = {
+            "t": self.t_period,
+            "status": self.status,
+            "backend": self.backend,
+            "seconds": round(self.seconds, 6),
+            "nodes": self.nodes,
+            "repaired": self.repaired,
+            "bound": self.bound,
+            # inf gap (bound but no incumbent) is not valid JSON; write
+            # it as null.
+            "gap": (
+                self.gap
+                if self.gap is not None and math.isfinite(self.gap)
+                else None
+            ),
+            "warm_started": self.warm_started,
+            "model": {
+                key: (round(value, 6) if isinstance(value, float) else value)
+                for key, value in self.model_stats.items()
+            },
+        }
+        if self.failure is not None:
+            doc["failure"] = self.failure.to_json_dict()
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "ScheduleAttempt":
+        failure = doc.get("failure")
+        return cls(
+            t_period=int(doc["t"]),
+            status=str(doc["status"]),
+            seconds=float(doc.get("seconds", 0.0)),
+            model_stats=dict(doc.get("model") or {}),
+            nodes=int(doc.get("nodes", 0)),
+            repaired=bool(doc.get("repaired", False)),
+            bound=doc.get("bound"),
+            gap=doc.get("gap"),
+            warm_started=bool(doc.get("warm_started", False)),
+            failure=(
+                FailureRecord.from_json_dict(failure)
+                if failure is not None else None
+            ),
+            backend=str(doc.get("backend", "")),
+        )
+
 
 @dataclass
 class WarmStartStats:
@@ -121,6 +168,17 @@ class WarmStartStats:
             "ilp_solves": self.ilp_solves,
             "skipped_all_ilp": self.skipped_all_ilp,
         }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "WarmStartStats":
+        return cls(
+            enabled=bool(doc.get("enabled", False)),
+            heuristic_ii=doc.get("heuristic_ii"),
+            heuristic_mii=doc.get("heuristic_mii"),
+            heuristic_seconds=float(doc.get("heuristic_seconds", 0.0)),
+            placements=int(doc.get("placements", 0)),
+            ilp_solves=int(doc.get("ilp_solves", 0)),
+        )
 
 
 @dataclass
@@ -240,6 +298,58 @@ class SchedulingResult:
                 })
         return lost
 
+    def to_json_dict(self) -> dict:
+        """The result's one JSON form: report and journal entries,
+        serve answers and store entries all carry it."""
+        doc = {
+            "t_dep": self.bounds.t_dep,
+            "t_res": self.bounds.t_res,
+            "t_lb": self.bounds.t_lb,
+            "achieved_t": self.achieved_t,
+            "delta_from_lb": self.delta_from_lb,
+            "is_rate_optimal_proven": self.is_rate_optimal_proven,
+            "degraded": self.degraded,
+            "seconds": round(self.total_seconds, 6),
+            "attempts": [attempt.to_json_dict() for attempt in self.attempts],
+        }
+        if self.degraded:
+            doc["lost_cells"] = self.lost_cells()
+        if self.warmstart is not None:
+            doc["warmstart"] = self.warmstart.to_json_dict()
+        if self.store is not None:
+            doc["store"] = self.store.to_json_dict()
+        if self.schedule is not None:
+            doc["schedule"] = self.schedule.to_dict()
+        return doc
+
+    @classmethod
+    def from_json_dict(
+        cls, doc: dict, schedule: Optional[Schedule]
+    ) -> "SchedulingResult":
+        """Rebuild a result from :meth:`to_json_dict` around ``schedule``.
+
+        The schedule is rebuilt by the caller, which knows the loop and
+        machine it belongs to.  Derived keys and the per-run ``store``
+        record are not read back.
+        """
+        warmstart = doc.get("warmstart")
+        return cls(
+            loop_name=schedule.ddg.name if schedule is not None else "",
+            bounds=LowerBounds(
+                t_dep=int(doc["t_dep"]), t_res=int(doc["t_res"])
+            ),
+            attempts=[
+                ScheduleAttempt.from_json_dict(a) for a in doc["attempts"]
+            ],
+            schedule=schedule,
+            total_seconds=float(doc.get("seconds", 0.0)),
+            warmstart=(
+                WarmStartStats.from_json_dict(warmstart)
+                if warmstart is not None else None
+            ),
+            degraded=bool(doc.get("degraded", False)),
+        )
+
     def summary(self) -> str:
         t_found = self.achieved_t if self.schedule else "none"
         return (
@@ -262,7 +372,6 @@ class AttemptConfig:
     objective: str = "feasibility"
     mapping: Optional[bool] = None
     time_limit: Optional[float] = 30.0
-    verify: bool = True
     repair_modulo: bool = False
     presolve: bool = True
     #: Run the iterative-modulo heuristic first and use its schedule to
@@ -404,10 +513,9 @@ def attempt_period(
         schedule = formulation.extract(
             solution, require_mapping=require_mapping
         )
-        if config.verify:
-            verify_start = time.monotonic()
-            verify_schedule(schedule, check_mapping=require_mapping)
-            verify_seconds = time.monotonic() - verify_start
+        verify_start = time.monotonic()
+        verify_schedule(schedule, check_mapping=require_mapping)
+        verify_seconds = time.monotonic() - verify_start
     if context is not None and machine_key is not None:
         _harvest_cuts(
             context, machine_key, formulation, solution, t_period, config
@@ -707,7 +815,6 @@ def schedule_loop(
     mapping: Optional[bool] = None,
     time_limit_per_t: Optional[float] = 30.0,
     max_extra: int = 10,
-    verify: bool = True,
     repair_modulo: bool = False,
     presolve: bool = True,
     warmstart: bool = True,
@@ -752,7 +859,6 @@ def schedule_loop(
         objective=objective,
         mapping=mapping,
         time_limit=time_limit_per_t,
-        verify=verify,
         repair_modulo=repair_modulo,
         presolve=presolve,
         warmstart=warmstart,

@@ -72,14 +72,6 @@ class WarmStart:
         """The heuristic alone proved rate-optimality (``II == T_lb``)."""
         return self.ii is not None and self.ii == self.mii
 
-    def to_stats_dict(self) -> dict:
-        return {
-            "heuristic_ii": self.ii,
-            "heuristic_mii": self.mii,
-            "heuristic_seconds": round(self.seconds, 6),
-            "placements": self.placements,
-        }
-
 
 def compute_warmstart(
     ddg: Ddg, machine: Machine, max_extra: int = 10

@@ -484,9 +484,3 @@ class Model:
             f"int={self.num_integer_vars}, rows={self.num_constraints})"
         )
 
-
-def standard_arrays(model: Model) -> Tuple:
-    """Convenience re-export; see :func:`repro.ilp.standard.to_arrays`."""
-    from repro.ilp.standard import to_arrays
-
-    return to_arrays(model)

@@ -34,7 +34,6 @@ harnesses can consume.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -57,7 +56,8 @@ from repro.supervision import faults
 from repro.supervision.atomicio import atomic_write_text
 from repro.supervision.cells import CLEAN, FAILED, WIN, Cell, CellRace
 from repro.supervision.journal import (
-    BatchJournal,
+    Journal,
+    check_digest,
     completed_entries,
     config_digest,
     entry_key,
@@ -157,30 +157,7 @@ class BatchEntry:
             if self.failure is not None:
                 entry["failure"] = self.failure.to_json_dict()
             return entry
-        result = self.result
-        entry.update(
-            {
-                "t_dep": result.bounds.t_dep,
-                "t_res": result.bounds.t_res,
-                "t_lb": result.bounds.t_lb,
-                "achieved_t": result.achieved_t,
-                "delta_from_lb": result.delta_from_lb,
-                "is_rate_optimal_proven": result.is_rate_optimal_proven,
-                "degraded": result.degraded,
-                "seconds": round(result.total_seconds, 6),
-                "attempts": [
-                    _attempt_json(attempt) for attempt in result.attempts
-                ],
-            }
-        )
-        if result.degraded:
-            entry["lost_cells"] = result.lost_cells()
-        if result.warmstart is not None:
-            entry["warmstart"] = result.warmstart.to_json_dict()
-        if result.store is not None:
-            entry["store"] = result.store.to_json_dict()
-        if result.schedule is not None:
-            entry["schedule"] = result.schedule.to_dict()
+        entry.update(self.result.to_json_dict())
         return entry
 
     @classmethod
@@ -197,33 +174,6 @@ class BatchEntry:
             failure=failure,
             raw=data,
         )
-
-
-def _attempt_json(attempt) -> dict:
-    doc = {
-        "t": attempt.t_period,
-        "status": attempt.status,
-        "backend": attempt.backend,
-        "seconds": round(attempt.seconds, 6),
-        "nodes": attempt.nodes,
-        "repaired": attempt.repaired,
-        "bound": attempt.bound,
-        # inf gap (bound but no incumbent) is not valid JSON; report it
-        # as null.
-        "gap": (
-            attempt.gap
-            if attempt.gap is not None and math.isfinite(attempt.gap)
-            else None
-        ),
-        "warm_started": attempt.warm_started,
-        "model": {
-            key: (round(value, 6) if isinstance(value, float) else value)
-            for key, value in attempt.model_stats.items()
-        },
-    }
-    if attempt.failure is not None:
-        doc["failure"] = attempt.failure.to_json_dict()
-    return doc
 
 
 @dataclass
@@ -504,7 +454,9 @@ def _batch_digest(machine: Machine, config: AttemptConfig,
         objective=config.objective,
         mapping=config.mapping,
         time_limit=config.time_limit,
-        verify=config.verify,
+        # Verification is unconditional; the key stays so that journals
+        # written when it was a setting keep their digest and resume.
+        verify=True,
         repair_modulo=config.repair_modulo,
         presolve=config.presolve,
         warmstart=config.warmstart,
@@ -520,7 +472,6 @@ def run_batch(
     mapping: Optional[bool] = None,
     time_limit_per_t: Optional[float] = 10.0,
     max_extra: int = 10,
-    verify: bool = True,
     presolve: bool = True,
     jobs: Optional[int] = None,
     warmstart: bool = True,
@@ -559,7 +510,6 @@ def run_batch(
         objective=objective,
         mapping=mapping,
         time_limit=time_limit_per_t,
-        verify=verify,
         presolve=presolve,
         warmstart=warmstart,
     )
@@ -570,22 +520,17 @@ def run_batch(
 
     carried: dict = {}
     if resume is not None:
-        header, done = completed_entries(resume)
-        if header is not None and header.get("config_digest") != digest:
-            from repro.supervision.journal import JournalError
-
-            raise JournalError(
-                f"journal {resume} was written with different settings "
-                "(machine/backend/budget mismatch); refusing to mix "
-                "results — use a fresh journal"
-            )
-        carried = done
+        if not Path(resume).is_file():
+            raise FileNotFoundError(f"no journal to resume at {resume}")
+        header, carried = completed_entries(resume)
         if journal is None:
-            journal = resume
+            journal = resume  # opening the writer checks its header
+        else:
+            check_digest(resume, header, digest)
 
-    writer: Optional[BatchJournal] = None
+    writer: Optional[Journal] = None
     if journal is not None:
-        writer = BatchJournal(
+        writer = Journal(
             journal, digest,
             meta={"machine": machine.name, "backend": backend,
                   "loops": len(tasks)},
@@ -633,12 +578,13 @@ def run_batch(
     )
 
 
-def _journal_entry(writer: Optional[BatchJournal], index: int,
+def _journal_entry(writer: Optional[Journal], index: int,
                    entry: BatchEntry) -> None:
     if writer is not None:
-        writer.record(
-            index, entry.source, entry.name, entry.to_json_dict()
-        )
+        writer.append({
+            "seq": index, "source": entry.source, "name": entry.name,
+            "entry": entry.to_json_dict(),
+        })
 
 
 def _entry_verdict(entry: BatchEntry) -> int:

@@ -61,7 +61,6 @@ def race_periods(
     mapping: Optional[bool] = None,
     time_limit_per_t: Optional[float] = 30.0,
     max_extra: int = 10,
-    verify: bool = True,
     repair_modulo: bool = False,
     presolve: bool = True,
     jobs: Optional[int] = None,
@@ -118,7 +117,6 @@ def race_periods(
         objective=objective,
         mapping=mapping,
         time_limit=time_limit_per_t,
-        verify=verify,
         repair_modulo=repair_modulo,
         presolve=presolve,
         warmstart=warmstart,

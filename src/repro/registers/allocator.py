@@ -93,11 +93,6 @@ def value_ranges(schedule: Schedule) -> List[ValueRange]:
     ]
 
 
-def _arc_cells(start: int, length: int, circle: int) -> range:
-    """Slot indices (mod circle) covered by an arc; length < circle."""
-    return range(start, start + length)
-
-
 def _arcs_conflict(a_start: int, a_len: int, b_start: int, b_len: int,
                    circle: int) -> bool:
     """Whether two arcs on the circle intersect (cell-exact)."""

@@ -15,23 +15,16 @@ from typing import Dict, Iterable, List
 class Cnf:
     """A growable CNF formula."""
 
-    __slots__ = ("num_vars", "clauses", "_names")
+    __slots__ = ("num_vars", "clauses")
 
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: List[List[int]] = []
-        #: Optional debug names for variables (kept sparse).
-        self._names: Dict[int, str] = {}
 
-    def new_var(self, name: str = "") -> int:
+    def new_var(self) -> int:
         """Allocate a fresh variable; returns its (positive) literal."""
         self.num_vars += 1
-        if name:
-            self._names[self.num_vars] = name
         return self.num_vars
-
-    def name_of(self, var: int) -> str:
-        return self._names.get(abs(var), f"v{abs(var)}")
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add one clause (a disjunction of literals).

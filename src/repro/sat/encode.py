@@ -126,7 +126,7 @@ def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
         for t in range(t_period):
             var = formulation.a[t][i]
             if var is not None:
-                lit = cnf.new_var(var.name)
+                lit = cnf.new_var()
                 lits[t] = lit
                 sat_of[var] = lit
         if not lits:
@@ -138,12 +138,9 @@ def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
         exactly_one(cnf, list(lits.values()))
 
     # -- stage counters (order encoding) -------------------------------------
-    for i, var in enumerate(formulation.k):
+    for var in formulation.k:
         lb, ub = int(var.lb), int(var.ub)
-        lits = [
-            cnf.new_var(f"{var.name}>={lb + j + 1}")
-            for j in range(ub - lb)
-        ]
+        lits = [cnf.new_var() for _ in range(ub - lb)]
         for j in range(1, len(lits)):
             cnf.add(-lits[j], lits[j - 1])
         encoding.k_lb.append(lb)
@@ -181,7 +178,7 @@ def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
         for level in sorted(buckets):
             pairs = buckets[level]
             if len(pairs) >= _LADDER_GROUP_MIN:
-                trigger = cnf.new_var(f"dep[{e}]L{level}")
+                trigger = cnf.new_var()
                 for s_src, s_dst in pairs:
                     cnf.add(-s_src, -s_dst, trigger)
                 _emit_ladder(encoding, src, dst, level, [-trigger])
@@ -243,9 +240,7 @@ def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
                     aux_key = (i, lits)
                     aux = occupancy_aux.get(aux_key)
                     if aux is None:
-                        aux = cnf.new_var(
-                            f"occ[{i},{fu_name},s{stage}]"
-                        )
+                        aux = cnf.new_var()
                         occupancy_aux[aux_key] = aux
                         for lit in lits:
                             cnf.add(-lit, aux)
@@ -261,9 +256,7 @@ def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
         ops = sorted(ordered)
         count = machine.fu_type(fu_name).count
         for i in ops:
-            lits = [
-                cnf.new_var(f"c[{i}]={r + 1}") for r in range(count)
-            ]
+            lits = [cnf.new_var() for _ in range(count)]
             encoding.color_lits[i] = lits
             exactly_one(cnf, lits)
         if formulation.options.symmetry_breaking:
@@ -371,7 +364,7 @@ def _encode_pair_conflict(
         for r in range(count):
             cnf.add(-ci[r], -cj[r])
         return
-    overlap = cnf.new_var(f"o[{i},{j}]")
+    overlap = cnf.new_var()
     for s_i, s_j in colliding:
         cnf.add(-s_i, -s_j, overlap)
     for r in range(count):

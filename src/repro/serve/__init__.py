@@ -6,7 +6,8 @@ admission control with load shedding, per-client rate limits and
 weighted fair queueing (:mod:`repro.serve.admission`), request
 coalescing on store keys, a per-backend circuit breaker
 (:mod:`repro.serve.breaker`), journal-backed graceful drain and restart
-(:mod:`repro.serve.journal`), and live ``/healthz`` + ``/stats``
+(the batch runner's journal format, :mod:`repro.supervision.journal`),
+and live ``/healthz`` + ``/stats``
 introspection (:mod:`repro.serve.stats`).  See ``docs/service.md``.
 """
 

@@ -68,15 +68,10 @@ from repro.serve.jobs import (
     request_config,
     solve_request,
 )
-from repro.serve.journal import (
-    ServeJournal,
-    read_serve_journal,
-    unfinished_jobs,
-)
 from repro.serve.stats import ServeStats
 from repro.store.tiering import request_key
 from repro.supervision.cells import CLEAN, WIN, Cell, CellRace
-from repro.supervision.journal import config_digest
+from repro.supervision.journal import Journal, config_digest, read_journal
 from repro.supervision.records import (
     INTERRUPTED,
     FailureRecord,
@@ -141,7 +136,7 @@ class ServeDaemon:
         #: store hit) provides.
         self._inflight: Dict[Tuple[str, str], str] = {}
         self._registry_lock = threading.Lock()
-        self._journal: Optional[ServeJournal] = None
+        self._journal: Optional[Journal] = None
         self._journal_lock = threading.Lock()
         self._mode = _RUNNING
         self._dispatcher: Optional[threading.Thread] = None
@@ -159,13 +154,10 @@ class ServeDaemon:
         return config_digest("serve", **self.config.digest_settings())
 
     async def start(self) -> None:
-        """Resume from the journal, start the server and the dispatcher."""
+        """Open the journal, start the server and the dispatcher."""
         self._stopped = asyncio.Event()
         if self.config.journal is not None:
-            self._resume_from_journal()
-            self._journal = ServeJournal(
-                self.config.journal, self._digest()
-            )
+            self._open_journal()
         # Bind before spawning the dispatcher: workers must know the
         # listening fds so forked children can close their inherited
         # copies (an orphaned worker holding the socket would keep the
@@ -235,11 +227,29 @@ class ServeDaemon:
                 1 for job in self._registry.values() if not job.finished
             )
 
-    def _resume_from_journal(self) -> None:
-        """Rebuild registry state from a previous incarnation's journal."""
-        header, accepted, done = read_serve_journal(self.config.journal)
+    def _open_journal(self) -> None:
+        """Open the journal, refusing one written under different solve
+        settings, and rebuild the registry from earlier incarnations.
+
+        ``accepted`` without a matching ``done`` is exactly the set of
+        jobs a crash or SIGKILL interrupted; later lines for a job win.
+        """
+        self._journal = Journal(
+            self.config.journal, self._digest(), meta={"kind": "serve"}
+        )
+        header, records = read_journal(self.config.journal)
         if header is None:
             return
+        accepted: Dict[str, dict] = {}
+        done: Dict[str, dict] = {}
+        for record in records:
+            job_id = record.get("job")
+            if not isinstance(job_id, str):
+                continue
+            if record.get("event") == "accepted":
+                accepted[job_id] = record
+            elif record.get("event") == "done":
+                done[job_id] = record
         for job_id, line in done.items():
             source = accepted.get(job_id, {})
             job = Job(
@@ -283,20 +293,27 @@ class ServeDaemon:
                 self._buckets[client] = bucket
             return bucket
 
-    def _journal_accepted(self, job: Job) -> None:
+    def _journal_append(self, record: dict) -> None:
         with self._journal_lock:
             if self._journal is not None:
-                self._journal.accepted(
-                    job.id, job.client, job.key, job.request, job.weight
-                )
+                self._journal.append(record)
+
+    def _journal_accepted(self, job: Job) -> None:
+        """Written before the submit response leaves the daemon, with
+        the full replayable request."""
+        self._journal_append({
+            "event": "accepted", "job": job.id, "client": job.client,
+            "key": job.key, "weight": job.weight, "request": job.request,
+        })
 
     def _journal_done(self, job: Job) -> None:
-        with self._journal_lock:
-            if self._journal is not None:
-                self._journal.done(
-                    job.id, job.state, entry=job.entry,
-                    error=job.error, failure=job.failure,
-                )
+        record = {
+            "event": "done", "job": job.id, "state": job.state,
+            "entry": job.entry, "error": job.error, "failure": job.failure,
+        }
+        self._journal_append(
+            {key: value for key, value in record.items() if value is not None}
+        )
 
     def _coalesce_locked(self, job: Job, primary: Job) -> None:
         """Attach ``job`` to ``primary``'s solve (registry lock held)."""

@@ -1,9 +1,11 @@
 """Store entry schema: a full ``SchedulingResult`` as a JSON blob.
 
-An entry carries everything needed to reconstruct the result on an
-*isomorphic* loop: bounds, the complete per-period attempt log (which is
-what the ``is_rate_optimal_proven`` claim is made of), warm-start stats,
-and the schedule with starts/colors permuted into **canonical op
+An entry's ``result`` is the result's one JSON form
+(:meth:`~repro.core.scheduler.SchedulingResult.to_json_dict`, the same
+form batch reports carry): bounds, the complete per-period attempt log
+with each attempt's backend (the log is what the
+``is_rate_optimal_proven`` claim is made of), warm-start stats — with
+the schedule's starts/colors permuted into **canonical op
 order** — so a hit on a renamed/reordered variant of the original loop
 maps the payload back through its own canonical order.  The canonical
 DDG text rides along verbatim: lookups compare it byte-for-byte against
@@ -20,13 +22,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from repro.core.bounds import LowerBounds
 from repro.core.schedule import Schedule
-from repro.core.scheduler import (
-    ScheduleAttempt,
-    SchedulingResult,
-    WarmStartStats,
-)
+from repro.core.scheduler import SchedulingResult
 from repro.ddg.canonical import CanonicalForm
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
@@ -35,60 +32,6 @@ from repro.store.keys import STORE_VERSION
 
 class EntryError(ValueError):
     """Structurally unusable store entry (treated as a miss upstream)."""
-
-
-def attempt_to_json(attempt: ScheduleAttempt) -> dict:
-    return {
-        "t_period": attempt.t_period,
-        "status": attempt.status,
-        "seconds": attempt.seconds,
-        "model_stats": dict(attempt.model_stats),
-        "nodes": attempt.nodes,
-        "repaired": attempt.repaired,
-        "bound": attempt.bound,
-        "gap": attempt.gap,
-        "warm_started": attempt.warm_started,
-    }
-
-
-def attempt_from_json(data: dict) -> ScheduleAttempt:
-    return ScheduleAttempt(
-        t_period=int(data["t_period"]),
-        status=str(data["status"]),
-        seconds=float(data.get("seconds", 0.0)),
-        model_stats=dict(data.get("model_stats") or {}),
-        nodes=int(data.get("nodes", 0)),
-        repaired=bool(data.get("repaired", False)),
-        bound=data.get("bound"),
-        gap=data.get("gap"),
-        warm_started=bool(data.get("warm_started", False)),
-    )
-
-
-def _warmstart_to_json(stats: Optional[WarmStartStats]) -> Optional[dict]:
-    if stats is None:
-        return None
-    return {
-        "enabled": stats.enabled,
-        "heuristic_ii": stats.heuristic_ii,
-        "heuristic_mii": stats.heuristic_mii,
-        "heuristic_seconds": stats.heuristic_seconds,
-        "placements": stats.placements,
-        "ilp_solves": stats.ilp_solves,
-    }
-
-
-def _warmstart_from_json(data: Optional[dict]) -> Optional[WarmStartStats]:
-    if data is None:
-        return None
-    return WarmStartStats(
-        enabled=bool(data.get("enabled", False)),
-        heuristic_ii=data.get("heuristic_ii"),
-        heuristic_mii=data.get("heuristic_mii"),
-        heuristic_seconds=float(data.get("heuristic_seconds", 0.0)),
-        placements=int(data.get("placements", 0)),
-        ilp_solves=int(data.get("ilp_solves", 0)),
-    )
 
 
 def result_to_entry(
@@ -107,6 +50,8 @@ def result_to_entry(
     schedule = result.schedule
     if schedule is None:
         raise EntryError("only results with a schedule are storable")
+    payload = result.to_json_dict()
+    payload.pop("store", None)  # this run's store record, not the result's
     pos_of = {old: p for p, old in enumerate(form.order)}
     starts = [0] * len(form.order)
     colors: Dict[str, int] = {}
@@ -127,12 +72,7 @@ def result_to_entry(
             **(provenance or {}),
         },
         "result": {
-            "bounds": {
-                "t_dep": result.bounds.t_dep,
-                "t_res": result.bounds.t_res,
-            },
-            "attempts": [attempt_to_json(a) for a in result.attempts],
-            "warmstart": _warmstart_to_json(result.warmstart),
+            **payload,
             "schedule": {
                 "t_period": schedule.t_period,
                 "starts": starts,
@@ -180,23 +120,10 @@ def entry_to_result(
             colors=colors,
             fu_counts_used=sched.get("fu_counts_used"),
         )
-        bounds = LowerBounds(
-            t_dep=int(payload["bounds"]["t_dep"]),
-            t_res=int(payload["bounds"]["t_res"]),
-        )
-        attempts = [attempt_from_json(a) for a in payload["attempts"]]
-        warmstart = _warmstart_from_json(payload.get("warmstart"))
+        return SchedulingResult.from_json_dict(payload, schedule)
     except EntryError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise EntryError(
             f"malformed store entry: {type(exc).__name__}: {exc}"
         ) from exc
-    return SchedulingResult(
-        loop_name=ddg.name,
-        bounds=bounds,
-        attempts=attempts,
-        schedule=schedule,
-        total_seconds=0.0,
-        warmstart=warmstart,
-    )

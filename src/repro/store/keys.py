@@ -30,7 +30,9 @@ from repro.machine import Machine
 
 #: Entry schema version; bump on incompatible entry layout changes.
 #: Mismatched entries read as misses (never as garbage results).
-STORE_VERSION = 1
+#: v2: the ``result`` payload is the report's result form (per-attempt
+#: ``t``/``model``/``backend``), not a store-only attempt form.
+STORE_VERSION = 2
 
 
 def canonical_machine_digest(machine: Machine) -> str:

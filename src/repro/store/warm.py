@@ -3,7 +3,8 @@
 ``repro cache warm journal.jsonl --store DIR`` turns a finished (or
 half-finished) batch run into store content without re-solving anything:
 each recorded entry that carries a ``schedule`` payload is re-parsed
-from its source file, rebuilt into a :class:`SchedulingResult`, and
+from its source file, rebuilt into a :class:`SchedulingResult` (entries
+carry the result's one JSON form, per-attempt backends included), and
 pushed through the normal :func:`repro.store.tiering.publish` path —
 which re-verifies the schedule against the machine before anything is
 written, so a stale journal can only produce skips, never bad entries.
@@ -20,15 +21,9 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from repro.core.bounds import LowerBounds
 from repro.core.errors import CoreError
 from repro.core.schedule import Schedule
-from repro.core.scheduler import (
-    AttemptConfig,
-    ScheduleAttempt,
-    SchedulingResult,
-    WarmStartStats,
-)
+from repro.core.scheduler import AttemptConfig, SchedulingResult
 from repro.ddg.builders import parse_ddg
 from repro.ddg.errors import DdgError
 from repro.machine import Machine
@@ -49,46 +44,6 @@ def _load_entry_docs(path) -> list:
 
     _, done = completed_entries(path)
     return [record["entry"] for record in done.values()]
-
-
-def _report_attempt(doc: dict) -> ScheduleAttempt:
-    """Rebuild an attempt from *report* format (``t``, ``model``)."""
-    return ScheduleAttempt(
-        t_period=int(doc["t"]),
-        status=str(doc["status"]),
-        seconds=float(doc.get("seconds", 0.0)),
-        model_stats=dict(doc.get("model") or {}),
-        nodes=int(doc.get("nodes", 0)),
-        repaired=bool(doc.get("repaired", False)),
-        bound=doc.get("bound"),
-        gap=doc.get("gap"),
-        warm_started=bool(doc.get("warm_started", False)),
-    )
-
-
-def _report_result(doc: dict, ddg, machine: Machine) -> SchedulingResult:
-    ws = doc.get("warmstart")
-    warmstart = None
-    if ws is not None:
-        warmstart = WarmStartStats(
-            enabled=bool(ws.get("enabled", False)),
-            heuristic_ii=ws.get("heuristic_ii"),
-            heuristic_mii=ws.get("heuristic_mii"),
-            heuristic_seconds=float(ws.get("heuristic_seconds", 0.0)),
-            placements=int(ws.get("placements", 0)),
-            ilp_solves=int(ws.get("ilp_solves", 0)),
-        )
-    return SchedulingResult(
-        loop_name=ddg.name,
-        bounds=LowerBounds(
-            t_dep=int(doc["t_dep"]), t_res=int(doc["t_res"])
-        ),
-        attempts=[_report_attempt(a) for a in doc.get("attempts", [])],
-        schedule=Schedule.from_dict(doc["schedule"], ddg, machine),
-        total_seconds=float(doc.get("seconds", 0.0)),
-        warmstart=warmstart,
-        degraded=bool(doc.get("degraded", False)),
-    )
 
 
 def _resolve_source(source: str, base: Path) -> Optional[Path]:
@@ -147,7 +102,9 @@ def warm_store(
         try:
             ddg = parse_ddg(resolved.read_text(encoding="utf-8"))
             ddg.validate_against(machine)
-            result = _report_result(doc, ddg, machine)
+            result = SchedulingResult.from_json_dict(
+                doc, Schedule.from_dict(doc["schedule"], ddg, machine)
+            )
         except (OSError, DdgError, CoreError, KeyError, TypeError,
                 ValueError) as exc:
             skip(f"rebuild_failed:{type(exc).__name__}")

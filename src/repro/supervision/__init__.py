@@ -18,8 +18,8 @@ dead run:
   crash recovery and bounded retry with exponential backoff;
 * :mod:`~repro.supervision.signals` — SIGINT/SIGTERM as graceful
   degrade-to-incumbent, not stack traces;
-* :mod:`~repro.supervision.journal` — JSONL checkpoint/resume for batch
-  runs;
+* :mod:`~repro.supervision.journal` — the one JSONL journal format:
+  batch checkpoint/resume and the service's accepted/done log;
 * :mod:`~repro.supervision.atomicio` — torn-write-free reports;
 * :mod:`~repro.supervision.faults` — deterministic fault injection so
   every recovery path above is exercised in CI.
@@ -34,7 +34,7 @@ from repro.supervision.atomicio import (
 )
 from repro.supervision.executor import SupervisedExecutor, SupervisedTask
 from repro.supervision.journal import (
-    BatchJournal,
+    Journal,
     JournalError,
     completed_entries,
     read_journal,
@@ -59,13 +59,13 @@ from repro.supervision.signals import (
 
 __all__ = [
     "AppendOnlyLines",
-    "BatchJournal",
     "CRASH",
     "DEGRADED",
     "FAILURE_KINDS",
     "FailureRecord",
     "HANG",
     "INTERRUPTED",
+    "Journal",
     "JournalError",
     "OOM",
     "SOLVER_ERROR",

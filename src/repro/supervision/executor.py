@@ -506,26 +506,7 @@ class SupervisedExecutor:
                 continue
             task = worker.task
             # Drain any reply first: a worker may answer and then exit.
-            got_reply = False
-            try:
-                while worker.conn.poll():
-                    status, task_id, *payload = worker.conn.recv()
-                    if task_id != task.id:
-                        continue  # stale reply from a pre-kill task
-                    got_reply = True
-                    worker.task = None
-                    task.elapsed += now - task.started_at
-                    if status == "ok":
-                        task.result = payload[0]
-                        task.state = DONE
-                        self._done.append(task)
-                    else:
-                        kind, detail = payload
-                        self._fail(task, kind, detail, retryable=False)
-                    break
-            except (EOFError, OSError):
-                pass  # treated as a death below
-            if got_reply:
+            if self._settle_finished(worker, now):
                 continue
             if not worker.process.is_alive():
                 exitcode = worker.process.exitcode

@@ -1,27 +1,30 @@
-"""JSONL journal for checkpoint/resume of corpus batch runs.
+"""The one JSONL journal format: batch checkpoints and serve jobs.
 
-A multi-hour ``repro batch`` over a large corpus must not lose
-everything to a crash or Ctrl-C at loop 900.  The batch runner appends
-one JSON line per *finished* loop (atomic single-write appends via
-:class:`repro.supervision.atomicio.AppendOnlyLines`), and
-``repro batch --resume journal.jsonl`` replays the journal: loops with a
-recorded, non-failed outcome are carried over verbatim; failed or
-missing loops run again, and their fresh outcomes are appended to the
-same file.
+A multi-hour ``repro batch`` must not lose everything to a crash or
+Ctrl-C at loop 900, and ``repro serve`` must never lose a job it
+accepted.  Both append JSON lines to a journal through
+:class:`Journal` (atomic single-write appends via
+:class:`repro.supervision.atomicio.AppendOnlyLines`) and read it back
+with :func:`read_journal`.
 
 File layout::
 
-    {"journal_version": 1, "config_digest": "...", "machine": ..., ...}
-    {"seq": 0, "source": "corpus/loop0000.ddg", "entry": {...}}
-    {"seq": 2, "source": "corpus/loop0002.ddg", "entry": {...}}
-    ...
+    {"config_digest": "...", "journal_version": 1, ...meta}
+    {...record}
+    {...record}
 
-The header pins the run configuration (machine content digest, backend,
-objective, budgets, presolve/warm-start flags): resuming under different
+The header pins the run configuration: resuming under different
 settings would silently mix incomparable results, so it is an error.
-A truncated final line (the crash landed mid-append despite O_APPEND) is
-skipped with the entry treated as incomplete — exactly the re-run-it
-answer.
+A truncated final line (the crash landed mid-append despite O_APPEND)
+is skipped — an unreadable record is indistinguishable from an
+unwritten one.
+
+Batch records are ``{"seq", "source", "name", "entry"}``, one per
+finished loop; ``repro batch --resume`` carries over loops with a
+recorded, non-failed outcome (:func:`completed_entries`) and re-runs the
+rest.  Serve records are ``accepted`` events (written before the submit
+response leaves the daemon) and ``done`` events; see
+:mod:`repro.serve.daemon`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.supervision.atomicio import AppendOnlyLines
 
@@ -48,107 +51,121 @@ def config_digest(machine_digest: str, **settings) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def entry_key(source: str, name: str) -> str:
-    """Journal key for one loop (source path alone is ambiguous for
-    in-memory loops, which all report ``<memory>``)."""
-    return f"{source}::{name}"
+def check_digest(path, header: Optional[dict], digest: str) -> None:
+    """Refuse a journal whose header pins different settings."""
+    if header is not None and header.get("config_digest") != digest:
+        raise JournalError(
+            f"journal {path} was written with different settings "
+            "(machine/backend/budget mismatch); refusing to mix "
+            "results — use a fresh journal"
+        )
 
 
-class BatchJournal:
-    """Append-side handle for a batch run's journal."""
+def _record(line: str) -> Optional[dict]:
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None  # torn mid-append (or blank): treat as absent
+    return doc if isinstance(doc, dict) else None
+
+
+def _header(line: str, path) -> Optional[dict]:
+    """The header a journal's first line holds, if it holds one."""
+    doc = _record(line)
+    if doc is None or "journal_version" not in doc:
+        return None
+    if doc["journal_version"] != JOURNAL_VERSION:
+        raise JournalError(
+            f"journal {path} has version {doc['journal_version']!r}, "
+            f"expected {JOURNAL_VERSION}"
+        )
+    return doc
+
+
+class Journal:
+    """Append-side handle.  Opening checks the header once: a new file
+    gets one, an existing one must match ``digest``."""
 
     def __init__(self, path, digest: str, meta: Optional[dict] = None):
         self.path = Path(path)
-        existing = read_journal(self.path) if self.path.exists() else None
+        try:
+            with open(self.path, encoding="utf-8") as handle:
+                header = _header(handle.readline(), self.path)
+        except FileNotFoundError:
+            header = None
+        check_digest(self.path, header, digest)
         self._writer = AppendOnlyLines(self.path)
-        if existing is None or existing[0] is None:
-            header = {
+        if header is None:
+            self.append({
                 "journal_version": JOURNAL_VERSION,
                 "config_digest": digest,
                 **(meta or {}),
-            }
-            self._writer.append(json.dumps(header, sort_keys=True))
-        else:
-            header = existing[0]
-            if header.get("config_digest") != digest:
-                self._writer.close()
-                raise JournalError(
-                    f"journal {self.path} was written with different "
-                    "settings (machine/backend/budget mismatch); "
-                    "refusing to mix results — use a fresh journal"
-                )
+            })
 
-    def record(self, seq: int, source: str, name: str,
-               entry: dict) -> None:
-        """Append one finished loop (atomic single-write line)."""
-        line = json.dumps(
-            {"seq": seq, "source": source, "name": name, "entry": entry},
-            sort_keys=True,
-        )
-        self._writer.append(line)
+    def append(self, record: dict) -> None:
+        """Append one record (atomic single-write line)."""
+        self._writer.append(json.dumps(record, sort_keys=True))
 
     def close(self) -> None:
         self._writer.close()
 
-    def __enter__(self) -> "BatchJournal":
+    def __enter__(self) -> "Journal":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-def read_journal(
-    path,
-) -> Tuple[Optional[dict], Dict[str, dict]]:
-    """Parse a journal into ``(header, {entry_key: line_dict})``.
+def read_journal(path) -> Tuple[Optional[dict], List[dict]]:
+    """Parse a journal into ``(header, records)`` in file order.
 
-    Later lines for the same loop win (a resumed run re-records its
-    re-runs).  Corrupt or truncated lines are skipped — an unreadable
-    record is indistinguishable from an unwritten one, and both mean
-    "run that loop again".
+    A missing file reads as empty; corrupt or truncated lines are
+    skipped.
     """
     header: Optional[dict] = None
-    entries: Dict[str, dict] = {}
-    with open(path, encoding="utf-8") as handle:
-        for index, raw in enumerate(handle):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue  # truncated mid-append; treat as absent
-            if index == 0 and "journal_version" in record:
-                if record["journal_version"] != JOURNAL_VERSION:
-                    raise JournalError(
-                        f"journal {path} has version "
-                        f"{record['journal_version']}, expected "
-                        f"{JOURNAL_VERSION}"
-                    )
-                header = record
-                continue
-            if not isinstance(record, dict) or "entry" not in record:
-                continue
-            key = entry_key(
-                str(record.get("source", "")), str(record.get("name", ""))
-            )
-            entries[key] = record
-    return header, entries
+    records: List[dict] = []
+    try:
+        handle = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        return None, records
+    with handle:
+        for index, line in enumerate(handle):
+            if index == 0:
+                header = _header(line, path)
+                if header is not None:
+                    continue
+            record = _record(line)
+            if record is not None:
+                records.append(record)
+    return header, records
+
+
+def entry_key(source: str, name: str) -> str:
+    """Batch journal key for one loop (source path alone is ambiguous
+    for in-memory loops, which all report ``<memory>``)."""
+    return f"{source}::{name}"
 
 
 def completed_entries(path) -> Tuple[Optional[dict], Dict[str, dict]]:
-    """Like :func:`read_journal`, keeping only non-failed outcomes.
+    """A batch journal's ``(header, {entry_key: record})`` of loops to
+    carry over on resume.
 
-    An entry that recorded an ``error`` (including supervision failures:
-    crash/hang/oom/interrupted) is dropped so the resumed run retries
-    it; a loop that legitimately exhausted its solver budget
-    (``achieved_t`` null, no error) counts as completed.
+    Later lines for the same loop win (a resumed run re-records its
+    re-runs).  A loop whose last entry recorded an ``error`` (including
+    supervision failures: crash/hang/oom/interrupted) is dropped so the
+    resumed run retries it; a loop that legitimately exhausted its
+    solver budget (``achieved_t`` null, no error) counts as completed.
     """
-    header, entries = read_journal(path)
+    header, records = read_journal(path)
+    latest: Dict[str, dict] = {}
+    for record in records:
+        if isinstance(record.get("entry"), dict):
+            key = entry_key(
+                str(record.get("source", "")), str(record.get("name", ""))
+            )
+            latest[key] = record
     done = {
-        key: record
-        for key, record in entries.items()
-        if isinstance(record.get("entry"), dict)
-        and record["entry"].get("error") is None
+        key: record for key, record in latest.items()
+        if record["entry"].get("error") is None
     }
     return header, done

@@ -60,8 +60,8 @@ class TestComputeWarmstart:
         assert ws.ii == ws.mii
 
     def test_stats_dict_shape(self):
-        ws = compute_warmstart(motivating_example(), motivating_machine())
-        stats = ws.to_stats_dict()
+        result = schedule_loop(motivating_example(), motivating_machine())
+        stats = result.warmstart.to_json_dict()
         assert stats["heuristic_ii"] == 4
         assert stats["placements"] > 0
         assert stats["heuristic_seconds"] >= 0.0

@@ -7,12 +7,14 @@ per-loop outcomes; wall-clock timings excluded).
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.ddg.builders import serialize_ddg
 from repro.ddg.generators import GeneratorConfig, random_ddg
+from repro.ddg.kernels import daxpy, dot_product
 from repro.machine.presets import powerpc604
 from repro.parallel import run_batch
 from repro.supervision import JournalError, faults
@@ -70,10 +72,10 @@ class TestJournalWriting:
         journal = tmp_path / "run.jsonl"
         run_batch(corpus, machine, jobs=1, time_limit_per_t=10.0,
                   journal=journal)
-        header, entries = read_journal(journal)
+        header, records = read_journal(journal)
         assert header["machine"] == machine.name
         assert header["loops"] == len(corpus)
-        assert len(entries) == len(corpus)
+        assert len(records) == len(corpus)
 
     def test_journal_digest_guards_settings(self, corpus, machine,
                                             tmp_path):
@@ -125,9 +127,9 @@ class TestResume:
         assert healed.failed == 0
         assert healed.scheduled == len(corpus)
         # The journal now carries the successful re-run (later wins).
-        _, entries = read_journal(journal)
-        (t2_key,) = [k for k in entries if k.endswith("::t2")]
-        assert entries[t2_key]["entry"].get("error") is None
+        _, records = read_journal(journal)
+        t2 = [r for r in records if r["name"] == "t2"]
+        assert t2[-1]["entry"].get("error") is None
         # Outcome-equivalent to a run that never saw the fault.
         fresh = run_batch(corpus, machine, jobs=1, time_limit_per_t=10.0)
         assert scrubbed(healed.to_json_dict()) == scrubbed(
@@ -158,6 +160,83 @@ class TestResume:
         assert resumed.scheduled == 2
         carried = [e for e in resumed.entries if e.raw is not None]
         assert len(carried) == 1  # only the intact record was reused
+
+
+#: What ``run_batch`` journals for ``dotprod.ddg`` (the dot-product kernel)
+#: under its default settings on powerpc604, as every release so far
+#: has written it.
+PARENT_DIGEST = (
+    "da3542ca0abb7ec7cadf3951829564d52bfadbe05cfb569b44ef1e7976126d44"
+)
+PARENT_HEADER = (
+    '{"backend": "auto", "config_digest": "' + PARENT_DIGEST + '", '
+    '"journal_version": 1, "loops": 1, "machine": "powerpc604"}'
+)
+PARENT_ENTRY = (
+    '{"entry": {"achieved_t": 3, "attempts": [{"backend": "", "bound": '
+    'null, "gap": null, "model": {}, "nodes": 0, "repaired": false, '
+    '"seconds": 0.0, "status": "heuristic", "t": 3, "warm_started": '
+    'true}], "degraded": false, "delta_from_lb": 0, '
+    '"is_rate_optimal_proven": true, "name": "dotprod", "num_ops": 4, '
+    '"schedule": {"colors": {"0": 0, "1": 0, "2": 0, "3": 0}, '
+    '"fu_counts_used": null, "loop": "dotprod", "starts": [0, 1, 3, 7], '
+    '"t_period": 3}, "seconds": 0.001402, "source": "dotprod.ddg", "t_dep": '
+    '3, "t_lb": 3, "t_res": 2, "warmstart": {"enabled": true, '
+    '"heuristic_ii": 3, "heuristic_mii": 3, "heuristic_seconds": '
+    '0.000766, "ilp_solves": 0, "placements": 4, "skipped_all_ilp": '
+    'true}}, "name": "dotprod", "seq": 0, "source": "dotprod.ddg"}'
+)
+
+
+class TestJournalFormat:
+    def test_default_settings_digest_is_pinned(self, machine, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        path = tmp_path / "dot.ddg"
+        path.write_text(serialize_ddg(dot_product()), encoding="utf-8")
+        run_batch([path], machine, jobs=1, journal=journal)
+        header, _ = read_journal(journal)
+        assert header["config_digest"] == PARENT_DIGEST
+
+    def test_literal_journal_lines_resume(self, machine, tmp_path,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("dotprod.ddg").write_text(serialize_ddg(dot_product()),
+                                       encoding="utf-8")
+        Path("daxpy.ddg").write_text(serialize_ddg(daxpy()),
+                                     encoding="utf-8")
+        Path("run.jsonl").write_text(
+            PARENT_HEADER + "\n" + PARENT_ENTRY + "\n", encoding="utf-8"
+        )
+        report = run_batch(["dotprod.ddg", "daxpy.ddg"], machine, jobs=1,
+                           resume="run.jsonl")
+        carried, fresh = report.entries
+        assert carried.raw == json.loads(PARENT_ENTRY)["entry"]
+        assert fresh.raw is None and fresh.scheduled
+        lines = Path("run.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [PARENT_HEADER, PARENT_ENTRY]
+        assert len(lines) == 3
+        appended = json.loads(lines[2])
+        assert list(appended) == ["entry", "name", "seq", "source"]
+        assert (appended["seq"], appended["source"]) == (1, "daxpy.ddg")
+        assert appended["entry"] == fresh.to_json_dict()
+
+    def test_resume_digest_checked_with_a_separate_journal(
+        self, corpus, machine, tmp_path
+    ):
+        old = tmp_path / "old.jsonl"
+        new = tmp_path / "new.jsonl"
+        run_batch(corpus[:1], machine, jobs=1, time_limit_per_t=10.0,
+                  journal=old)
+        with pytest.raises(JournalError, match="different settings"):
+            run_batch(corpus[:1], machine, jobs=1, time_limit_per_t=5.0,
+                      resume=old, journal=new)
+        assert not new.exists()
+
+    def test_missing_resume_journal_is_an_error(self, corpus, machine,
+                                                tmp_path):
+        with pytest.raises(FileNotFoundError, match="no journal"):
+            run_batch(corpus[:1], machine, jobs=1,
+                      resume=tmp_path / "absent.jsonl")
 
 
 class TestHealthyRunEquivalence:
@@ -254,8 +333,8 @@ class TestBatchCliJournal:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["loops"] == 3
         assert doc["scheduled"] == 3
-        _, entries = read_journal(journal)
-        assert len(entries) == 3
+        _, records = read_journal(journal)
+        assert len(records) == 3
 
     def test_supervision_flags_accepted(self, corpus, machine, capsys):
         code = main([

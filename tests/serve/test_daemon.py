@@ -6,6 +6,7 @@ White-box assertions (breaker state, stats counters) go straight to
 the in-process daemon object, which is thread-safe by design.
 """
 
+import json
 import random
 import time
 
@@ -24,9 +25,7 @@ from repro.ddg.kernels import (
 from repro.ddg.transforms import scrambled
 from repro.machine import presets
 from repro.serve.client import ServeError
-from repro.serve.config import ServeConfig
-from repro.serve.journal import ServeJournal, read_serve_journal
-from repro.supervision.journal import config_digest
+from repro.supervision.journal import read_journal
 
 MACHINE = "powerpc604"
 
@@ -35,6 +34,31 @@ DAXPY = serialize_ddg(daxpy())
 LK1 = serialize_ddg(livermore_kernel1())
 LK5 = serialize_ddg(livermore_kernel5())
 LK11 = serialize_ddg(livermore_kernel11())
+
+
+def journal_events(path):
+    """``(accepted, done)`` journal records keyed by job id."""
+    _, records = read_journal(path)
+    events = {"accepted": {}, "done": {}}
+    for record in records:
+        events[record["event"]][record["job"]] = record
+    return events["accepted"], events["done"]
+
+
+def seed_journal(path, job_id, backend):
+    """What a daemon SIGKILLed after accepting one job leaves behind,
+    as literal lines (``ServeConfig(time_limit=5.0)``'s digest)."""
+    request = json.dumps({
+        "backend": backend, "ddg": DOT, "machine": MACHINE,
+        "objective": "feasibility", "time_limit": 5.0, "warmstart": True,
+    }, sort_keys=True)
+    path.write_text(
+        '{"config_digest": "e08f78ab66099c61305de2132f1f87ebef2aff65685c0b'
+        '7ea04a89b1be994e1c", "journal_version": 1, "kind": "serve"}\n'
+        '{"client": "survivor", "event": "accepted", "job": "' + job_id
+        + '", "key": "k-old", "request": ' + request + ', "weight": 1}\n',
+        encoding="utf-8",
+    )
 
 
 class TestSubmitPoll:
@@ -92,7 +116,7 @@ class TestSubmitPoll:
             assert status == 400, (options, status, body)
         assert host.daemon.stats.count("accepted") == 0
         assert host.daemon.breaker.snapshot() == {}
-        _, accepted, _ = read_serve_journal(journal)
+        accepted, _ = journal_events(journal)
         assert accepted == {}
 
     def test_default_backend_is_auto(self, daemon_factory):
@@ -219,25 +243,11 @@ class TestDrain:
 
 
 class TestJournalResume:
-    def _seed_interrupted_journal(self, path, config):
-        """Write what a SIGKILLed daemon leaves: accepted, no done."""
-        digest = config_digest("serve", **config.digest_settings())
-        with ServeJournal(path, digest) as journal:
-            journal.accepted(
-                "orphan0001ab", client="survivor", key="k-orphan",
-                request={
-                    "ddg": DOT, "machine": MACHINE, "backend": "auto",
-                    "objective": "feasibility", "time_limit": 5.0,
-                    "warmstart": True,
-                },
-            )
-
     def test_interrupted_job_finishes_after_restart(
         self, daemon_factory, tmp_path
     ):
         journal = tmp_path / "serve.jsonl"
-        config = ServeConfig(time_limit=5.0)
-        self._seed_interrupted_journal(journal, config)
+        seed_journal(journal, "orphan0001ab", "auto")
         host = daemon_factory(journal=str(journal), time_limit=5.0)
         client = host.start()
         # The poller that outlived the "crash" still gets its answer,
@@ -246,7 +256,7 @@ class TestJournalResume:
         assert doc["state"] == "done"
         assert doc["entry"]["achieved_t"] >= 1
         assert host.daemon.stats.count("resumed") == 1
-        _, accepted, done = read_serve_journal(journal)
+        _, done = journal_events(journal)
         assert "orphan0001ab" in done
 
     def test_journaled_portfolio_request_fails_with_a_kind(
@@ -255,17 +265,7 @@ class TestJournalResume:
         # Older daemons accepted backend "portfolio"; a journal holding
         # such a request unfinished must not wedge the new one.
         journal = tmp_path / "serve.jsonl"
-        config = ServeConfig(time_limit=5.0)
-        digest = config_digest("serve", **config.digest_settings())
-        with ServeJournal(journal, digest) as writer:
-            writer.accepted(
-                "oldport0001ab", client="survivor", key="k-old",
-                request={
-                    "ddg": DOT, "machine": MACHINE,
-                    "backend": "portfolio", "objective": "feasibility",
-                    "time_limit": 5.0, "warmstart": True,
-                },
-            )
+        seed_journal(journal, "oldport0001ab", "portfolio")
         host = daemon_factory(journal=str(journal), time_limit=5.0)
         client = host.start()
         doc = client.wait_for("oldport0001ab", timeout=60)
@@ -276,7 +276,7 @@ class TestJournalResume:
         # The dispatcher keeps serving.
         fresh = client.submit(DAXPY, MACHINE, backend="auto")
         assert client.wait_for(fresh["job"], timeout=60)["state"] == "done"
-        _, _, done = read_serve_journal(journal)
+        _, done = journal_events(journal)
         assert done["oldport0001ab"]["state"] == "failed"
 
     def test_finished_jobs_survive_restart_for_polling(

@@ -1,94 +1,158 @@
-"""Unit tests for the serve accepted/done journal."""
+"""The daemon's accepted/done journal, on the shared journal format.
+
+Resume tests start from literal journal lines in the format every
+daemon so far has written (header with ``"kind": "serve"``, then
+``accepted``/``done`` events as sorted-key JSON), so a journal left by
+an older daemon keeps resuming.
+"""
 
 import json
 
 import pytest
 
-from repro.serve.journal import (
-    SERVE_JOURNAL_VERSION,
-    ServeJournal,
-    read_serve_journal,
-    unfinished_jobs,
-)
+from repro.serve.config import ServeConfig
+from repro.serve.daemon import ServeDaemon
+from repro.serve.jobs import DONE, FAILED, Job
 from repro.supervision.journal import JournalError
 
 REQUEST = {"ddg": "loop x { }", "machine": "powerpc604",
            "backend": "auto", "objective": "min_sum_t",
            "time_limit": 5.0, "warmstart": True}
 
+#: ``config_digest("serve", time_limit=5.0, max_extra=10)``.
+DIGEST = "e08f78ab66099c61305de2132f1f87ebef2aff65685c0b7ea04a89b1be994e1c"
+
+HEADER = (
+    '{"config_digest": "' + DIGEST + '", "journal_version": 1, '
+    '"kind": "serve"}'
+)
+REQUEST_JSON = (
+    '{"backend": "auto", "ddg": "loop x { }", "machine": "powerpc604", '
+    '"objective": "min_sum_t", "time_limit": 5.0, "warmstart": true}'
+)
+
+
+def accepted_line(job_id, key="k"):
+    return (
+        '{"client": "c", "event": "accepted", "job": "' + job_id + '", '
+        '"key": "' + key + '", "request": ' + REQUEST_JSON
+        + ', "weight": 1}'
+    )
+
+
+def done_line(job_id):
+    return (
+        '{"entry": {"achieved_t": 4}, "event": "done", "job": "'
+        + job_id + '", "state": "done"}'
+    )
+
+
+def failed_line(job_id):
+    return (
+        '{"error": "boom", "event": "done", "failure": {"kind": "crash"}, '
+        '"job": "' + job_id + '", "state": "failed"}'
+    )
+
+
+def write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines),
+                    encoding="utf-8")
+
+
+def opened(path, **overrides):
+    """A daemon with its journal opened and registry rebuilt (no HTTP)."""
+    overrides.setdefault("time_limit", 5.0)
+    daemon = ServeDaemon(ServeConfig(journal=str(path), **overrides))
+    daemon._open_journal()
+    return daemon
+
+
+def queued_ids(daemon):
+    ids = []
+    while (job := daemon.queue.pop()) is not None:
+        ids.append(job.id)
+    return ids
+
 
 class TestRoundTrip:
     def test_header_then_events(self, tmp_path):
         path = tmp_path / "serve.jsonl"
-        with ServeJournal(path, digest="abc") as journal:
-            journal.accepted("j1", client="c", key="k1", request=REQUEST)
-            journal.done("j1", "done", entry={"achieved_t": 4})
-        header, accepted, done = read_serve_journal(path)
-        assert header["journal_version"] == SERVE_JOURNAL_VERSION
-        assert header["config_digest"] == "abc"
-        assert accepted["j1"]["request"] == REQUEST
-        assert done["j1"]["entry"] == {"achieved_t": 4}
+        daemon = opened(path)
+        assert daemon._digest() == DIGEST
+        job = Job("j1", "c", "k1", dict(REQUEST))
+        daemon._journal_accepted(job)
+        daemon._finish_job(job, DONE, entry={"achieved_t": 4})
+        daemon._journal.close()
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            HEADER, accepted_line("j1", key="k1"), done_line("j1"),
+        ]
 
     def test_reopen_appends_without_second_header(self, tmp_path):
         path = tmp_path / "serve.jsonl"
-        with ServeJournal(path, digest="abc") as journal:
-            journal.accepted("j1", client="c", key="k", request=REQUEST)
-        with ServeJournal(path, digest="abc") as journal:
-            journal.done("j1", "done", entry={})
-        lines = path.read_text().splitlines()
-        headers = [l for l in lines if "journal_version" in l]
-        assert len(headers) == 1
-        assert unfinished_jobs(path) == {}
+        first = opened(path)
+        first._journal_accepted(Job("j1", "c", "k", dict(REQUEST)))
+        first._journal.close()
+        second = opened(path)
+        second._journal.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [l for l in lines if "journal_version" in l] == [HEADER]
+        assert queued_ids(second) == ["j1"]
 
     def test_digest_mismatch_refuses(self, tmp_path):
         path = tmp_path / "serve.jsonl"
-        ServeJournal(path, digest="abc").close()
-        with pytest.raises(JournalError):
-            ServeJournal(path, digest="different")
+        opened(path)._journal.close()
+        with pytest.raises(JournalError, match="different settings"):
+            opened(path, time_limit=6.0)
 
 
 class TestResumeSet:
     def test_accepted_without_done_is_unfinished(self, tmp_path):
         path = tmp_path / "serve.jsonl"
-        with ServeJournal(path, digest="d") as journal:
-            journal.accepted("j1", client="c", key="k1", request=REQUEST)
-            journal.accepted("j2", client="c", key="k2", request=REQUEST)
-            journal.done("j1", "done", entry={})
-        pending = unfinished_jobs(path)
-        assert set(pending) == {"j2"}
-        assert pending["j2"]["request"] == REQUEST
+        write_lines(path, HEADER, accepted_line("j1", key="k1"),
+                    accepted_line("j2", key="k2"), done_line("j1"))
+        daemon = opened(path)
+        daemon._journal.close()
+        finished = daemon._registry["j1"]
+        assert finished.state == DONE
+        assert finished.entry == {"achieved_t": 4}
+        assert finished.event.is_set()
+        assert queued_ids(daemon) == ["j2"]
+        assert daemon._registry["j2"].request == REQUEST
+        assert daemon.stats.count("resumed") == 1
 
     def test_failed_done_lines_count_as_finished(self, tmp_path):
         path = tmp_path / "serve.jsonl"
-        with ServeJournal(path, digest="d") as journal:
-            journal.accepted("j1", client="c", key="k", request=REQUEST)
-            journal.done("j1", "failed", error="boom",
-                         failure={"kind": "crash"})
-        assert unfinished_jobs(path) == {}
-        _, _, done = read_serve_journal(path)
-        assert done["j1"]["failure"]["kind"] == "crash"
+        write_lines(path, HEADER, accepted_line("j1"), failed_line("j1"))
+        daemon = opened(path)
+        daemon._journal.close()
+        job = daemon._registry["j1"]
+        assert job.state == FAILED
+        assert job.error == "boom"
+        assert job.failure == {"kind": "crash"}
+        assert queued_ids(daemon) == []
 
 
 class TestCorruption:
     def test_torn_tail_is_ignored(self, tmp_path):
         path = tmp_path / "serve.jsonl"
-        with ServeJournal(path, digest="d") as journal:
-            journal.accepted("j1", client="c", key="k", request=REQUEST)
+        write_lines(path, HEADER, accepted_line("j1"))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"event": "done", "job": "j1", "sta')  # torn
-        header, accepted, done = read_serve_journal(path)
-        assert header is not None
-        assert "j1" in accepted and "j1" not in done
-        assert set(unfinished_jobs(path)) == {"j1"}
+        daemon = opened(path)
+        daemon._journal.close()
+        assert not daemon._registry["j1"].finished
+        assert queued_ids(daemon) == ["j1"]
 
     def test_unknown_version_raises(self, tmp_path):
         path = tmp_path / "serve.jsonl"
         path.write_text(json.dumps(
             {"journal_version": 99, "kind": "serve"}) + "\n")
         with pytest.raises(JournalError):
-            read_serve_journal(path)
+            opened(path)
 
     def test_missing_file_is_empty(self, tmp_path):
-        header, accepted, done = read_serve_journal(
-            tmp_path / "absent.jsonl")
-        assert header is None and not accepted and not done
+        path = tmp_path / "absent.jsonl"
+        daemon = opened(path)
+        daemon._journal.close()
+        assert daemon._registry == {}
+        assert path.read_text(encoding="utf-8").splitlines() == [HEADER]

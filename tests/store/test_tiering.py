@@ -1,14 +1,16 @@
 """Tiered lookup: verify-on-read, eviction, publish policy, equivalence."""
 
+import pathlib
 import random
 
 import pytest
 
 from repro.core.incremental import clear_contexts
 from repro.core.scheduler import AttemptConfig, run_sweep, schedule_loop
+from repro.ddg.builders import parse_ddg
 from repro.ddg.kernels import daxpy, dot_product, motivating_example
 from repro.ddg.transforms import scrambled
-from repro.machine.presets import motivating_machine
+from repro.machine.presets import motivating_machine, powerpc604
 from repro.store import ScheduleStore, open_store
 from repro.store.tiering import (
     LruCache,
@@ -75,6 +77,29 @@ class TestLookupTiers:
             from repro.core.verify import verify_schedule
 
             verify_schedule(warm.schedule)
+
+    def test_hits_keep_each_attempts_backend(self, store):
+        # Regression: store entries once dropped the per-attempt
+        # backend, so every hit reported "" where the cold solve said
+        # which solver settled the period.
+        corpus = pathlib.Path(__file__).resolve().parents[2] / "corpus"
+        ddg = parse_ddg((corpus / "loop0003.ddg").read_text("utf-8"))
+
+        def attempt_log():
+            result = schedule_loop(
+                ddg, powerpc604(), backend="sat", warmstart=False,
+                time_limit_per_t=10, store=store,
+            )
+            log = [(a.t_period, a.status, a.backend)
+                   for a in result.attempts]
+            return log, result.store.tier
+
+        cold, tier = attempt_log()
+        assert tier is None
+        assert cold and all(backend == "sat" for _, _, backend in cold)
+        assert attempt_log() == (cold, "memory")
+        clear_tiers()
+        assert attempt_log() == (cold, "disk")
 
     def test_isomorphic_variant_hits_and_verifies(self, store, machine):
         ddg = motivating_example()

@@ -55,6 +55,30 @@ class TestWarmFromReport:
             e.result.store.hit for e in warmed.entries
         )
 
+    def test_warmed_hits_keep_each_attempts_backend(self, tmp_path,
+                                                     machine):
+        # Regression: warming once rebuilt attempts without their
+        # backend, so hits on warmed entries reported "".
+        report = run_batch(SUBSET, machine, backend="sat", jobs=1,
+                           time_limit_per_t=10.0, warmstart=False)
+        report_path = tmp_path / "report.json"
+        report.save_json(report_path)
+        config = AttemptConfig(backend="sat", time_limit=10.0,
+                               warmstart=False)
+        store = ScheduleStore(tmp_path / "store")
+        outcome = warm_store(report_path, store, machine, config, 10)
+        assert outcome["published"] == len(SUBSET)
+        clear_tiers()
+        warmed = run_batch(SUBSET, machine, backend="sat", jobs=1,
+                           time_limit_per_t=10.0, warmstart=False,
+                           store=store.root)
+        for cold, hit in zip(report.entries, warmed.entries):
+            assert hit.result.store.hit
+            backends = [a["backend"] for a in
+                        cold.to_json_dict()["attempts"]]
+            assert "sat" in backends
+            assert [a.backend for a in hit.result.attempts] == backends
+
     def test_journal_round_trip(self, tmp_path, machine):
         journal = tmp_path / "batch.jsonl"
         run_batch(SUBSET, machine, jobs=1, time_limit_per_t=10.0,

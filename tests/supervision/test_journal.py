@@ -1,4 +1,4 @@
-"""Batch journal: headers, appends, corrupt-line tolerance, resume keys."""
+"""The journal: headers, appends, corrupt-line tolerance, resume keys."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.supervision.journal import (
     JOURNAL_VERSION,
-    BatchJournal,
+    Journal,
     JournalError,
     completed_entries,
     config_digest,
@@ -17,9 +17,14 @@ from repro.supervision.journal import (
 DIGEST = config_digest("machine-abc", backend="auto", time_limit=10.0)
 
 
-def _write(path, seq, source, name, entry):
-    with BatchJournal(path, DIGEST) as journal:
-        journal.record(seq, source, name, entry)
+def _record(seq, source, name, entry):
+    return {"seq": seq, "source": source, "name": name, "entry": entry}
+
+
+def _write(path, *records):
+    with Journal(path, DIGEST) as journal:
+        for record in records:
+            journal.append(record)
 
 
 class TestConfigDigest:
@@ -38,7 +43,7 @@ class TestConfigDigest:
 class TestBatchJournal:
     def test_header_then_entries(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        _write(path, 0, "a.ddg", "a", {"name": "a"})
+        _write(path, _record(0, "a.ddg", "a", {"name": "a"}))
         lines = path.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         assert header["journal_version"] == JOURNAL_VERSION
@@ -49,19 +54,30 @@ class TestBatchJournal:
             "entry": {"name": "a"},
         }
 
+    def test_header_meta_and_lines_are_sorted_json(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with Journal(path, "d", meta={"machine": "m", "loops": 2}) as journal:
+            journal.append({"seq": 0, "name": "a", "source": "a.ddg",
+                            "entry": {}})
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            '{"config_digest": "d", "journal_version": 1, "loops": 2, '
+            '"machine": "m"}',
+            '{"entry": {}, "name": "a", "seq": 0, "source": "a.ddg"}',
+        ]
+
     def test_reopen_appends_without_second_header(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        _write(path, 0, "a.ddg", "a", {"name": "a"})
-        _write(path, 1, "b.ddg", "b", {"name": "b"})
+        _write(path, _record(0, "a.ddg", "a", {"name": "a"}))
+        _write(path, _record(1, "b.ddg", "b", {"name": "b"}))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         assert sum("journal_version" in line for line in lines) == 1
 
     def test_digest_mismatch_refused(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        _write(path, 0, "a.ddg", "a", {"name": "a"})
+        _write(path, _record(0, "a.ddg", "a", {"name": "a"}))
         with pytest.raises(JournalError, match="different settings"):
-            BatchJournal(path, "other-digest")
+            Journal(path, "other-digest")
 
     def test_version_mismatch_refused(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -72,47 +88,54 @@ class TestBatchJournal:
         )
         with pytest.raises(JournalError, match="version"):
             read_journal(path)
+        with pytest.raises(JournalError, match="version"):
+            Journal(path, DIGEST)
 
 
 class TestReadJournal:
     def test_later_line_wins(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with BatchJournal(path, DIGEST) as journal:
-            journal.record(0, "a.ddg", "a", {"error": "crash"})
-            journal.record(0, "a.ddg", "a", {"achieved_t": 4})
-        _, entries = read_journal(path)
-        assert entries[entry_key("a.ddg", "a")]["entry"] == {
-            "achieved_t": 4
-        }
+        _write(path, _record(0, "a.ddg", "a", {"error": "crash"}),
+               _record(0, "a.ddg", "a", {"achieved_t": 4}))
+        _, done = completed_entries(path)
+        assert done[entry_key("a.ddg", "a")]["entry"] == {"achieved_t": 4}
 
     def test_truncated_trailing_line_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        _write(path, 0, "a.ddg", "a", {"achieved_t": 4})
+        _write(path, _record(0, "a.ddg", "a", {"achieved_t": 4}))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"seq": 1, "source": "b.ddg", "na')  # torn write
-        header, entries = read_journal(path)
+        header, records = read_journal(path)
         assert header is not None
-        assert list(entries) == [entry_key("a.ddg", "a")]
+        assert records == [_record(0, "a.ddg", "a", {"achieved_t": 4})]
 
     def test_garbage_lines_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        _write(path, 0, "a.ddg", "a", {"achieved_t": 4})
+        _write(path, _record(0, "a.ddg", "a", {"achieved_t": 4}))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
+            handle.write("[1, 2]\n")
             handle.write('{"no_entry_field": true}\n')
-        _, entries = read_journal(path)
-        assert list(entries) == [entry_key("a.ddg", "a")]
+        _, records = read_journal(path)
+        assert len(records) == 2  # the list is not a record
+        _, done = completed_entries(path)
+        assert list(done) == [entry_key("a.ddg", "a")]
+
+    def test_missing_file_is_empty(self, tmp_path):
+        assert read_journal(tmp_path / "absent.jsonl") == (None, [])
 
 
 class TestCompletedEntries:
     def test_failed_entries_dropped_for_retry(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with BatchJournal(path, DIGEST) as journal:
-            journal.record(0, "a.ddg", "a", {"achieved_t": 4})
-            journal.record(1, "b.ddg", "b", {"error": "crash", "failure":
-                                             {"kind": "crash"}})
+        _write(
+            path,
+            _record(0, "a.ddg", "a", {"achieved_t": 4}),
+            _record(1, "b.ddg", "b", {"error": "crash",
+                                      "failure": {"kind": "crash"}}),
             # Budget exhausted but no error: a legitimate outcome.
-            journal.record(2, "c.ddg", "c", {"achieved_t": None})
+            _record(2, "c.ddg", "c", {"achieved_t": None}),
+        )
         _, done = completed_entries(path)
         assert set(done) == {
             entry_key("a.ddg", "a"), entry_key("c.ddg", "c")
