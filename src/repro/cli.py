@@ -4,7 +4,6 @@ Commands
     schedule     schedule one loop (named kernel or DDG text file)
     batch        schedule a corpus of .ddg files across worker processes
     gen          emit a seeded, manifest-reproducible loop corpus
-    profile      compare presolve on/off model sizes and phase timings
     cache        inspect/maintain the persistent schedule store
     motivating   print the paper's §2 artifacts (Figures 1-4, Tables 1-2)
     suite        run a synthetic corpus and print Table 4-style buckets
@@ -147,7 +146,6 @@ def _cmd_schedule(args) -> int:
             objective=args.objective,
             time_limit_per_t=args.time_limit,
             max_extra=args.max_extra,
-            presolve=not args.no_presolve,
             warmstart=not args.no_warmstart,
             supervision=_policy_of(args),
             store=args.store,
@@ -222,8 +220,7 @@ def _cmd_batch(args) -> int:
                 backend=args.backend,
                 time_limit_per_t=args.time_limit,
                 max_extra=args.max_extra,
-                presolve=not args.no_presolve,
-                jobs=args.jobs,
+                    jobs=args.jobs,
                 warmstart=not args.no_warmstart,
                 policy=_policy_of(args),
                 journal=args.journal,
@@ -259,8 +256,7 @@ def _cmd_race(args) -> int:
                 backend=args.backend,
                 time_limit_per_t=args.time_limit,
                 max_extra=args.max_extra,
-                presolve=not args.no_presolve,
-                jobs=args.jobs,
+                    jobs=args.jobs,
                 warmstart=not args.no_warmstart,
                 policy=_policy_of(args),
                 store=args.store,
@@ -279,155 +275,6 @@ def _cmd_race(args) -> int:
     print()
     print(result.schedule.render_kernel())
     return 0
-
-
-def _cmd_profile(args) -> int:
-    """Build + solve one loop with presolve on and off, side by side."""
-    from repro.core.bounds import modulo_feasible_t
-    from repro.core.scheduler import AttemptConfig, attempt_period
-
-    machine = _machine_of(args)
-    ddg = _load_ddg(args)
-    ddg.validate_against(machine)
-    bounds = lower_bounds(ddg, machine)
-    print(
-        f"{ddg.name}: {ddg.num_ops} ops, {ddg.num_deps} deps  "
-        f"(T_dep={bounds.t_dep} T_res={bounds.t_res} T_lb={bounds.t_lb})"
-    )
-
-    if args.t is not None:
-        t_period = args.t
-        if not modulo_feasible_t(ddg, machine, t_period):
-            raise SystemExit(
-                f"profile: T={t_period} violates the modulo scheduling "
-                f"constraint for machine {machine.name!r}"
-            )
-    else:
-        t_period = next(
-            (
-                t for t in range(
-                    bounds.t_lb, bounds.t_lb + args.max_extra + 1
-                )
-                if modulo_feasible_t(ddg, machine, t)
-            ),
-            None,
-        )
-        if t_period is None:
-            raise SystemExit(
-                "profile: no admissible period in "
-                f"[{bounds.t_lb}, {bounds.t_lb + args.max_extra}]"
-            )
-
-    runs = {}
-    for label, presolve in (("presolve on", True), ("presolve off", False)):
-        config = AttemptConfig(
-            backend=args.backend,
-            objective=args.objective,
-            time_limit=args.time_limit,
-            presolve=presolve,
-        )
-        outcome = attempt_period(ddg, machine, t_period, config)
-        runs[label] = outcome.attempt
-        _print_attempt_profile(t_period, label, outcome.attempt)
-
-    on, off = runs["presolve on"], runs["presolve off"]
-    if on.status != off.status:
-        print()
-        print(
-            f"WARNING: status differs (on={on.status} off={off.status}) "
-            "— check time limits before trusting the comparison"
-        )
-        return 1
-    rows_off = off.model_stats["constraints"]
-    time_off = off.model_stats["total_seconds"]
-    if rows_off and time_off:
-        rows_cut = 1.0 - on.model_stats["constraints"] / rows_off
-        time_cut = 1.0 - on.model_stats["total_seconds"] / time_off
-        print()
-        print(
-            f"presolve: {rows_cut:.1%} fewer rows, "
-            f"{time_cut:.1%} less build+lower+solve time"
-        )
-
-    # Incremental sweep: rebuild the same attempt against the now-warm
-    # SweepContext, so the reuse the T-sweep gets per follow-up period
-    # is visible next to the cold numbers above.
-    config = AttemptConfig(
-        backend=args.backend,
-        objective=args.objective,
-        time_limit=args.time_limit,
-    )
-    outcome = attempt_period(ddg, machine, t_period, config)
-    _print_attempt_profile(t_period, "warm context", outcome.attempt)
-    _print_cache_counters()
-    return 0
-
-
-def _print_attempt_profile(t_period: int, label: str, attempt) -> None:
-    """One attempt's model sizes, reuse counters and phase timings."""
-    stats = attempt.model_stats
-    print()
-    via = f" via {attempt.backend}" if attempt.backend else ""
-    print(f"T={t_period}, {label}: {attempt.status}{via}")
-    if "cut_skip" in stats:
-        print(f"  settled by recycled cut: {stats['cut_skip']} (no solve)")
-        return
-    print(
-        f"  model     {stats['variables']} vars, "
-        f"{stats['constraints']} rows, {stats['nonzeros']} nnz"
-    )
-    print(
-        f"  eliminated  {stats['eliminated_variables']} vars, "
-        f"{stats['eliminated_constraints']} rows, "
-        f"{stats['eliminated_nonzeros']} nnz"
-    )
-    print(
-        f"  reuse     {stats.get('reused_rows', 0)} rows reused, "
-        f"{stats.get('rebuilt_rows', stats['constraints'])} rebuilt "
-        f"(analysis {stats.get('analysis_seconds', 0.0):.4f}s)"
-    )
-    print(
-        f"  phases    presolve {stats['presolve_seconds']:.4f}s  "
-        f"build {stats['build_seconds']:.4f}s  "
-        f"lower {stats['lower_seconds']:.4f}s  "
-        f"solve {stats['solve_seconds']:.4f}s  "
-        f"verify {stats.get('verify_seconds', 0.0):.4f}s  "
-        f"total {stats['total_seconds']:.4f}s"
-    )
-    if "sat_encode_seconds" in stats:
-        print(
-            f"  sat       encode {stats['sat_encode_seconds']:.4f}s  "
-            f"search {stats.get('sat_search_seconds', 0.0):.4f}s  "
-            f"decode {stats.get('sat_decode_seconds', 0.0):.4f}s  "
-            f"({stats.get('sat_vars', 0):.0f} vars, "
-            f"{stats.get('sat_clauses', 0):.0f} clauses)"
-        )
-        print(
-            f"  sat       {stats.get('sat_conflicts', 0):.0f} conflicts, "
-            f"{stats.get('sat_decisions', 0):.0f} decisions, "
-            f"{stats.get('sat_learned_clauses', 0):.0f} learned clauses "
-            f"({stats.get('sat_restarts', 0):.0f} restarts)"
-        )
-
-
-def _print_cache_counters() -> None:
-    """In-process reuse counters: store tiers + sweep-context registry."""
-    from repro.core.incremental import incremental_stats
-    from repro.store.tiering import tier_stats
-
-    print()
-    print("in-process caches (this run):")
-    for name, counters in tier_stats().items():
-        total = counters["hits"] + counters["misses"]
-        print(f"  {name:<12} {counters['hits']}/{total} hit(s), "
-              f"{counters['size']} entries")
-    counters = incremental_stats()
-    print(
-        f"  {'incremental':<12} {counters['contexts']} context(s), "
-        f"{counters['analysis_hits']} analysis hit(s), "
-        f"{counters['cuts_harvested']} cut(s) banked, "
-        f"{counters['attempts_skipped']} attempt(s) cut-skipped"
-    )
 
 
 def _cmd_cache(args) -> int:
@@ -525,7 +372,6 @@ def _cmd_cache(args) -> int:
             backend=args.backend,
             objective=args.objective,
             time_limit=args.time_limit,
-            presolve=not args.no_presolve,
             warmstart=not args.no_warmstart,
         )
         try:
@@ -840,8 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.add_argument("--export-lp", metavar="PATH",
                             help="write the ILP in CPLEX LP format")
     p_schedule.add_argument("--compare-heuristic", action="store_true")
-    p_schedule.add_argument("--no-presolve", action="store_true",
-                            help="disable the ILP presolve pass")
     p_schedule.add_argument("--no-warmstart", action="store_true",
                             help="disable the heuristic warm-start "
                                  "pre-pass")
@@ -874,8 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the JSON report to this file")
     p_batch.add_argument("--json", action="store_true",
                          help="print the JSON report instead of the table")
-    p_batch.add_argument("--no-presolve", action="store_true",
-                         help="disable the ILP presolve pass")
     p_batch.add_argument("--no-warmstart", action="store_true",
                          help="disable the heuristic warm-start pre-pass")
     p_batch.add_argument("--journal", metavar="PATH",
@@ -906,8 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_race.add_argument("--time-limit", type=float, default=30.0)
     p_race.add_argument("--max-extra", type=int, default=10)
     p_race.add_argument("--jobs", type=int, default=None)
-    p_race.add_argument("--no-presolve", action="store_true",
-                        help="disable the ILP presolve pass")
     p_race.add_argument("--no-warmstart", action="store_true",
                         help="disable the heuristic warm-start pre-pass")
     p_race.add_argument("--store", metavar="DIR",
@@ -915,30 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(hits skip the race entirely)")
     _add_supervision_flags(p_race)
     p_race.set_defaults(func=_cmd_race)
-
-    p_profile = sub.add_parser(
-        "profile",
-        help="model sizes and phase timings with presolve on vs off",
-    )
-    p_profile.add_argument("--kernel", help="named kernel (see 'list')")
-    p_profile.add_argument("--ddg", help="path to a DDG text file")
-    p_profile.add_argument("--source",
-                           help="path to a loop-DSL source file")
-    p_profile.add_argument("--classes", metavar="MAP",
-                           help="operator->op-class overrides for --source")
-    p_profile.add_argument("--machine", default="motivating")
-    p_profile.add_argument("--machine-file", metavar="PATH")
-    p_profile.add_argument("--backend", default="auto",
-                           choices=("auto", "highs", "bnb", "sat"))
-    p_profile.add_argument("--objective", default="feasibility",
-                           choices=("feasibility", "min_sum_t", "min_fu",
-                                    "min_buffers", "min_lifetimes"))
-    p_profile.add_argument("--t", type=int, default=None,
-                           help="profile this period (default: first "
-                                "admissible period at or above T_lb)")
-    p_profile.add_argument("--time-limit", type=float, default=30.0)
-    p_profile.add_argument("--max-extra", type=int, default=10)
-    p_profile.set_defaults(func=_cmd_profile)
 
     p_cache = sub.add_parser(
         "cache", help="inspect/maintain the persistent schedule store"
@@ -987,7 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "min_buffers", "min_lifetimes"))
     c_warm.add_argument("--time-limit", type=float, default=10.0)
     c_warm.add_argument("--max-extra", type=int, default=10)
-    c_warm.add_argument("--no-presolve", action="store_true")
     c_warm.add_argument("--no-warmstart", action="store_true")
 
     p_analyze = sub.add_parser(

@@ -373,7 +373,6 @@ class AttemptConfig:
     mapping: Optional[bool] = None
     time_limit: Optional[float] = 30.0
     repair_modulo: bool = False
-    presolve: bool = True
     #: Run the iterative-modulo heuristic first and use its schedule to
     #: bracket the sweep / seed the solver (see repro.core.warmstart).
     warmstart: bool = True
@@ -447,9 +446,9 @@ def attempt_period(
     context's cut pool is consulted: a certificate covering this attempt
     returns INFEASIBLE immediately, with ``model_stats["cut_skip"]``
     naming the cut kind.  After an infeasible attempt, the verdict is
-    harvested back into the pool.  Without ``presolve`` there is no
-    context (the cut validity arguments lean on presolve's checks) and
-    every attempt builds cold.
+    harvested back into the pool.  With no context (the registry
+    disabled, as the sweep-context differential does) every attempt
+    builds cold.
     """
     config = config or AttemptConfig()
     faults.fire("attempt", loop=ddg.name, t=t_period,
@@ -468,9 +467,7 @@ def attempt_period(
             )
         attempt_machine = patched
         repaired = True
-    if not config.presolve:
-        context = None
-    elif context is None:
+    if context is None:
         context = incremental.context_for(ddg, machine)
     machine_key: Optional[str] = None
     if context is not None:
@@ -491,8 +488,7 @@ def attempt_period(
                 )
             )
     options = FormulationOptions(
-        mapping=config.mapping, objective=config.objective,
-        presolve=config.presolve,
+        mapping=config.mapping, objective=config.objective
     )
     formulation = Formulation(
         ddg, attempt_machine, t_period, options, context=context
@@ -529,8 +525,8 @@ def attempt_period(
         + solution.solve_seconds + verify_seconds
     )
     # Backend-specific phase counters (the SAT backend's encode/search/
-    # decode split, learned-clause counts, ...) ride along so `repro
-    # profile` can break attempts down per backend.
+    # decode split, learned-clause counts, ...) ride along so reports
+    # can break attempts down per backend.
     stats.update(solution.stats)
     if solution.time_limit_clamped:
         stats["effective_time_limit"] = solution.effective_time_limit
@@ -667,7 +663,7 @@ def run_sweep(
             return stored
     bounds = lower_bounds(ddg, machine)
     context = None
-    if config.presolve and workers == 0:
+    if workers == 0:
         # One context serves the whole in-process sweep; pool workers
         # can't take it across the pickle boundary — they self-serve
         # from the per-process registry inside attempt_period.
@@ -816,7 +812,6 @@ def schedule_loop(
     time_limit_per_t: Optional[float] = 30.0,
     max_extra: int = 10,
     repair_modulo: bool = False,
-    presolve: bool = True,
     warmstart: bool = True,
     supervision=None,
     store=None,
@@ -849,8 +844,7 @@ def schedule_loop(
     by :func:`repro.store.open_store`) consults the persistent schedule
     store before doing any work and publishes clean results back.
 
-    With ``presolve`` (the default) a
-    :class:`~repro.core.incremental.SweepContext` is carried across the
+    A :class:`~repro.core.incremental.SweepContext` is carried across the
     sweep — shared T-independent analysis plus recycled infeasibility
     cuts; see ``docs/performance.md``.
     """
@@ -860,7 +854,6 @@ def schedule_loop(
         mapping=mapping,
         time_limit=time_limit_per_t,
         repair_modulo=repair_modulo,
-        presolve=presolve,
         warmstart=warmstart,
     )
     if store is not None:

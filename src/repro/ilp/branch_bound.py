@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -41,7 +40,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.ilp.model import Model, Variable
-from repro.ilp.simplex import LpEngine, LpResult, solve_lp
+from repro.ilp.simplex import LpEngine, LpResult
 from repro.ilp.solution import Solution, SolveStatus, relative_gap
 from repro.ilp.standard import ArrayForm, start_vector, to_arrays
 
@@ -54,31 +53,8 @@ ROW_TOL = 1e-6
 #: Cap on LP re-solves a single root dive may spend.
 DIVE_LIMIT = 60
 
-#: Environment override for the node LP engine: "warm" (persistent
-#: dual-simplex restarts, the default) or "cold" (a fresh two-phase
-#: solve per node — the pre-incremental behavior, kept for differential
-#: benchmarking).
-LP_ENGINE_ENV = "REPRO_LP_ENGINE"
-
 #: A node LP solver: (lb, ub) -> LpResult.
 NodeLp = Callable[[Optional[np.ndarray], Optional[np.ndarray]], LpResult]
-
-
-def _node_lp_solver(form: ArrayForm, lp_engine: Optional[str]) -> NodeLp:
-    """Build the node-relaxation solver for one search.
-
-    The warm engine keeps a live tableau across node re-solves (rhs
-    retargeting + dual simplex; see :class:`repro.ilp.simplex.LpEngine`)
-    and works on the CSR matrix directly — the dense tableau of the old
-    path is never materialized.  Both engines answer every node with an
-    LP optimum of the same relaxation; only the vertex returned for
-    degenerate optima (and hence the branching order) may differ.
-    """
-    mode = lp_engine or os.environ.get(LP_ENGINE_ENV, "warm")
-    if mode == "cold":
-        return lambda lb=None, ub=None: solve_lp(form, lb=lb, ub=ub)
-    engine = LpEngine(form)
-    return engine.solve
 
 
 @dataclass(order=True)
@@ -165,19 +141,19 @@ def solve_bnb(
     gap: float = 1e-6,
     node_limit: int = 200000,
     mip_start: Optional[Dict[Variable, float]] = None,
-    lp_engine: Optional[str] = None,
 ) -> Solution:
     """Solve ``model`` with branch-and-bound; returns a :class:`Solution`.
 
-    ``lp_engine`` selects the node LP backend ("warm"/"cold", default
-    warm; overridable via ``REPRO_LP_ENGINE``).  No dense matrix is ever
+    Node relaxations are re-solved on one warm
+    :class:`~repro.ilp.simplex.LpEngine` (a live tableau retargeted by
+    dual simplex across nodes).  No dense matrix is ever
     materialized — a model settled by its start or an infeasible root
     pays only the CSR lowering.
     """
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
     form = to_arrays(model)
-    node_lp = _node_lp_solver(form, lp_engine)
+    node_lp = LpEngine(form).solve
     lower_seconds = time.monotonic() - start
     counter = itertools.count()
 

@@ -458,7 +458,8 @@ def _batch_digest(machine: Machine, config: AttemptConfig,
         # written when it was a setting keep their digest and resume.
         verify=True,
         repair_modulo=config.repair_modulo,
-        presolve=config.presolve,
+        # Likewise presolve, which is always on.
+        presolve=True,
         warmstart=config.warmstart,
         max_extra=max_extra,
     )
@@ -472,7 +473,6 @@ def run_batch(
     mapping: Optional[bool] = None,
     time_limit_per_t: Optional[float] = 10.0,
     max_extra: int = 10,
-    presolve: bool = True,
     jobs: Optional[int] = None,
     warmstart: bool = True,
     policy: Optional[SupervisionPolicy] = None,
@@ -510,7 +510,6 @@ def run_batch(
         objective=objective,
         mapping=mapping,
         time_limit=time_limit_per_t,
-        presolve=presolve,
         warmstart=warmstart,
     )
     store_path = str(store) if store is not None else None
@@ -563,7 +562,8 @@ def run_batch(
         with race:
             race.add(cells)
             for cell in race.run():
-                entry = _cell_entry(cell, tasks[cell.key][2])
+                name, _, label, _ = tasks[cell.key]
+                entry = _cell_entry(cell, name, label)
                 entries[cell.key] = entry
                 _journal_entry(writer, cell.key, entry)
     finally:
@@ -593,7 +593,7 @@ def _entry_verdict(entry: BatchEntry) -> int:
     return FAILED if entry.error is not None else CLEAN
 
 
-def _cell_entry(cell: Cell, label: str) -> BatchEntry:
+def _cell_entry(cell: Cell, name: str, label: str) -> BatchEntry:
     """The report entry for one settled loop cell.
 
     A cell lost to a supervision failure (or never run before an
@@ -602,7 +602,6 @@ def _cell_entry(cell: Cell, label: str) -> BatchEntry:
     """
     if cell.result is not None:
         return cell.result
-    name = Path(label).stem if label != "<memory>" else label
     failure = cell.failure or FailureRecord(
         kind=INTERRUPTED, detail="interrupted (SIGINT/SIGTERM)"
     )

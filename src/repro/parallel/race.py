@@ -62,7 +62,6 @@ def race_periods(
     time_limit_per_t: Optional[float] = 30.0,
     max_extra: int = 10,
     repair_modulo: bool = False,
-    presolve: bool = True,
     jobs: Optional[int] = None,
     window: Optional[int] = None,
     warmstart: bool = True,
@@ -118,7 +117,6 @@ def race_periods(
         mapping=mapping,
         time_limit=time_limit_per_t,
         repair_modulo=repair_modulo,
-        presolve=presolve,
         warmstart=warmstart,
     )
     if store is not None:

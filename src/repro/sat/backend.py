@@ -15,14 +15,10 @@ row-by-row against the built model before being returned
 (:func:`repro.core.warmstart.violated_rows`), which makes cross-backend
 agreement structural: a decode that violated any ILP row would raise,
 never silently return a different schedule space.
-
-``REPRO_SAT_CARD`` selects the capacity cardinality encoding
-(``auto``/``sequential``/``totalizer``) for differential testing.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -36,9 +32,6 @@ from repro.sat.encode import (
     require_feasibility,
 )
 from repro.sat.solver import SAT, UNSAT, CdclSolver
-
-#: Environment override for the capacity cardinality encoding.
-SAT_CARD_ENV = "REPRO_SAT_CARD"
 
 
 def solve_sat(
@@ -102,9 +95,7 @@ def solve_formulation(
                 stats={"sat_warm_shortcircuit": 1.0},
             )
 
-    encoding = encode_formulation(
-        formulation, card=os.environ.get(SAT_CARD_ENV, "auto")
-    )
+    encoding = encode_formulation(formulation)
     stats: Dict[str, float] = {
         "sat_encode_seconds": round(encoding.encode_seconds, 6),
         "sat_vars": float(encoding.cnf.num_vars),

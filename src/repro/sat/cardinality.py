@@ -1,7 +1,8 @@
 """Cardinality constraint encodings over CNF.
 
-Two at-most-k encodings, selectable because they trade size against
-propagation strength differently on our two constraint families:
+Two at-most-k encodings, chosen by constraint size because they trade
+size against propagation strength differently on our two constraint
+families:
 
 * **sequential counter** (Sinz 2005, LT-SEQ) — ``n*k`` auxiliary
   variables, arc-consistent, compact for the small bounds that dominate
@@ -23,11 +24,9 @@ from typing import List, Sequence
 
 from repro.sat.cnf import Cnf
 
-ENCODINGS = ("auto", "sequential", "totalizer")
-
 #: Pairwise at-most-one is smaller than the ladder up to this size.
 _PAIRWISE_MAX = 5
-#: ``auto`` switches to the totalizer above this many literals.
+#: :func:`at_most_k` switches to the totalizer at this many literals.
 _TOTALIZER_MIN_LITS = 32
 
 
@@ -53,15 +52,8 @@ def at_most_one(cnf: Cnf, lits: Sequence[int]) -> None:
     _sequential(cnf, lits, 1)
 
 
-def at_most_k(
-    cnf: Cnf, lits: Sequence[int], k: int, encoding: str = "auto"
-) -> str:
+def at_most_k(cnf: Cnf, lits: Sequence[int], k: int) -> str:
     """Constrain ``sum(lits) <= k``; returns the encoding actually used."""
-    if encoding not in ENCODINGS:
-        raise ValueError(
-            f"unknown cardinality encoding {encoding!r}; "
-            f"expected one of {ENCODINGS}"
-        )
     n = len(lits)
     if k < 0:
         cnf.add_clause([])
@@ -72,18 +64,14 @@ def at_most_k(
         return "trivial"
     if n <= k:
         return "trivial"
-    if k == 1 and encoding == "auto":
+    if k == 1:
         at_most_one(cnf, lits)
         return "sequential" if n > _PAIRWISE_MAX else "pairwise"
-    if encoding == "auto":
-        encoding = (
-            "totalizer" if n >= _TOTALIZER_MIN_LITS else "sequential"
-        )
-    if encoding == "totalizer":
+    if n >= _TOTALIZER_MIN_LITS:
         _totalizer(cnf, lits, k)
-    else:
-        _sequential(cnf, lits, k)
-    return encoding
+        return "totalizer"
+    _sequential(cnf, lits, k)
+    return "sequential"
 
 
 def _sequential(cnf: Cnf, lits: Sequence[int], k: int) -> None:

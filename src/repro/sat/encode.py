@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.presolve import ALWAYS, NEVER
 from repro.core.warmstart import _footprint
 from repro.ilp.model import Variable
-from repro.sat.cardinality import ENCODINGS, at_most_k, exactly_one
+from repro.sat.cardinality import at_most_k, exactly_one
 from repro.sat.cnf import Cnf
 from repro.sat.errors import SatEncodeError
 
@@ -88,14 +88,9 @@ def require_feasibility(formulation) -> None:
         )
 
 
-def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
+def encode_formulation(formulation) -> SatEncoding:
     """Lower ``formulation`` to CNF; raises SatEncodeError if unsupported."""
     start = time.monotonic()
-    if card not in ENCODINGS:
-        raise SatEncodeError(
-            f"unknown cardinality encoding {card!r}; "
-            f"expected one of {ENCODINGS}"
-        )
     require_feasibility(formulation)
     formulation.build()
     if not formulation._u_binary:
@@ -245,9 +240,7 @@ def encode_formulation(formulation, card: str = "auto") -> SatEncoding:
                         for lit in lits:
                             cnf.add(-lit, aux)
                     occ_lits.append(aux)
-                cards_used.add(
-                    at_most_k(cnf, occ_lits, capacity, encoding=card)
-                )
+                cards_used.add(at_most_k(cnf, occ_lits, capacity))
     encoding.card_encodings = tuple(sorted(cards_used))
 
     # -- mapping (circular-arc coloring) -------------------------------------

@@ -15,7 +15,7 @@ built from exactly three canonical digests:
 * the **semantic fingerprint** of the sweep configuration: the fields
   that change *what* the result is (objective, mapping relaxation,
   modulo repair, sweep range), not *how fast* it was obtained.  Solver
-  backend, time limits, presolve and warm-start flags are recorded as
+  backend, time limits and the warm-start flag are recorded as
   provenance on the entry but kept out of the key — the repo's
   differential test suites pin down that they do not change results.
 """
@@ -69,7 +69,7 @@ def config_fingerprint(config, max_extra: int) -> dict:
     """The semantic slice of an :class:`~repro.core.scheduler.AttemptConfig`.
 
     Only fields that partition result *content* enter the key; see the
-    module docstring for why backend/budget/presolve/warm-start do not.
+    module docstring for why backend/budget/warm-start do not.
     """
     return {
         "objective": config.objective,

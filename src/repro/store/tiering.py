@@ -250,7 +250,6 @@ def publish(
         provenance={
             "backend": config.backend,
             "time_limit": config.time_limit,
-            "presolve": config.presolve,
             "warmstart": config.warmstart,
         },
     )

@@ -141,8 +141,13 @@ def read_journal(path) -> Tuple[Optional[dict], List[dict]]:
 
 
 def entry_key(source: str, name: str) -> str:
-    """Batch journal key for one loop (source path alone is ambiguous
-    for in-memory loops, which all report ``<memory>``)."""
+    """Batch journal key for one loop: its file path, which is unique.
+
+    The name (the DDG's own, which need not match the file's) only
+    tells apart in-memory loops, which all report ``<memory>``.
+    """
+    if source != "<memory>":
+        return source
     return f"{source}::{name}"
 
 

@@ -46,7 +46,7 @@ def _fresh_registry():
 
 def _no_context(ddg, machine):
     """``context_for`` with the registry switched off: every attempt
-    then builds cold, the path ``presolve=False`` takes."""
+    then builds cold."""
     return None
 
 

@@ -16,11 +16,13 @@ from repro.ddg.builders import serialize_ddg
 from repro.ddg.generators import GeneratorConfig, random_ddg
 from repro.ddg.kernels import daxpy, dot_product
 from repro.machine.presets import powerpc604
+from repro.parallel import batch as batch_module
 from repro.parallel import run_batch
 from repro.supervision import JournalError, faults
 from repro.supervision.faults import ENV_VAR
+from repro.supervision.cells import Cell
 from repro.supervision.journal import read_journal
-from repro.supervision.records import SupervisionPolicy
+from repro.supervision.records import FailureRecord, SupervisionPolicy
 
 #: JSON keys that hold wall-clock measurements, not outcomes.
 TIME_KEYS = frozenset({
@@ -160,6 +162,34 @@ class TestResume:
         assert resumed.scheduled == 2
         carried = [e for e in resumed.entries if e.raw is not None]
         assert len(carried) == 1  # only the intact record was reused
+
+    def test_loop_named_unlike_its_file_is_carried(
+        self, machine, tmp_path, monkeypatch
+    ):
+        # a.ddg holds the loop "dotprod": the journal records the DDG's
+        # own name, but the record is found by its path.
+        loops = tmp_path / "loops"
+        loops.mkdir()
+        (loops / "a.ddg").write_text(serialize_ddg(dot_product()),
+                                     encoding="utf-8")
+        journal = tmp_path / "run.jsonl"
+        first = run_batch([loops], machine, jobs=1, journal=journal)
+        assert first.entries[0].name == "dotprod"
+        reruns = []
+        monkeypatch.setattr(batch_module, "_schedule_source",
+                            lambda *args: reruns.append(args))
+        resumed = run_batch([loops], machine, jobs=1, resume=journal)
+        assert reruns == []
+        assert resumed.entries[0].to_json_dict() == (
+            first.entries[0].to_json_dict()
+        )
+
+    def test_lost_loop_keeps_its_task_name(self):
+        cell = Cell(0, lambda entry: 0)
+        cell.failure = FailureRecord(kind="crash", detail="worker died")
+        entry = batch_module._cell_entry(cell, "fam/x", "corpus/x.ddg")
+        assert entry.name == "fam/x"
+        assert entry.error.startswith("loop 'fam/x' (corpus/x.ddg): ")
 
 
 #: What ``run_batch`` journals for ``dotprod.ddg`` (the dot-product kernel)

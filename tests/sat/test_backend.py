@@ -25,7 +25,8 @@ from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
 from repro.ilp.solve import set_process_time_budget, solve
 from repro.machine.presets import motivating_machine, powerpc604
-from repro.sat.backend import SAT_CARD_ENV
+from repro.sat import cardinality
+from repro.sat.encode import encode_formulation
 from repro.sat.errors import SatEncodeError
 
 CORPUS = pathlib.Path(__file__).resolve().parents[2] / "corpus"
@@ -157,26 +158,26 @@ class TestDifferentialAgainstIlp:
                 break  # first admissible T per loop keeps this fast
         assert checked >= 4
 
-    @pytest.mark.parametrize("card", ["sequential", "totalizer"])
+    @pytest.mark.parametrize("card,min_lits", [
+        pytest.param("sequential", 10**9, id="sequential"),
+        pytest.param("totalizer", 0, id="totalizer"),
+    ])
     def test_card_env_changes_encoding_not_verdict(
-        self, machine, card, monkeypatch
+        self, machine, card, min_lits, monkeypatch
     ):
+        """Forcing either capacity encoding (through the size threshold
+        that picks it) changes the CNF, never the verdict."""
         ddg = motivating_example()
         baseline = {}
         for t in (3, 4):
             f = _formulation(ddg, machine, t)
             baseline[t] = solve(f.model, backend="sat").status
-        monkeypatch.setenv(SAT_CARD_ENV, card)
+        monkeypatch.setattr(cardinality, "_TOTALIZER_MIN_LITS", min_lits)
         for t in (3, 4):
             f = _formulation(ddg, machine, t)
+            assert card in encode_formulation(f).card_encodings
             solution = solve(f.model, backend="sat")
             assert solution.status == baseline[t], f"card={card} T={t}"
-
-    def test_bad_card_env_raises(self, machine, monkeypatch):
-        monkeypatch.setenv(SAT_CARD_ENV, "bogus")
-        f = _formulation(motivating_example(), machine, 4)
-        with pytest.raises((SatEncodeError, SolverError)):
-            solve(f.model, backend="sat")
 
 
 class TestWarmStartAndMemo:

@@ -1,6 +1,7 @@
 """Exhaustive correctness tests for the at-most-k encodings.
 
-Every encoding is checked semantically: for each assignment of the
+Every encoding is checked semantically, the size-chosen entry point
+:func:`at_most_k` and each concrete encoding it can pick alike: for each assignment of the
 *input* literals, the encoded CNF (with auxiliary variables projected
 out by the solver) must be satisfiable iff the assignment respects the
 bound.  Small n makes full enumeration cheap and leaves no corner
@@ -12,7 +13,8 @@ import itertools
 import pytest
 
 from repro.sat.cardinality import (
-    ENCODINGS,
+    _sequential,
+    _totalizer,
     at_most_k,
     at_most_one,
     exactly_one,
@@ -36,16 +38,20 @@ def _fresh(n):
 
 
 class TestAtMostK:
-    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    @pytest.mark.parametrize("encode", [
+        pytest.param(at_most_k, id="auto"),
+        pytest.param(_sequential, id="sequential"),
+        pytest.param(_totalizer, id="totalizer"),
+    ])
     @pytest.mark.parametrize("n,k", [
         (1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3), (6, 4),
     ])
-    def test_exhaustive_semantics(self, encoding, n, k):
+    def test_exhaustive_semantics(self, encode, n, k):
         cnf, inputs = _fresh(n)
-        at_most_k(cnf, inputs, k, encoding=encoding)
+        encode(cnf, inputs, k)
         for bits in itertools.product([False, True], repeat=n):
             assert _holds(cnf, inputs, bits) == (sum(bits) <= k), (
-                f"{encoding}: n={n} k={k} bits={bits}"
+                f"{encode.__name__}: n={n} k={k} bits={bits}"
             )
 
     def test_k_zero_forces_all_false(self):
@@ -66,15 +72,10 @@ class TestAtMostK:
         assert at_most_k(cnf, inputs, 3) == "trivial"
         assert cnf.num_clauses == before
 
-    def test_unknown_encoding_rejected(self):
-        cnf, inputs = _fresh(3)
-        with pytest.raises(ValueError, match="unknown cardinality"):
-            at_most_k(cnf, inputs, 1, encoding="bdd")
-
     def test_auto_picks_a_real_encoding(self):
         cnf, inputs = _fresh(6)
-        used = at_most_k(cnf, inputs, 3, encoding="auto")
-        assert used in ENCODINGS or used in ("pairwise", "trivial")
+        used = at_most_k(cnf, inputs, 3)
+        assert used in ("sequential", "totalizer", "pairwise", "trivial")
 
 
 class TestAtMostOne:

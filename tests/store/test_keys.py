@@ -78,14 +78,13 @@ class TestFingerprintAndKey:
         assert config_fingerprint(base, 5) != fp
 
     def test_speed_knobs_do_not_partition_keys(self):
-        # Backend, budget, presolve, warm-start change how fast the
+        # Backend, budget and warm-start change how fast the
         # answer arrives, not what it is (pinned by the differential
         # suites) — they stay out of the key.
         base = config_fingerprint(AttemptConfig(), 10)
         for variant in (
             AttemptConfig(backend="bnb"),
             AttemptConfig(time_limit=1.0),
-            AttemptConfig(presolve=False),
             AttemptConfig(warmstart=False),
         ):
             assert config_fingerprint(variant, 10) == base

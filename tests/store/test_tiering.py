@@ -131,10 +131,26 @@ class TestLookupTiers:
         ddg = motivating_example()
         run_sweep(ddg, machine, CONFIG, 10, store=store)
         clear_tiers()
-        fast = AttemptConfig(time_limit=1.0, presolve=False,
-                             warmstart=False, backend="bnb")
+        fast = AttemptConfig(time_limit=1.0, warmstart=False,
+                             backend="bnb")
         stored, stats = lookup(store, ddg, machine, fast, 10)
         assert stored is not None and stats.hit
+
+    def test_entries_with_a_presolve_provenance_key_hit(self, store,
+                                                         machine):
+        # Entries written while presolve could be switched off carry a
+        # "presolve" provenance key; provenance is not part of the key,
+        # so they still hit.
+        ddg = motivating_example()
+        cold = run_sweep(ddg, machine, CONFIG, 10, store=store)
+        entry = store.read(cold.store.key)
+        assert "presolve" not in entry["provenance"]
+        entry["provenance"]["presolve"] = True
+        store.write(cold.store.key, entry)
+        clear_tiers()
+        stored, stats = lookup(store, ddg, machine, CONFIG, 10)
+        assert stored is not None and stats.hit and stats.verified
+        assert stored.achieved_t == cold.achieved_t
 
 
 class TestVerifyOnRead:

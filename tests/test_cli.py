@@ -73,8 +73,6 @@ class TestSchedule:
         assert code == 0
 
     def test_source_with_classes_and_machine_file(self, capsys):
-        import pathlib
-
         root = pathlib.Path(__file__).resolve().parent.parent / "examples"
         code = main([
             "schedule",
@@ -137,20 +135,15 @@ class TestScheduleExtras:
         assert "General" in text
 
 
-class TestProfileCommand:
-    def test_counters_are_store_tiers_and_context_registry(self, capsys):
-        corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-        code = main([
-            "profile", "--ddg", str(corpus / "loop0000.ddg"),
-            "--machine", "powerpc604", "--backend", "sat",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        _, counters = out.split("in-process caches (this run):\n")
-        names = [line.split()[0] for line in counters.splitlines() if line]
-        assert names == ["canonical", "entry", "incremental"]
-        for gone in ("bounds", "formulation", "warmstart", "sat_encode"):
-            assert gone not in counters
+class TestRemovedSwitches:
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--kernel", "dotprod"],
+        ["schedule", "--kernel", "dotprod", "--no-presolve"],
+    ])
+    def test_rejected_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestAnalyzeCommand:

@@ -8,8 +8,7 @@ field untouched — achieved period, proven-optimality flag, lower
 bounds, per-attempt statuses, and the schedule itself (start cycles and
 FU colors) — on both solver backends.  The "off" leg replaces
 :func:`repro.core.incremental.context_for` with one that returns None,
-which is exactly the cold path every attempt takes under
-``presolve=False``.
+so every attempt builds cold.
 
 Cut-skipped attempts report ``infeasible``, the same terminal status
 the cold path reaches by solving, so the status vectors compare equal

@@ -18,8 +18,14 @@ import random
 
 import pytest
 
-from repro.core import schedule_loop, verify_schedule
+from repro.core import (
+    Formulation,
+    FormulationOptions,
+    schedule_loop,
+    verify_schedule,
+)
 from repro.core.bounds import modulo_feasible_t
+from repro.core.scheduler import HEURISTIC
 from repro.ddg.generators import GeneratorConfig, random_ddg
 from repro.ilp.solution import SolveStatus
 from repro.machine.presets import powerpc604
@@ -91,37 +97,48 @@ def test_drivers_agree_on_random_loops(seed, machine):
     assert par.is_rate_optimal_proven == seq.is_rate_optimal_proven
 
 
-def _assert_presolve_equivalent(ddg, machine, backend, **kwargs):
+def _verdict(status):
+    """``True`` (schedulable), ``False`` (proven not) or ``None`` (no
+    solver verdict: budget expired, or the period was never modeled)."""
+    if status in (SolveStatus.OPTIMAL.value, SolveStatus.FEASIBLE.value,
+                  HEURISTIC):
+        return True
+    if status == SolveStatus.INFEASIBLE.value:
+        return False
+    return None
+
+
+def _assert_presolve_equivalent(ddg, machine, backend, time_limit_per_t,
+                                max_extra):
     """Presolve must not change the achieved T or any per-period verdict.
 
-    Attempts that expired their time budget on either side are exempt:
-    a presolve pass that turns a timed-out model into a solved one is a
-    speedup, not a disagreement.  Whenever both runs reached a definitive
-    verdict at a period, those verdicts must match exactly.
+    The sweep (presolve always on) is replayed period by period against
+    the paper-literal formulation (``FormulationOptions(presolve=False)``)
+    on the same backend and budget.  Attempts that expired their time
+    budget on either side are exempt: a presolve pass that turns a
+    timed-out model into a solved one is a speedup, not a disagreement.
+    Whenever both sides reached a definitive verdict at a period, those
+    verdicts must match exactly.
     """
-    on = schedule_loop(ddg, machine, backend=backend, presolve=True,
-                       **kwargs)
-    off = schedule_loop(ddg, machine, backend=backend, presolve=False,
-                        **kwargs)
-    timed_out = SolveStatus.TIME_LIMIT.value
-    by_t_on = {a.t_period: a.status for a in on.attempts}
-    by_t_off = {a.t_period: a.status for a in off.attempts}
-    any_timeout = timed_out in by_t_on.values() or timed_out in (
-        by_t_off.values()
-    )
-    if not any_timeout:
-        assert on.achieved_t == off.achieved_t, ddg.name
-        assert on.is_rate_optimal_proven == off.is_rate_optimal_proven
-        assert set(by_t_on) == set(by_t_off)
-    for t_period in set(by_t_on) & set(by_t_off):
-        s_on, s_off = by_t_on[t_period], by_t_off[t_period]
-        if timed_out in (s_on, s_off):
+    on = schedule_loop(ddg, machine, backend=backend,
+                       time_limit_per_t=time_limit_per_t,
+                       max_extra=max_extra)
+    for attempt in on.attempts:
+        if attempt.status == "modulo_infeasible":
             continue
-        assert s_on == s_off, (ddg.name, t_period)
+        literal = Formulation(ddg, machine, attempt.t_period,
+                              FormulationOptions(presolve=False))
+        literal.build()
+        solution = literal.solve(backend=backend,
+                                 time_limit=time_limit_per_t)
+        v_on = _verdict(attempt.status)
+        v_off = _verdict(solution.status.value)
+        if v_on is not None and v_off is not None:
+            assert v_on == v_off, (ddg.name, attempt.t_period)
+        if solution.status.has_solution:
+            verify_schedule(literal.extract(solution))
     if on.schedule is not None:
         verify_schedule(on.schedule)
-    if off.schedule is not None:
-        verify_schedule(off.schedule)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:8])
@@ -146,8 +163,8 @@ def test_presolve_differential_bnb(machine, seed):
 @pytest.mark.slow
 @pytest.mark.parametrize("backend", ("highs", "bnb"))
 def test_presolve_differential_corpus(machine, backend):
-    """>= 50 random loops per backend: presolve-on and presolve-off runs
-    must produce identical achieved periods and per-period verdicts."""
+    """>= 50 random loops per backend: the sweep and the paper-literal
+    formulation must reach identical per-period verdicts."""
     max_ops = 12 if backend == "highs" else 8
     for seed in range(50):
         rng = random.Random(5000 + seed)
