@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bounds import modulo_feasible_t
 from repro.core.errors import CoreError, MappingError, ModuloInfeasibleError
@@ -59,9 +59,6 @@ from repro.ddg.graph import Ddg
 from repro.ilp import LinExpr, Model, Solution, Variable, lin_sum
 from repro.ilp.model import GE, LE, EQ, ModelStats, RowSpec
 from repro.machine import Machine
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from repro.core.incremental import LoopAnalysis, SweepContext
 
 OBJECTIVES = (
     "feasibility", "min_sum_t", "min_fu", "min_buffers", "min_lifetimes",
@@ -109,7 +106,6 @@ class Formulation:
         machine: Machine,
         t_period: int,
         options: Optional[FormulationOptions] = None,
-        context: Optional["SweepContext"] = None,
     ) -> None:
         if t_period < 1:
             raise CoreError(f"period must be >= 1, got {t_period}")
@@ -154,35 +150,15 @@ class Formulation:
         self._elim_vars = 0
         self._elim_rows = 0
         self._elim_nnz = 0
-        # Incremental sweep state: a SweepContext supplies the shared
-        # T-independent LoopAnalysis; the fed build produces a
-        # byte-identical model and counts rows it re-derived from the
-        # carried state as "reused".
-        self._context = context
-        self._analysis: Optional["LoopAnalysis"] = None
-        self._analysis_seconds = 0.0
-        self._reused_rows = 0
         self._usage: Optional[
             Dict[Tuple[int, int, int], Dict[Variable, float]]
         ] = None
-
-    @property
-    def analysis(self) -> Optional["LoopAnalysis"]:
-        """The shared T-independent analysis this build drew from (if any)."""
-        return self._analysis
 
     # -- structure helpers --------------------------------------------------------
     def _needs_coloring(self, fu_name: str) -> bool:
         """Whether mapping must be decided by the ILP for this FU type."""
         if self.options.mapping is False:
             return False
-        if self._analysis is not None:
-            group = (
-                self._analysis.coloring_forced
-                if self.options.mapping is True
-                else self._analysis.coloring_auto
-            )
-            return fu_name in group
         fu = self.machine.fu_type(fu_name)
         ops_on = [
             op for op in self.ddg.ops
@@ -200,8 +176,6 @@ class Formulation:
         )
 
     def _ops_by_type(self) -> Dict[str, List[int]]:
-        if self._analysis is not None:
-            return self._analysis.ops_by_type
         groups: Dict[str, List[int]] = {}
         for op in self.ddg.ops:
             fu = self.machine.op_class(op.op_class).fu_type
@@ -209,17 +183,12 @@ class Formulation:
         return groups
 
     def _default_k_max(self) -> int:
-        if self._analysis is not None:
-            total_latency = self._analysis.total_latency
-        else:
-            total_latency = sum(self.ddg.latencies(self.machine))
+        total_latency = sum(self.ddg.latencies(self.machine))
         n = self.ddg.num_ops
         horizon = (self.t_period - 1) + total_latency + (n - 1) * (self.t_period - 1)
         return max(1, math.ceil(horizon / self.t_period) + 1)
 
     def _stage_cycles(self, op_index: int, stage: int) -> List[int]:
-        if self._analysis is not None:
-            return self._analysis.stage_cycles.get((op_index, stage), ())
         table = self.machine.reservation_for(
             self.ddg.ops[op_index].op_class
         )
@@ -239,12 +208,6 @@ class Formulation:
         ddg = self.ddg
         model = self.model
         n = ddg.num_ops
-        if self._context is not None:
-            built_before = self._context.stats.analyses_built
-            self._analysis = self._context.analysis_for(machine)
-            if self._context.stats.analyses_built > built_before:
-                # This attempt paid the one-off analysis construction.
-                self._analysis_seconds = self._analysis.seconds
         k_max = self.options.k_max or self._default_k_max()
         self._u_binary = (
             self.options.enforce_modulo_constraint
@@ -262,7 +225,6 @@ class Formulation:
                 objective=self.options.objective,
                 k_max=k_max,
                 colored=colored,
-                analysis=self._analysis,
             )
             self.presolve_info = info
         active = info is not None and not info.infeasible
@@ -321,11 +283,7 @@ class Formulation:
         model.add_rows(assign_rows)
 
         # Dependences: t_j - t_i >= d_i - T*m_ij.            (Eq. 4/8)
-        if self._analysis is not None:
-            separations = self._analysis.dep_latencies
-            self._reused_rows += len(ddg.deps)
-        else:
-            separations = ddg.dep_latencies(machine)
+        separations = ddg.dep_latencies(machine)
         for e, dep in enumerate(ddg.deps):
             rhs = separations[e] - t_period * dep.distance
             model.add(
@@ -349,10 +307,7 @@ class Formulation:
             eliminated_variables=self._elim_vars,
             eliminated_constraints=self._elim_rows,
             eliminated_nonzeros=self._elim_nnz,
-            reused_rows=self._reused_rows,
-            rebuilt_rows=sizes["constraints"] - self._reused_rows,
             presolve_seconds=presolve_seconds,
-            analysis_seconds=self._analysis_seconds,
             build_seconds=(
                 time.monotonic() - build_start - presolve_seconds
             ),
@@ -368,15 +323,12 @@ class Formulation:
         t_period = self.t_period
         usage: Dict[Tuple[int, int, int], Dict[Variable, float]] = {}
         for op in self.ddg.ops:
-            if self._analysis is not None:
-                op_stages = self._analysis.op_stages[op.index]
-            else:
-                table = self.machine.reservation_for(op.op_class)
-                op_stages = [
-                    (stage, table.stage_cycles(stage))
-                    for stage in range(table.num_stages)
-                    if table.stage_cycles(stage)
-                ]
+            table = self.machine.reservation_for(op.op_class)
+            op_stages = [
+                (stage, table.stage_cycles(stage))
+                for stage in range(table.num_stages)
+                if table.stage_cycles(stage)
+            ]
             for stage, cycles in op_stages:
                 for t in range(t_period):
                     terms: Dict[Variable, float] = {}
@@ -467,10 +419,6 @@ class Formulation:
                     rows.append(
                         (terms, LE, rhs, f"cap[{fu_name},s{stage},t{t}]")
                     )
-        if self._analysis is not None:
-            # Group membership, stage structure and per-stage cycle lists
-            # all came from the carried analysis.
-            self._reused_rows += len(rows)
         self.model.add_rows(rows)
 
     def _count_var(self, fu_name: str) -> Variable:
@@ -497,17 +445,6 @@ class Formulation:
         """
         t_period = self.t_period
         model = self.model
-        # Reused-row accounting: a pair whose interference verdict is
-        # unchanged from the previous attempt's contributes its rows as
-        # "reused" (the delta over the T-1 model re-derives nothing for
-        # it beyond slot indices).
-        prev_pairs = None
-        if self._analysis is not None and info is not None:
-            record = self._analysis.last_pair_verdicts.get(
-                self.options.mapping
-            )
-            if record is not None and record[0] != t_period:
-                prev_pairs = record[1]
         for fu_name, op_indices in self._ops_by_type().items():
             if not self._needs_coloring(fu_name):
                 continue
@@ -564,11 +501,6 @@ class Formulation:
                         for s in shared
                     }
                     verdict = info.pairs.get((i, j)) if info else None
-                    stable = (
-                        prev_pairs is not None
-                        and verdict is not None
-                        and prev_pairs.get((i, j)) == verdict
-                    )
                     ci, cj = self.color[i], self.color[j]
                     if verdict is not None and verdict.kind == NEVER:
                         # The pair can never co-occupy a stage slot: no
@@ -599,8 +531,6 @@ class Formulation:
                             cj - ci >= 1 - big_m * sign,
                             name=f"hu2[{i},{j}]",
                         )
-                        if stable:
-                            self._reused_rows += 2
                         continue
                     overlap = model.add_binary(f"o[{i},{j}]")
                     self.overlap_var[(i, j)] = overlap
@@ -653,12 +583,6 @@ class Formulation:
                         cj - ci >= 1 - big_m * sign - big_m * (1 - overlap),
                         name=f"hu2[{i},{j}]",
                     )
-                    if stable:
-                        self._reused_rows += len(ov_rows) + 2
-        if self._analysis is not None and info is not None:
-            self._analysis.last_pair_verdicts[self.options.mapping] = (
-                t_period, dict(info.pairs)
-            )
 
     def _set_objective(self) -> None:
         objective = self.options.objective
@@ -716,7 +640,7 @@ class Formulation:
         return self._stage_cycles(op_index, stage)
 
     def ops_by_type(self) -> Dict[str, List[int]]:
-        """Op indices grouped by FU type (analysis-backed when shared)."""
+        """Op indices grouped by FU type, in first-occurrence order."""
         return self._ops_by_type()
 
     # -- solve / extract ----------------------------------------------------------------

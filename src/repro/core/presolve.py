@@ -44,15 +44,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bounds import per_type_t_res
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from repro.core.incremental import LoopAnalysis
 
 #: Pair interference classifications.
 NEVER, ALWAYS, MAYBE = "never", "always", "maybe"
@@ -179,19 +177,12 @@ def presolve(
     objective: str = "feasibility",
     k_max: int = 1,
     colored: Optional[Dict[str, List[int]]] = None,
-    analysis: Optional["LoopAnalysis"] = None,
 ) -> PresolveInfo:
     """Analyze one (ddg, machine, T) instance; see the module docstring.
 
     ``colored`` maps FU-type names to the op indices whose mapping the
     formulation decides by coloring — pair interference is classified for
     exactly those groups.
-
-    ``analysis`` optionally supplies the T-independent products (edge
-    frontiers, pair stage-offset differences, resource floors) from a
-    :class:`repro.core.incremental.LoopAnalysis` built for the *same*
-    (ddg, machine) pair.  The analysis-fed path produces byte-identical
-    :class:`PresolveInfo` — it only skips recomputation.
     """
     start = time.monotonic()
     n = ddg.num_ops
@@ -204,10 +195,7 @@ def presolve(
         info.seconds = time.monotonic() - start
         return info
 
-    if analysis is not None:
-        edges = analysis.collapsed_edges(t_period)
-    else:
-        edges = _collapsed_edges(ddg, machine, t_period)
+    edges = _collapsed_edges(ddg, machine, t_period)
     dist = _longest_paths(n, edges)
     # A positive cycle (including a positive self-loop) means no schedule
     # exists at this period regardless of resources.
@@ -223,12 +211,7 @@ def presolve(
     # one of the R_r * T modulo slot-copies, so T below the busiest
     # stage's ceil(uses / count) admits no schedule (the emitted
     # capacity rows are LP-infeasible by the same counting argument).
-    if analysis is not None:
-        res_floor = analysis.t_res_floor
-    else:
-        from repro.core.bounds import per_type_t_res
-
-        res_floor = max(per_type_t_res(ddg, machine).values(), default=1)
+    res_floor = max(per_type_t_res(ddg, machine).values(), default=1)
     if t_period < res_floor:
         info.infeasible = True
         info.seconds = time.monotonic() - start
@@ -322,7 +305,6 @@ def presolve(
     if colored:
         info.pairs = _classify_pairs(
             ddg, machine, t_period, colored, dist, finite, windows,
-            analysis=analysis,
         )
     info.seconds = time.monotonic() - start
     return info
@@ -357,18 +339,15 @@ def _classify_pairs(
     dist: np.ndarray,
     finite: np.ndarray,
     windows: List[Optional[FrozenSet[int]]],
-    analysis: Optional["LoopAnalysis"] = None,
 ) -> Dict[Tuple[int, int], PairInterference]:
     pairs: Dict[Tuple[int, int], PairInterference] = {}
     all_residues = frozenset(range(t_period))
     for fu_name, op_indices in colored.items():
         stages = machine.stage_count(fu_name)
-        cycles = (
-            None if analysis is not None else {
-                i: machine.reservation_for(ddg.ops[i].op_class)
-                for i in op_indices
-            }
-        )
+        cycles = {
+            i: machine.reservation_for(ddg.ops[i].op_class)
+            for i in op_indices
+        }
         for pos, i in enumerate(op_indices):
             for j in op_indices[pos + 1:]:
                 offsets_by_stage: Dict[int, FrozenSet[int]] = {}
@@ -376,16 +355,6 @@ def _classify_pairs(
                 # widest table; past-the-end stages are simply unused
                 # (the formulation applies the same rule).
                 for s in range(stages):
-                    if analysis is not None:
-                        # The cached raw differences reduce to exactly
-                        # ``_stage_offsets`` mod T; empty iff either op
-                        # has no cycles on the stage.
-                        diffs = analysis.pair_stage_diffs(i, j, s)
-                        if diffs:
-                            offsets_by_stage[s] = frozenset(
-                                d % t_period for d in diffs
-                            )
-                        continue
                     ci = (cycles[i].stage_cycles(s)
                           if s < cycles[i].num_stages else [])
                     cj = (cycles[j].stage_cycles(s)

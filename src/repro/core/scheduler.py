@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core import incremental
 from repro.core.bounds import LowerBounds, lower_bounds, modulo_feasible_t
 from repro.core.errors import SchedulingError
 from repro.core.formulation import OBJECTIVES, Formulation, FormulationOptions
@@ -419,7 +418,6 @@ def attempt_period(
     t_period: int,
     config: Optional[AttemptConfig] = None,
     incumbent: Optional[Schedule] = None,
-    context=None,
 ) -> AttemptOutcome:
     """Run the §6 procedure's body for one candidate period.
 
@@ -436,19 +434,9 @@ def attempt_period(
     by delay insertion, or any row of the built model unsatisfied — is
     silently dropped and the solve runs cold.
 
-    ``context`` is the loop's :class:`~repro.core.incremental.SweepContext`
-    (the sequential sweep fetches one and passes it down); when omitted
-    the per-process registry self-serves it, which is how each race /
-    supervised worker process gets its own without anything crossing a
-    pickle boundary.  Reuse is outcome-identical: the context-fed build
-    is byte-identical to a cold one, and a cut fires only where the cold
-    path deterministically returns INFEASIBLE.  Before building, the
-    context's cut pool is consulted: a certificate covering this attempt
-    returns INFEASIBLE immediately, with ``model_stats["cut_skip"]``
-    naming the cut kind.  After an infeasible attempt, the verdict is
-    harvested back into the pool.  With no context (the registry
-    disabled, as the sweep-context differential does) every attempt
-    builds cold.
+    The model is built from ``(ddg, machine, t_period)`` alone, as in the
+    paper: nothing carries over from earlier attempts, so the outcome
+    does not depend on what the process solved before.
     """
     config = config or AttemptConfig()
     faults.fire("attempt", loop=ddg.name, t=t_period,
@@ -467,32 +455,10 @@ def attempt_period(
             )
         attempt_machine = patched
         repaired = True
-    if context is None:
-        context = incremental.context_for(ddg, machine)
-    machine_key: Optional[str] = None
-    if context is not None:
-        if repaired:
-            machine_key = incremental.machine_digest(attempt_machine)
-        else:
-            machine_key = context.base_machine_key
-        kind = context.cuts.consult(
-            machine_key, t_period, config.objective, None, config.mapping
-        )
-        if kind is not None:
-            return AttemptOutcome(
-                ScheduleAttempt(
-                    t_period=t_period,
-                    status=SolveStatus.INFEASIBLE.value,
-                    repaired=repaired,
-                    model_stats={"cut_skip": kind},
-                )
-            )
     options = FormulationOptions(
         mapping=config.mapping, objective=config.objective
     )
-    formulation = Formulation(
-        ddg, attempt_machine, t_period, options, context=context
-    )
+    formulation = Formulation(ddg, attempt_machine, t_period, options)
     formulation.build()
     mip_start = None
     if (incumbent is not None and not repaired
@@ -512,10 +478,6 @@ def attempt_period(
         verify_start = time.monotonic()
         verify_schedule(schedule, check_mapping=require_mapping)
         verify_seconds = time.monotonic() - verify_start
-    if context is not None and machine_key is not None:
-        _harvest_cuts(
-            context, machine_key, formulation, solution, t_period, config
-        )
     stats = formulation.model_stats.to_dict()
     stats["lower_seconds"] = solution.lower_seconds
     stats["solve_seconds"] = solution.solve_seconds
@@ -544,43 +506,6 @@ def attempt_period(
         backend=solution.backend,
     )
     return AttemptOutcome(attempt=attempt, schedule=schedule)
-
-
-def _harvest_cuts(
-    context,
-    machine_key: str,
-    formulation: Formulation,
-    solution,
-    t_period: int,
-    config: AttemptConfig,
-) -> None:
-    """Bank this attempt's infeasibility evidence into the cut pool.
-
-    A presolve-proven verdict also certifies the machine's dependence
-    and capacity floors (both properties of the (ddg, machine) pair, not
-    of the period that exposed them); a solver-completed INFEASIBLE is
-    memoized for exact-tuple replay only.
-    """
-    info = formulation.presolve_info
-    if info is not None and info.infeasible:
-        context.cuts.memoize_infeasible(
-            machine_key, t_period, config.objective, None, config.mapping,
-            source="presolve",
-        )
-        analysis = formulation.analysis
-        if analysis is not None:
-            context.cuts.assert_floor(
-                incremental.CYCLE_FLOOR, machine_key, analysis.t_dep()
-            )
-            context.cuts.assert_floor(
-                incremental.CAPACITY_FLOOR, machine_key,
-                analysis.t_res_floor,
-            )
-    elif solution.status is SolveStatus.INFEASIBLE:
-        context.cuts.memoize_infeasible(
-            machine_key, t_period, config.objective, None, config.mapping,
-            source="solver",
-        )
 
 
 def init_solver_budget(time_budget: Optional[float]) -> None:
@@ -662,12 +587,6 @@ def run_sweep(
             stored.total_seconds = time.monotonic() - start_clock
             return stored
     bounds = lower_bounds(ddg, machine)
-    context = None
-    if workers == 0:
-        # One context serves the whole in-process sweep; pool workers
-        # can't take it across the pickle boundary — they self-serve
-        # from the per-process registry inside attempt_period.
-        context = incremental.context_for(ddg, machine)
     ws: Optional[WarmStart] = None
     ws_stats = WarmStartStats(enabled=False)
     if config.warmstart and config.mapping is not False:
@@ -707,8 +626,6 @@ def run_sweep(
                 kwargs = {
                     "incumbent": ws.schedule if at_heuristic_ii else None
                 }
-                if workers == 0:
-                    kwargs["context"] = context
                 cell = Cell(t_period, _period_verdict, attempt_period,
                             (ddg, machine, t_period, config), kwargs,
                             period=True)
@@ -843,10 +760,6 @@ def schedule_loop(
     ``store`` (a :class:`repro.store.ScheduleStore` or a path accepted
     by :func:`repro.store.open_store`) consults the persistent schedule
     store before doing any work and publishes clean results back.
-
-    A :class:`~repro.core.incremental.SweepContext` is carried across the
-    sweep — shared T-independent analysis plus recycled infeasibility
-    cuts; see ``docs/performance.md``.
     """
     config = AttemptConfig(
         backend=backend,

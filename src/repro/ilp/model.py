@@ -37,17 +37,9 @@ class ModelStats:
     pass (:mod:`repro.core.presolve`) made the model relative to the
     plain encoding; the ``*_seconds`` fields split wall time across the
     pipeline phases (presolve analysis, Python model construction,
-    lowering to arrays, and the solver itself).
-
-    ``reused_rows`` / ``rebuilt_rows`` attribute each emitted constraint
-    to the incremental sweep: a row is *reused* when its T-independent
-    ingredients (dependence separations, FU group structure, a pair
-    interference verdict unchanged since the previous period) came from
-    the carried :class:`repro.core.incremental.SweepContext`, and
-    *rebuilt* when it was derived from per-T state alone.  Cold builds
-    report every row as rebuilt.  ``analysis_seconds`` is the one-off
-    cost of building the shared analysis, attributed to the attempt
-    that paid it.
+    lowering to arrays, and the solver itself).  Every model is built
+    from its (ddg, machine, T) triple alone, so these describe exactly
+    the model the attempt solved.
     """
 
     variables: int = 0
@@ -57,10 +49,7 @@ class ModelStats:
     eliminated_variables: int = 0
     eliminated_constraints: int = 0
     eliminated_nonzeros: int = 0
-    reused_rows: int = 0
-    rebuilt_rows: int = 0
     presolve_seconds: float = 0.0
-    analysis_seconds: float = 0.0
     build_seconds: float = 0.0
     lower_seconds: float = 0.0
     solve_seconds: float = 0.0

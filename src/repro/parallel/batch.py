@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.core.incremental import machine_digest
 from repro.core.scheduler import (
     AttemptConfig,
     SchedulingResult,
@@ -61,6 +60,7 @@ from repro.supervision.journal import (
     completed_entries,
     config_digest,
     entry_key,
+    machine_digest,
 )
 from repro.supervision.records import (
     INTERRUPTED,
@@ -98,7 +98,9 @@ from repro.supervision.records import (
 #: cells cancelled above a win), so a degraded winner's missing proofs
 #: are auditable from the report alone.
 #: v9: the report-level ``cache`` aggregate is gone (entries unchanged).
-REPORT_VERSION = 9
+#: v10: per-attempt ``model`` drops ``reused_rows``/``rebuilt_rows``/
+#: ``analysis_seconds`` and the ``cut_skip`` marker.
+REPORT_VERSION = 10
 
 from repro.corpusgen.manifest import (
     MANIFEST_NAME,
@@ -335,7 +337,7 @@ class BatchReport:
 
 
 def load_report(path) -> BatchReport:
-    """Load a saved batch report (any v3..v9 schema)."""
+    """Load a saved batch report (any v3..v10 schema)."""
     with open(path, encoding="utf-8") as handle:
         return BatchReport.from_json_dict(json.load(handle))
 

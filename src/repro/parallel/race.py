@@ -94,11 +94,9 @@ def race_periods(
     hit returns immediately without spawning workers, and a clean cold
     result is published back for future runs.
 
-    Every worker process self-serves a
-    :class:`~repro.core.incremental.SweepContext` from its own
-    per-process registry inside :func:`attempt_period` — nothing crosses
-    a pickle boundary, and a worker handling several periods of the same
-    loop reuses the shared analysis and banked cuts across them.
+    Every period cell builds and solves its model from (ddg, machine,
+    T) alone, so a worker's result never depends on which periods it
+    handled before.
     """
     if max_extra < 0:
         raise SchedulingError(f"max_extra must be >= 0, got {max_extra}")

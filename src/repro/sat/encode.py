@@ -142,10 +142,7 @@ def encode_formulation(formulation) -> SatEncoding:
         encoding.k_lits.append(lits)
 
     # -- dependences ---------------------------------------------------------
-    if formulation.analysis is not None:
-        separations = formulation.analysis.dep_latencies
-    else:
-        separations = ddg.dep_latencies(machine)
+    separations = ddg.dep_latencies(machine)
     for e, dep in enumerate(ddg.deps):
         rhs = separations[e] - t_period * dep.distance
         src, dst = dep.src, dep.dst

@@ -25,19 +25,20 @@ caller falls back to a cold solve which then re-publishes fresh content.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from collections import OrderedDict
 from typing import Generic, Optional, Tuple, TypeVar
 
 from repro.core.bounds import lower_bounds
 from repro.core.errors import VerificationError
-from repro.core.incremental import ddg_digest
 from repro.core.scheduler import (
     AttemptConfig,
     SchedulingResult,
     StoreStats,
 )
 from repro.core.verify import verify_schedule
+from repro.ddg.builders import serialize_ddg
 from repro.ddg.canonical import CanonicalForm, canonical_form
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
@@ -98,6 +99,15 @@ class LruCache(Generic[K, V]):
 _CANON_CACHE: LruCache[str, CanonicalForm] = LruCache(512)
 #: store key -> entry dict (the in-process tier above the disk store).
 _ENTRY_CACHE: LruCache[str, dict] = LruCache(256)
+
+
+def ddg_digest(ddg: Ddg) -> str:
+    """Exact content digest of a DDG (its text serialization).
+
+    Keys the canonical-form memo: only a byte-identical loop reuses a
+    canonicalization, which is then remapped like any other.
+    """
+    return hashlib.sha256(serialize_ddg(ddg).encode("utf-8")).hexdigest()
 
 
 def cached_canonical_form(ddg: Ddg) -> CanonicalForm:

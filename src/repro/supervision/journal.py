@@ -34,6 +34,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.machine import Machine
 from repro.supervision.atomicio import AppendOnlyLines
 
 JOURNAL_VERSION = 1
@@ -41,6 +42,26 @@ JOURNAL_VERSION = 1
 
 class JournalError(ValueError):
     """Unusable journal: bad header, version or config mismatch."""
+
+
+def machine_digest(machine: Machine) -> str:
+    """Content digest of a machine description.
+
+    Built from every field that affects scheduling — FU types (count,
+    cost, reservation rows) and op classes (FU binding, latency, table
+    override) — and *only* those: the display ``name`` is deliberately
+    excluded, so two machines differing only in what they are called
+    share batch journals.
+    """
+    parts = []
+    for name in sorted(machine.fu_types):
+        fu = machine.fu_types[name]
+        parts.append(f"fu {name} {fu.count} {fu.cost} {fu.table!r}")
+    for name in sorted(machine.op_classes):
+        cls = machine.op_classes[name]
+        parts.append(f"class {name} {cls.fu_type} {cls.latency} {cls.table!r}")
+    blob = "\n".join(parts).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def config_digest(machine_digest: str, **settings) -> str:

@@ -21,6 +21,8 @@ from repro.machine.presets import (
     powerpc604,
 )
 
+CORPUS_DIR = pathlib.Path(__file__).resolve().parents[2] / "corpus"
+
 
 class TestMotivatingEndToEnd:
     def test_finds_t4(self):
@@ -95,14 +97,8 @@ class TestDriverBehaviour:
             if a.status not in ("modulo_infeasible", "heuristic")
         ]
         assert solved
-        # An attempt settled by a recycled infeasibility cut (possible
-        # when an earlier sweep in this process already proved its T)
-        # records the cut kind instead of model sizes.
         for attempt in solved:
-            if "cut_skip" in attempt.model_stats:
-                assert attempt.status == "infeasible"
-            else:
-                assert attempt.model_stats["variables"] > 0
+            assert attempt.model_stats["variables"] > 0
 
     def test_objectives_pass_through(self):
         result = schedule_loop(
@@ -120,6 +116,53 @@ class TestDriverBehaviour:
         )
         assert highs.achieved_t == bnb.achieved_t == 4
         verify_schedule(bnb.schedule)
+
+
+def _attempt_log(ddg, machine, backend):
+    result = schedule_loop(ddg, machine, backend=backend,
+                           time_limit_per_t=10.0)
+    return [
+        (a.t_period, a.status, a.backend, a.model_stats.get("variables"))
+        for a in result.attempts
+    ]
+
+
+class TestHistoryIndependence:
+    """Each period's model comes from (ddg, machine, T) alone, so what
+    the process solved before never shows in a later record."""
+
+    def test_each_backend_records_its_own_attempts(self):
+        # Regression: a banked INFEASIBLE verdict from the HiGHS sweep
+        # was once replayed under the SAT request, with backend "" and
+        # no model sizes.
+        ddg, machine = motivating_example(), motivating_machine()
+        schedule_loop(ddg, machine, backend="highs")
+        result = schedule_loop(ddg, machine, backend="sat")
+        solved = [
+            a for a in result.attempts
+            if a.status not in ("modulo_infeasible", "heuristic")
+        ]
+        assert any(a.status == "infeasible" for a in solved)
+        for attempt in solved:
+            assert attempt.backend == "sat"
+            assert attempt.model_stats["variables"] > 0
+            assert attempt.model_stats["constraints"] > 0
+
+    @pytest.mark.parametrize("backend", ["highs", "bnb", "sat"])
+    def test_repeated_sweep_is_identical(self, backend):
+        ddg, machine = motivating_example(), motivating_machine()
+        first = _attempt_log(ddg, machine, backend)
+        assert first == _attempt_log(ddg, machine, backend)
+        assert all(b == backend for _, status, b, _ in first
+                   if status == "infeasible")
+
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS_DIR.glob("*.ddg"))[:4], ids=lambda p: p.stem
+    )
+    def test_repeated_corpus_sweep_is_identical(self, path):
+        ddg = parse_ddg(path.read_text(encoding="utf-8"))
+        first = _attempt_log(ddg, powerpc604(), "highs")
+        assert first == _attempt_log(ddg, powerpc604(), "highs")
 
 
 class TestKernelsOnPpc604:

@@ -277,7 +277,7 @@ class TestStoreReporting:
 
     def test_v9_report_has_no_cache_block(self, warm_report):
         _, warm = warm_report
-        assert REPORT_VERSION == 9
+        assert REPORT_VERSION == 10
         assert "cache" not in warm.to_json_dict()
         text = warm.render()
         assert "3 disk" in text

@@ -108,17 +108,6 @@ class TestStatusSurface:
 
 
 class TestAttemptPeriodIntegration:
-    @pytest.fixture(autouse=True)
-    def _cold_contexts(self):
-        # A warm SweepContext from earlier tests can settle T=3 via a
-        # recycled cut before any backend runs (backend stays "");
-        # these tests are about the sat backend actually answering.
-        from repro.core.incremental import clear_contexts
-
-        clear_contexts()
-        yield
-        clear_contexts()
-
     def test_attempt_carries_backend_and_verifies(self, machine):
         outcome = attempt_period(
             motivating_example(), machine, 4,

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from repro.core.incremental import clear_contexts
 from repro.core.scheduler import AttemptConfig, run_sweep, schedule_loop
-from repro.ddg.builders import parse_ddg
+from repro.ddg.builders import parse_ddg, serialize_ddg
 from repro.ddg.kernels import daxpy, dot_product, motivating_example
 from repro.ddg.transforms import scrambled
 from repro.machine.presets import motivating_machine, powerpc604
@@ -15,6 +14,7 @@ from repro.store import ScheduleStore, open_store
 from repro.store.tiering import (
     LruCache,
     clear_tiers,
+    ddg_digest,
     lookup,
     publish,
     tier_stats,
@@ -24,10 +24,8 @@ from repro.store.tiering import (
 @pytest.fixture(autouse=True)
 def fresh_state():
     clear_tiers()
-    clear_contexts()
     yield
     clear_tiers()
-    clear_contexts()
 
 
 @pytest.fixture
@@ -196,7 +194,6 @@ class TestVerifyOnRead:
         _, weak_stats = lookup(store, ddg, weaker, weak_cfg, 10)
         store.write(weak_stats.key, entry)
         clear_tiers()
-        clear_contexts()
         stored, stats = lookup(store, ddg, weaker, weak_cfg, 10)
         assert stored is None
         assert stats.evicted
@@ -266,6 +263,26 @@ class TestScheduleLoopAndOpenStore:
         assert set(stats) == {"canonical", "entry"}
         for counters in stats.values():
             assert {"hits", "misses", "size"} <= set(counters)
+
+
+class TestDdgDigest:
+    def test_ddg_digest_is_content_based(self):
+        ddg = motivating_example()
+        clone = parse_ddg(serialize_ddg(ddg))
+        assert ddg_digest(ddg) == ddg_digest(clone)
+
+    def test_ddg_digest_distinguishes(self):
+        ddg = motivating_example()
+        other = ddg.copy()
+        other.add_dep(0, 5)
+        assert ddg_digest(ddg) != ddg_digest(other)
+
+    def test_ddg_digest_is_pinned(self):
+        corpus = pathlib.Path(__file__).resolve().parents[2] / "corpus"
+        ddg = parse_ddg((corpus / "loop0000.ddg").read_text("utf-8"))
+        assert ddg_digest(ddg) == (
+            "165899a8f4743b2639634f6eb7007849fcace8cb3ab10faaacf14763b5cb5331"
+        )
 
 
 class TestLruCache:

@@ -5,7 +5,6 @@ import pathlib
 
 import pytest
 
-from repro.core.incremental import clear_contexts
 from repro.core.scheduler import AttemptConfig
 from repro.machine.presets import powerpc604
 from repro.parallel import run_batch
@@ -22,10 +21,8 @@ CONFIG = AttemptConfig(time_limit=10.0)
 @pytest.fixture(autouse=True)
 def fresh_state():
     clear_tiers()
-    clear_contexts()
     yield
     clear_tiers()
-    clear_contexts()
 
 
 @pytest.fixture(scope="module")

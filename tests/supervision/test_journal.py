@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+from repro.core.scheduler import AttemptConfig
+from repro.machine.machine import Machine
+from repro.machine.presets import motivating_machine, powerpc604
+from repro.machine.reservation import ReservationTable
 from repro.supervision.journal import (
     JOURNAL_VERSION,
     Journal,
@@ -11,6 +15,7 @@ from repro.supervision.journal import (
     completed_entries,
     config_digest,
     entry_key,
+    machine_digest,
     read_journal,
 )
 
@@ -38,6 +43,45 @@ class TestConfigDigest:
         assert config_digest("m2", backend="auto", time_limit=10.0) != base
         assert config_digest("m", backend="bnb", time_limit=10.0) != base
         assert config_digest("m", backend="auto", time_limit=30.0) != base
+
+
+class TestMachineDigest:
+    def test_machine_digest_distinguishes(self):
+        assert machine_digest(motivating_machine()) != (
+            machine_digest(powerpc604())
+        )
+        assert machine_digest(motivating_machine(fp_units=2)) != (
+            machine_digest(motivating_machine(fp_units=3))
+        )
+
+    def test_machine_digest_stable(self):
+        assert machine_digest(powerpc604()) == machine_digest(powerpc604())
+
+    def test_machine_digest_ignores_display_name(self):
+        # Regression: the digest once folded in ``machine.name``, so two
+        # identical machines loaded under different file names could not
+        # share batch journals.
+        def build(name):
+            m = Machine(name)
+            m.add_fu_type("FP", count=2, table=ReservationTable.clean(2))
+            m.add_op_class("fadd", "FP", latency=2)
+            return m
+
+        assert machine_digest(build("alpha")) == machine_digest(build("beta"))
+
+    def test_golden_digests_keep_old_journals_resumable(self):
+        # Batch journals store _batch_digest, which folds in
+        # machine_digest: any change to these bytes makes every journal
+        # written earlier refuse to resume.
+        from repro.parallel.batch import _batch_digest
+
+        machine = powerpc604()
+        assert machine_digest(machine) == (
+            "4e13bf4ca445b15b6bffc7faf01c689c06f0cad15a5e377dcc519dde5218bd2b"
+        )
+        assert _batch_digest(machine, AttemptConfig(), 10) == (
+            "cd1f058acd3ede8c65b8401fd7149302eae1dc028062ce3c4411a6656e034531"
+        )
 
 
 class TestBatchJournal:

@@ -15,7 +15,6 @@ import pathlib
 import pytest
 
 from repro.core import schedule_loop, verify_schedule
-from repro.core.incremental import clear_contexts
 from repro.corpusgen import default_families, generate_corpus
 from repro.ddg.builders import parse_ddg
 from repro.ddg.generators import GenParams
@@ -105,10 +104,8 @@ def _generated_sample(machine):
 @pytest.fixture
 def fresh_store_state():
     clear_tiers()
-    clear_contexts()
     yield
     clear_tiers()
-    clear_contexts()
 
 
 def _timed_out_below_winner(result):
