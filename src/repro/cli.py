@@ -1,15 +1,18 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
 Commands
-    schedule     schedule one loop (named kernel or DDG text file)
+    schedule     schedule one loop (named kernel, DDG file or DSL source);
+                 --jobs N races its candidate periods on N workers
     batch        schedule a corpus of .ddg files across worker processes
-    gen          emit a seeded, manifest-reproducible loop corpus
     cache        inspect/maintain the persistent schedule store
+    analyze      pipeline-hazard analysis of a machine's FUs
     motivating   print the paper's §2 artifacts (Figures 1-4, Tables 1-2)
     suite        run a synthetic corpus and print Table 4-style buckets
     list         show available kernels and machine presets
+    gen          emit a seeded, manifest-reproducible loop corpus
+    corpus       dump a synthetic loop corpus as .ddg files
     serve        run the HTTP solve daemon (submit/poll over JSON)
-    loadgen      drive a serve daemon with corpus load, write BENCH doc
+    loadgen      crash drill: SIGKILL a serve daemon, restart, lose nothing
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def _atomic_write(path, text) -> None:
 
 
 def _print_store_line(result) -> None:
-    """One-line store outcome for schedule/race results (when enabled)."""
+    """One-line store outcome for a schedule result (when enabled)."""
     stats = result.store
     if stats is None:
         return
@@ -130,6 +133,7 @@ def _print_store_line(result) -> None:
 
 
 def _cmd_schedule(args) -> int:
+    from repro.core.errors import SchedulingError
     from repro.supervision import graceful_interrupts
 
     machine = _machine_of(args)
@@ -138,25 +142,33 @@ def _cmd_schedule(args) -> int:
     print(render.ascii_ddg(ddg, machine))
     bounds = lower_bounds(ddg, machine)
     print(f"T_dep={bounds.t_dep}  T_res={bounds.t_res}  T_lb={bounds.t_lb}")
-    with graceful_interrupts():
-        result = schedule_loop(
-            ddg,
-            machine,
-            backend=args.backend,
-            objective=args.objective,
-            time_limit_per_t=args.time_limit,
-            max_extra=args.max_extra,
-            warmstart=not args.no_warmstart,
-            supervision=_policy_of(args),
-            store=args.store,
-        )
+    try:
+        with graceful_interrupts():
+            result = schedule_loop(
+                ddg,
+                machine,
+                backend=args.backend,
+                objective=args.objective,
+                time_limit_per_t=args.time_limit,
+                max_extra=args.max_extra,
+                warmstart=not args.no_warmstart,
+                jobs=args.jobs,
+                policy=_policy_of(args),
+                store=args.store,
+            )
+    except SchedulingError as exc:
+        raise SystemExit(f"schedule: {exc}")
     print(result.summary())
     _print_store_line(result)
+    for attempt in result.attempts:
+        tag = f" [{attempt.backend}]" if attempt.backend else ""
+        print(f"  T={attempt.t_period}: {attempt.status}{tag} "
+              f"({attempt.seconds:.2f}s)")
     if args.explain:
         from repro.core.explain import explain_infeasibility
 
         for attempt in result.attempts:
-            if attempt.status in ("optimal", "feasible"):
+            if attempt.status in ("optimal", "feasible", "cancelled"):
                 continue
             diagnosis = explain_infeasibility(
                 ddg, machine, attempt.t_period, backend=args.backend,
@@ -220,7 +232,7 @@ def _cmd_batch(args) -> int:
                 backend=args.backend,
                 time_limit_per_t=args.time_limit,
                 max_extra=args.max_extra,
-                    jobs=args.jobs,
+                jobs=args.jobs,
                 warmstart=not args.no_warmstart,
                 policy=_policy_of(args),
                 journal=args.journal,
@@ -237,44 +249,6 @@ def _cmd_batch(args) -> int:
         report.save_json(args.out)
         print(f"wrote JSON report to {args.out}")
     return 0 if report.failed == 0 else 1
-
-
-def _cmd_race(args) -> int:
-    from repro.parallel import race_periods
-    from repro.supervision import graceful_interrupts
-
-    machine = _machine_of(args)
-    ddg = _load_ddg(args)
-    ddg.validate_against(machine)
-    from repro.core.errors import SchedulingError
-
-    try:
-        with graceful_interrupts():
-            result = race_periods(
-                ddg,
-                machine,
-                backend=args.backend,
-                time_limit_per_t=args.time_limit,
-                max_extra=args.max_extra,
-                    jobs=args.jobs,
-                warmstart=not args.no_warmstart,
-                policy=_policy_of(args),
-                store=args.store,
-            )
-    except SchedulingError as exc:
-        raise SystemExit(f"race: {exc}")
-    print(result.summary())
-    _print_store_line(result)
-    for attempt in result.attempts:
-        tag = f" [{attempt.backend}]" if attempt.backend else ""
-        print(f"  T={attempt.t_period}: {attempt.status}{tag} "
-              f"({attempt.seconds:.2f}s)")
-    if result.schedule is None:
-        print("no schedule found within the budget")
-        return 1
-    print()
-    print(result.schedule.render_kernel())
-    return 0
 
 
 def _cmd_cache(args) -> int:
@@ -581,68 +555,30 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_loadgen(args) -> int:
-    import json as _json
     from pathlib import Path
 
-    from repro.serve.loadgen import (
-        closed_loop,
-        corpus_mix,
-        open_loop,
-        run_benchmark,
-    )
+    from repro.serve.loadgen import run_drill
 
     corpus = sorted(Path(args.corpus).glob("*.ddg"))
     if not corpus:
         raise SystemExit(f"no .ddg files under {args.corpus}")
-    if args.port is None:
-        doc = run_benchmark(
-            corpus, args.machine, Path(args.out),
-            requests=args.requests,
-            concurrency=args.concurrency,
-            workers=args.workers,
-            open_rate=args.rate,
-            time_limit=args.time_limit,
-            backend=args.backend,
-            warmstart=not args.no_warmstart,
-            kill_restart=not args.no_kill_restart,
-            faults=args.faults,
-            seed=args.seed,
-        )
-        lost = (doc.get("restart") or {}).get("lost_jobs", [])
-        print(
-            f"loadgen: {args.requests} request(s), "
-            f"coalesce_hits={doc['coalesce_hits']}, "
-            f"error_rate={doc['error_rate']:.3f}, "
-            f"lost_jobs={len(lost)} -> {args.out}"
-        )
-        return 1 if lost else 0
-    from repro.serve.client import ServeClient
-    from repro.supervision.atomicio import atomic_write_json
-
-    client = ServeClient(args.host, args.port)
-    texts = corpus_mix(corpus, args.requests, seed=args.seed)
-    split = max(1, len(texts) // 2)
-    closed = closed_loop(
-        client, texts[:split], args.machine,
-        concurrency=args.concurrency, backend=args.backend,
+    doc = run_drill(
+        corpus, args.machine, Path(args.out),
+        requests=args.requests,
+        time_limit=args.time_limit,
+        backend=args.backend,
         warmstart=not args.no_warmstart,
+        faults=args.faults,
+        seed=args.seed,
     )
-    opened = open_loop(
-        client, texts[split:], args.machine, rate=args.rate,
-        backend=args.backend, warmstart=not args.no_warmstart,
+    restart = doc["restart"]
+    print(
+        f"loadgen: {restart['accepted_before_kill']} job(s) accepted "
+        f"before the kill, {doc['resumed']} resumed, "
+        f"{restart['resumed_terminal']} terminal after restart, "
+        f"lost_jobs={len(restart['lost_jobs'])} -> {args.out}"
     )
-    doc = {
-        "bench": "serve_loadgen",
-        "machine": args.machine,
-        "requests": args.requests,
-        "phases": [closed.to_json_dict(), opened.to_json_dict()],
-        "daemon_stats": client.stats(),
-    }
-    atomic_write_json(args.out, doc)
-    print(_json.dumps(
-        {"phases": doc["phases"]}, indent=2, sort_keys=True
-    ))
-    return 0
+    return 1 if restart["lost_jobs"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -675,6 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      "min_buffers", "min_lifetimes"))
     p_schedule.add_argument("--time-limit", type=float, default=30.0)
     p_schedule.add_argument("--max-extra", type=int, default=10)
+    p_schedule.add_argument("--jobs", type=int, default=1,
+                            help="worker processes racing candidate "
+                                 "periods (default 1: in-process)")
     p_schedule.add_argument("--assembly", action="store_true",
                             help="emit PROLOG/KERNEL/EPILOG assembly")
     p_schedule.add_argument("--listing", type=int, metavar="ITERS",
@@ -731,30 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "workers and across runs")
     _add_supervision_flags(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
-
-    p_race = sub.add_parser(
-        "race", help="race candidate periods of one loop concurrently"
-    )
-    p_race.add_argument("--kernel", help="named kernel (see 'list')")
-    p_race.add_argument("--ddg", help="path to a DDG text file")
-    p_race.add_argument("--source",
-                        help="path to a loop-DSL source file")
-    p_race.add_argument("--classes", metavar="MAP",
-                        help="operator->op-class overrides for --source")
-    p_race.add_argument("--machine", default="motivating")
-    p_race.add_argument("--machine-file", metavar="PATH")
-    p_race.add_argument("--backend", default="auto",
-                        choices=("auto", "highs", "bnb", "sat"))
-    p_race.add_argument("--time-limit", type=float, default=30.0)
-    p_race.add_argument("--max-extra", type=int, default=10)
-    p_race.add_argument("--jobs", type=int, default=None)
-    p_race.add_argument("--no-warmstart", action="store_true",
-                        help="disable the heuristic warm-start pre-pass")
-    p_race.add_argument("--store", metavar="DIR",
-                        help="persistent schedule store directory "
-                             "(hits skip the race entirely)")
-    _add_supervision_flags(p_race)
-    p_race.set_defaults(func=_cmd_race)
 
     p_cache = sub.add_parser(
         "cache", help="inspect/maintain the persistent schedule store"
@@ -935,26 +850,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loadgen = sub.add_parser(
         "loadgen",
-        help="drive a serve daemon with corpus load",
-        description="Closed+open-loop load generator for the serve "
-        "daemon.  With --manage (default) it boots its own daemon, "
-        "runs the kill-and-restart differential and writes a BENCH "
-        "document; with --port it targets a daemon you started.",
+        help="crash drill: SIGKILL a serve daemon under load, restart it",
+        description="Boot a serve daemon, submit the seeded corpus mix, "
+        "SIGKILL it while accepted jobs are unfinished, restart it on "
+        "the same journal, wait for every accepted job to reach a "
+        "terminal state, then drain.  Exits 1 if any job is lost.",
     )
     p_loadgen.add_argument("--corpus", default="corpus", metavar="DIR",
                            help=".ddg corpus directory to draw from")
     p_loadgen.add_argument("--machine", default="powerpc604")
     p_loadgen.add_argument("--requests", type=int, default=30)
-    p_loadgen.add_argument("--out", default="BENCH_serve.json",
-                           metavar="PATH")
-    p_loadgen.add_argument("--workers", type=int, default=2,
-                           help="daemon worker processes (managed "
-                                "mode)")
-    p_loadgen.add_argument("--concurrency", type=int, default=4,
-                           help="closed-loop client threads")
-    p_loadgen.add_argument("--rate", type=float, default=8.0,
-                           help="open-loop arrival rate "
-                                "(requests/second)")
+    p_loadgen.add_argument("--out", default="drill.json", metavar="PATH",
+                           help="write the drill document here")
     p_loadgen.add_argument("--time-limit", type=float, default=5.0)
     p_loadgen.add_argument("--backend", default="auto",
                            choices=("auto", "highs", "bnb", "sat"))
@@ -964,16 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "attempt-site faults fire)")
     p_loadgen.add_argument("--faults", metavar="SPEC",
                            help="REPRO_FAULTS spec injected into the "
-                                "managed daemon (e.g. "
-                                "crash@attempt:t=4)")
-    p_loadgen.add_argument("--no-kill-restart", action="store_true",
-                           help="skip the SIGKILL-mid-run restart "
-                                "differential (managed mode)")
+                                "daemon (e.g. crash@attempt:t=4)")
     p_loadgen.add_argument("--seed", type=int, default=0)
-    p_loadgen.add_argument("--port", type=int, default=None,
-                           help="target an already-running daemon "
-                                "instead of booting one")
-    p_loadgen.add_argument("--host", default="127.0.0.1")
     p_loadgen.set_defaults(func=_cmd_loadgen)
     return parser
 

@@ -9,10 +9,9 @@ assignment* — every smaller admissible period was proven infeasible.
 The per-attempt body lives in :func:`attempt_period`, a module-level
 function whose arguments and result are picklable.  :func:`run_sweep`
 races it over period cells with :class:`repro.supervision.cells.CellRace`
-— in-process here, across worker processes for
-:func:`repro.parallel.race_periods` — so every driver shares one
-prologue (store, bounds, heuristic), one dispatch loop and one
-epilogue (settling, degrading, result assembly, store publish).
+— in-process, or across ``jobs`` worker processes — so every driver
+shares one prologue (store, bounds, heuristic), one dispatch loop and
+one epilogue (settling, degrading, result assembly, store publish).
 
 The per-attempt records feed the Table 4 / Table 5 experiment harness
 (how many loops schedule at ``T_lb``, ``T_lb + 2``, ... and how much
@@ -423,9 +422,9 @@ def attempt_period(
 
     Checks the modulo scheduling constraint (optionally repairing via
     delay insertion), builds and solves the unified ILP, and extracts +
-    verifies a schedule when the solve is feasible.  Both
-    :func:`schedule_loop` and :func:`repro.parallel.race.race_periods`
-    funnel through here, which is what keeps their results identical.
+    verifies a schedule when the solve is feasible.  Every period cell
+    of :func:`run_sweep` funnels through here, whichever its dispatch,
+    which is what keeps the in-process and raced sweeps identical.
 
     ``incumbent`` is an already-verified schedule at this exact period
     (normally the heuristic's); it is converted into a full variable
@@ -539,26 +538,29 @@ def run_sweep(
     config: AttemptConfig,
     max_extra: int,
     store=None,
-    workers: int = 0,
-    window: Optional[int] = 1,
+    jobs: int = 1,
     policy: Optional[SupervisionPolicy] = None,
 ) -> SchedulingResult:
     """The §6 increasing-T sweep, as one cell race over periods.
 
-    Shared by :func:`schedule_loop`, :func:`repro.parallel.race_periods`
-    and the batch/serve worker bodies.  With warm starts enabled
+    Shared by :func:`schedule_loop` and the batch/serve worker bodies.
+    With warm starts enabled
     the heuristic runs first; its achieved II caps the candidate range
     from above, settles its own period outright under the feasibility
     objective (status ``"heuristic"``, no ILP), and seeds the solver's
     incumbent otherwise.
 
     Each candidate period is one cell on the config's backend, raced by
-    :class:`repro.supervision.cells.CellRace`: ``workers=0`` runs them
-    in-process, ``workers>=1`` in a supervised pool under ``policy``
-    with at most ``window`` cells in flight (in-process too when the
-    window is wider than 1 and at most one period needs a solve).
-    ``window=1`` is the plain §6 loop — a win ends the sweep — whichever
-    the worker count.
+    :class:`repro.supervision.cells.CellRace`.  ``jobs`` and ``policy``
+    pick the dispatch, here and nowhere else:
+
+    * ``jobs=1`` without a policy runs the cells in this process, one
+      at a time — the plain §6 loop, where a win ends the sweep;
+    * ``jobs=1`` with a policy runs the same loop on one supervised
+      worker under that policy (window 1);
+    * ``jobs=N>1`` races the cells on N supervised workers with at
+      most 2N in flight, in-process instead when at most one period
+      needs a solve.
 
     A cell lost to a crash, hang, OOM or solver error is recorded and
     the sweep goes on; a win above a lost period is ``degraded``.  When
@@ -567,18 +569,25 @@ def run_sweep(
     to that schedule instead of raising: a ``"degraded"`` attempt
     replaces that period's record and carries its failure.
 
-    ``store`` (a :class:`repro.store.ScheduleStore`) short-circuits the
+    ``store`` (a :class:`repro.store.ScheduleStore` or a path accepted
+    by :func:`repro.store.open_store`) short-circuits the
     entire sweep — heuristic pre-pass included — when a verified entry
     for this (loop, machine, semantics) content address exists, and
     publishes the result back on a clean cold solve.  Store misses cost
     one canonicalization + file probe; hits are re-verified against the
     current machine before being trusted (see ``docs/performance.md``).
     """
+    if max_extra < 0:
+        raise SchedulingError(f"max_extra must be >= 0, got {max_extra}")
+    if jobs < 1:
+        raise SchedulingError(f"jobs must be >= 1, got {jobs}")
     start_clock = time.monotonic()
     store_stats: Optional[StoreStats] = None
     if store is not None:
+        from repro.store import open_store
         from repro.store.tiering import lookup as store_lookup
 
+        store = open_store(store)
         stored, store_stats = store_lookup(
             store, ddg, machine, config, max_extra
         )
@@ -633,7 +642,10 @@ def run_sweep(
             yield cell
 
     feed = period_cells()
-    if window != 1:
+    if jobs == 1:
+        workers, window = (0 if policy is None else 1), 1
+    else:
+        workers, window = jobs, 2 * jobs
         # Every cell is admitted up front anyway.  With at most one
         # solve among them a worker pool would only add its start-up:
         # run that solve here.
@@ -730,7 +742,8 @@ def schedule_loop(
     max_extra: int = 10,
     repair_modulo: bool = False,
     warmstart: bool = True,
-    supervision=None,
+    jobs: int = 1,
+    policy: Optional[SupervisionPolicy] = None,
     store=None,
 ) -> SchedulingResult:
     """Find a rate-optimal software-pipelined schedule for ``ddg``.
@@ -750,10 +763,13 @@ def schedule_loop(
     first; when it achieves ``II == T_lb`` the loop is settled with zero
     ILP solves, and otherwise its schedule brackets and seeds the sweep.
 
-    ``supervision`` (a :class:`repro.supervision.SupervisionPolicy`)
-    ships each per-period solve to one deadline/memory-guarded worker
-    process (the cell race with one worker and window 1); crashes,
-    hangs and OOMs then surface as per-attempt
+    ``jobs`` is the worker-process count.  With the default ``jobs=1``
+    and no ``policy`` every period is solved in this process.  ``policy``
+    (a :class:`repro.supervision.SupervisionPolicy`) ships each solve to
+    one deadline/memory-guarded worker instead; ``jobs=N>1`` races
+    candidate periods on N such workers (see ``docs/parallel.md``) and
+    returns the same achieved period and proof flag.  Under supervision
+    crashes, hangs and OOMs surface as per-attempt
     :class:`~repro.supervision.records.FailureRecord` data and the sweep
     degrades gracefully instead of dying (see ``docs/robustness.md``).
 
@@ -769,13 +785,5 @@ def schedule_loop(
         repair_modulo=repair_modulo,
         warmstart=warmstart,
     )
-    if store is not None:
-        from repro.store import open_store
-
-        store = open_store(store)
-    if supervision is None:
-        return run_sweep(ddg, machine, config, max_extra, store=store)
-    return run_sweep(
-        ddg, machine, config, max_extra, store=store,
-        workers=1, window=1, policy=supervision,
-    )
+    return run_sweep(ddg, machine, config, max_extra, store=store,
+                     jobs=jobs, policy=policy)

@@ -50,7 +50,6 @@ from repro.ddg.builders import parse_ddg, serialize_ddg
 from repro.ddg.graph import Ddg
 from repro.machine import Machine
 from repro.parallel.race import default_jobs
-from repro.store import open_store
 from repro.supervision import faults
 from repro.supervision.atomicio import atomic_write_text
 from repro.supervision.cells import CLEAN, FAILED, WIN, Cell, CellRace
@@ -384,7 +383,7 @@ def _schedule_source(
         ddg = parse_ddg(text)
         ddg.validate_against(machine)
         result = run_sweep(ddg, machine, config, max_extra,
-                           store=open_store(store_path))
+                           store=store_path)
         return BatchEntry(
             name=ddg.name,
             source=source,

@@ -1,10 +1,10 @@
 """A tiny blocking HTTP client for the serve daemon (stdlib only).
 
-Used by ``repro loadgen``, the CI smoke test and anything else that
-wants to talk to the daemon without hand-rolling requests.  One
-connection per call (the daemon answers ``Connection: close``), which
-also keeps the client trivially thread-safe for closed-loop load
-generation.
+Used by the ``repro loadgen`` crash drill, the serve tests, perfbench's
+``serve`` workload and anything else that wants to talk to the daemon
+without hand-rolling requests.  One connection per call (the daemon
+answers ``Connection: close``), which also keeps the client trivially
+thread-safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ServeClient:
         """Submit a solve; returns the raw response (``job`` on 200).
 
         Raises :class:`ServeError` on shed/rate-limit/breaker refusals —
-        callers doing load generation catch it and count the outcome.
+        callers driving load catch it and count the outcome.
         """
         payload = {"ddg": ddg, "machine": machine}
         payload.update(options)

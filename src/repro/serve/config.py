@@ -48,7 +48,8 @@ class ServeConfig:
     #: journaling the stragglers for the next incarnation.
     drain_grace: float = 30.0
     #: When set, the daemon writes its bound port here once listening —
-    #: how tests and ``repro loadgen --manage`` discover a port=0 bind.
+    #: how tests and the ``repro loadgen`` crash drill discover a port=0
+    #: bind.
     port_file: Optional[str] = None
 
     def digest_settings(self) -> dict:

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 from repro.core.scheduler import AttemptConfig, run_sweep
 from repro.machine import presets
 from repro.parallel.batch import BatchEntry
-from repro.store import open_store
 from repro.supervision import faults
 
 #: Job lifecycle states (terminal: done/failed/shed/cancelled).
@@ -136,7 +135,7 @@ def solve_request(
     config = request_config(request)
     faults.fire("solve", loop=ddg.name, backend=config.backend)
     result = run_sweep(ddg, machine, config, max_extra,
-                       store=open_store(store_path))
+                       store=store_path)
     return BatchEntry(
         name=ddg.name,
         source=SERVE_SOURCE,

@@ -1,60 +1,43 @@
-"""``repro loadgen``: closed+open-loop load generation against the daemon.
+"""``repro loadgen``: the serve daemon's crash drill.
 
-Two phases drive the seeded corpus mix through a live daemon:
+:func:`run_drill` boots a ``repro serve`` subprocess on a fresh journal
+and store, submits the seeded corpus mix, and SIGKILLs the daemon the
+moment the last submission is accepted — while most accepted jobs are
+still queued or solving.  It then restarts the daemon on the same
+journal, waits for **every accepted job to reach a terminal state** (the
+zero-lost-jobs claim), and drains it.
 
-* **closed loop** — ``concurrency`` threads each submit, long-poll the
-  result, then immediately submit again: the classic saturation probe,
-  measuring sustained throughput at a fixed multiprogramming level.
-* **open loop** — submissions arrive at a fixed rate regardless of
-  completions (the arrival process real services face); completions are
-  collected afterwards.  Refusals (shed, rate-limited, breaker) are
-  counted, not retried — bounded error behavior under overload is the
-  thing being measured.
-
-The mix deliberately repeats loops so request coalescing has duplicates
-to collapse, and respects ``REPRO_FAULTS`` in the daemon's environment
-so the error-rate bound is exercised under injected crashes.
-
-``run_benchmark`` is the managed mode behind ``repro loadgen --manage``:
-it boots a daemon subprocess, runs both phases, SIGKILLs the daemon
-mid-load, restarts it on the same journal, and verifies **every
-accepted job reaches a terminal state** — the zero-lost-jobs
-differential — before writing BENCH_serve.json.
+The mix deliberately repeats loops, so the restarted daemon also
+re-coalesces the duplicates it re-admits.  ``faults`` is injected into
+the daemon's environment as ``REPRO_FAULTS``, so the drill can run with
+worker crashes on top of the daemon crash.  Throughput is not measured
+here: that is perfbench's ``serve`` workload.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.stats import percentile
 from repro.supervision.atomicio import atomic_write_json
-
-#: Terminal job states a poller can observe.
-_TERMINAL = ("done", "failed", "shed", "cancelled")
 
 
 def corpus_mix(
-    corpus: Sequence[Path],
-    count: int,
-    duplicate_fraction: float = 0.5,
-    seed: int = 0,
+    corpus: Sequence[Path], count: int, seed: int = 0
 ) -> List[str]:
     """``count`` DDG texts sampled from ``corpus`` with forced repeats.
 
-    ``duplicate_fraction`` of the mix re-submits already-chosen loops,
-    guaranteeing the coalescer and the store tier have duplicates to
-    collapse; the rest cycles fresh files deterministically.
+    About half the mix re-submits already-chosen loops, so the restarted
+    daemon has duplicates to re-coalesce; the rest cycles fresh files
+    deterministically.
     """
     paths = sorted(corpus)
     if not paths:
@@ -63,7 +46,7 @@ def corpus_mix(
     texts: List[str] = []
     fresh = 0
     for _ in range(count):
-        if texts and rng.random() < duplicate_fraction:
+        if texts and rng.random() < 0.5:
             texts.append(rng.choice(texts))
         else:
             texts.append(
@@ -71,175 +54,6 @@ def corpus_mix(
             )
             fresh += 1
     return texts
-
-
-class PhaseResult:
-    """Counters for one load phase (thread-safe accumulation)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.accepted = 0
-        self.refused: Dict[str, int] = {}
-        self.completed = 0
-        self.failed = 0
-        self.latencies: List[float] = []
-        self.job_ids: List[str] = []
-        self.wall_seconds = 0.0
-
-    def record_accept(self, job_id: str) -> None:
-        with self._lock:
-            self.submitted += 1
-            self.accepted += 1
-            self.job_ids.append(job_id)
-
-    def record_refusal(self, status: int) -> None:
-        with self._lock:
-            self.submitted += 1
-            key = str(status)
-            self.refused[key] = self.refused.get(key, 0) + 1
-
-    def record_outcome(self, state: str, latency: float) -> None:
-        with self._lock:
-            if state == "done":
-                self.completed += 1
-                self.latencies.append(latency)
-            else:
-                self.failed += 1
-
-    def to_json_dict(self) -> dict:
-        finished = self.completed + self.failed
-        return {
-            "phase": self.name,
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "refused": self.refused,
-            "completed": self.completed,
-            "failed": self.failed,
-            "error_rate": (self.failed / finished) if finished else 0.0,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "throughput_rps": (
-                round(finished / self.wall_seconds, 3)
-                if self.wall_seconds > 0 else None
-            ),
-            "p50_seconds": percentile(self.latencies, 0.50),
-            "p99_seconds": percentile(self.latencies, 0.99),
-        }
-
-
-def closed_loop(
-    client: ServeClient,
-    texts: Sequence[str],
-    machine: str,
-    concurrency: int = 4,
-    timeout: float = 120.0,
-    backend: str = "auto",
-    warmstart: bool = True,
-) -> PhaseResult:
-    """Drive ``texts`` with ``concurrency`` submit-and-wait workers."""
-    result = PhaseResult("closed_loop")
-    queue = list(texts)
-    lock = threading.Lock()
-    start = time.monotonic()
-
-    def worker(worker_id: int) -> None:
-        while True:
-            with lock:
-                if not queue:
-                    return
-                text = queue.pop()
-            try:
-                doc = client.submit(
-                    text, machine, backend=backend,
-                    warmstart=warmstart,
-                    client=f"closed-{worker_id}",
-                )
-            except ServeError as exc:
-                result.record_refusal(exc.status)
-                continue
-            except OSError:
-                result.record_refusal(0)
-                continue
-            result.record_accept(doc["job"])
-            submitted = time.monotonic()
-            try:
-                final = client.wait_for(doc["job"], timeout=timeout)
-            except (TimeoutError, ServeError, OSError):
-                result.record_outcome("failed", 0.0)
-                continue
-            result.record_outcome(
-                final.get("state", "failed"),
-                time.monotonic() - submitted,
-            )
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    result.wall_seconds = time.monotonic() - start
-    return result
-
-
-def open_loop(
-    client: ServeClient,
-    texts: Sequence[str],
-    machine: str,
-    rate: float = 10.0,
-    timeout: float = 120.0,
-    backend: str = "auto",
-    warmstart: bool = True,
-    on_accept=None,
-) -> PhaseResult:
-    """Submit at a fixed arrival rate, then collect every accepted job.
-
-    ``on_accept(job_id)`` (when given) fires after each acceptance —
-    the kill-and-restart differential uses it to know exactly which
-    jobs the daemon owed an answer for at SIGKILL time.
-    """
-    result = PhaseResult("open_loop")
-    interval = 1.0 / rate if rate > 0 else 0.0
-    start = time.monotonic()
-    for index, text in enumerate(texts):
-        target = start + index * interval
-        delay = target - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        try:
-            doc = client.submit(
-                text, machine, backend=backend,
-                warmstart=warmstart, client="open",
-            )
-        except ServeError as exc:
-            result.record_refusal(exc.status)
-            continue
-        except OSError:
-            result.record_refusal(0)
-            continue
-        result.record_accept(doc["job"])
-        if on_accept is not None:
-            on_accept(doc["job"])
-    for job_id in list(result.job_ids):
-        submitted = time.monotonic()
-        try:
-            final = client.wait_for(job_id, timeout=timeout)
-        except (TimeoutError, ServeError, OSError):
-            result.record_outcome("failed", 0.0)
-            continue
-        result.record_outcome(
-            final.get("state", "failed"),
-            time.monotonic() - submitted,
-        )
-    result.wall_seconds = time.monotonic() - start
-    return result
-
-
-# ----------------------------------------------------------------------
-# managed mode: daemon lifecycle + the kill/restart differential
 
 
 class DaemonHandle:
@@ -289,19 +103,10 @@ class DaemonHandle:
         raise RuntimeError("daemon bound a port but never became healthy")
 
     def kill(self) -> None:
-        """SIGKILL — the crash the restart differential recovers from."""
+        """SIGKILL — the crash the drill recovers from."""
         if self.process is not None and self.process.poll() is None:
             self.process.send_signal(signal.SIGKILL)
             self.process.wait(timeout=10)
-
-    def terminate(self, timeout: float = 60.0) -> int:
-        """SIGTERM and wait: the graceful-drain exit."""
-        if self.process is None:
-            return 0
-        if self.process.poll() is None:
-            self.process.terminate()
-            self.process.wait(timeout=timeout)
-        return self.process.returncode or 0
 
     def cleanup(self) -> None:
         self.kill()
@@ -309,151 +114,94 @@ class DaemonHandle:
             os.unlink(self._port_file)
 
 
-def run_benchmark(
+def run_drill(
     corpus: Sequence[Path],
     machine: str,
     out: Path,
     requests: int = 30,
-    concurrency: int = 4,
-    workers: int = 2,
-    open_rate: float = 8.0,
     time_limit: float = 5.0,
     backend: str = "auto",
     warmstart: bool = True,
-    kill_restart: bool = True,
     faults: Optional[str] = None,
     seed: int = 0,
-    work_dir: Optional[Path] = None,
 ) -> dict:
-    """Managed benchmark: boot, load, SIGKILL, restart, verify, report.
+    """Boot, submit, SIGKILL, restart, wait for every job, drain.
 
-    Returns the BENCH document (also written atomically to ``out``):
-    per-phase throughput/latency/error-rate, the daemon's own ``/stats``
-    snapshot (coalesce + tier hit counters, breaker states, failure
-    taxonomy), and the restart differential — accepted-at-kill job ids
-    vs. jobs terminal after resume, which must lose nothing.
+    Returns the drill document (also written atomically to ``out``):
+    ``restart`` holds the accepted-before-kill count, how many of those
+    jobs the restarted daemon brought to a terminal state, their states
+    and the ``lost_jobs`` (must be empty); ``resumed`` is how many jobs
+    the restarted daemon re-admitted from the journal (those the kill
+    caught unfinished); ``drain`` and ``exit_code`` record the final
+    graceful drain.
     """
-    work = Path(work_dir) if work_dir else Path(tempfile.mkdtemp(
-        prefix="repro-loadgen-"
-    ))
-    work.mkdir(parents=True, exist_ok=True)
-    journal = work / "serve.journal.jsonl"
-    store = work / "store"
-    daemon_args = [
-        "--workers", str(workers),
-        "--time-limit", str(time_limit),
-        "--journal", str(journal),
-        "--store", str(store),
-        "--deadline", "60",
-    ]
-    env = {}
-    if faults:
-        env["REPRO_FAULTS"] = faults
-    env.setdefault("REPRO_FSYNC", os.environ.get("REPRO_FSYNC", "off"))
-    texts = corpus_mix(corpus, requests, seed=seed)
-    split = max(1, len(texts) // 2)
-    handle = DaemonHandle(daemon_args, env=env)
-    phases = []
-    restart_report: Optional[dict] = None
-    try:
-        client = handle.start()
-        closed = closed_loop(
-            client, texts[:split], machine,
-            concurrency=concurrency, backend=backend,
-            warmstart=warmstart,
-        )
-        phases.append(closed)
-        stats_before_kill: dict = {"counters": {}}
-        accepted_before_kill: List[str] = []
-        if kill_restart:
-            # Snapshot the first incarnation's counters now: the
-            # SIGKILL below erases its in-memory stats (the journal
-            # keeps the jobs).
-            stats_before_kill = client.stats()
-            # SIGKILL the daemon the moment the open-loop phase has
-            # accepted a few jobs it has not finished: the journal now
-            # owes answers it never delivered.
-            kill_after = max(2, min(4, len(texts) - split))
-
-            def maybe_kill(job_id: str) -> None:
-                accepted_before_kill.append(job_id)
-                if len(accepted_before_kill) == kill_after:
-                    handle.kill()
-
-            interrupted = open_loop(
-                client, texts[split:], machine, rate=open_rate,
-                backend=backend, warmstart=warmstart,
-                timeout=5.0, on_accept=maybe_kill,
-            )
-            phases.append(interrupted)
-            client = handle.start()  # same journal: resume
-            lost, states = [], {}
-            for job_id in accepted_before_kill:
+    with tempfile.TemporaryDirectory(prefix="repro-drill-") as tmp:
+        work = Path(tmp)
+        daemon_args = [
+            "--time-limit", str(time_limit),
+            "--journal", str(work / "serve.journal.jsonl"),
+            "--store", str(work / "store"),
+            "--deadline", "60",
+        ]
+        env = {"REPRO_FSYNC": os.environ.get("REPRO_FSYNC", "off")}
+        if faults:
+            env["REPRO_FAULTS"] = faults
+        texts = corpus_mix(corpus, requests, seed=seed)
+        handle = DaemonHandle(daemon_args, env=env)
+        try:
+            client = handle.start()
+            accepted: List[str] = []
+            refused: Dict[str, int] = {}
+            for index, text in enumerate(texts):
                 try:
-                    final = client.wait_for(job_id, timeout=120.0)
-                    states[job_id] = final.get("state")
-                    if final.get("state") not in _TERMINAL:
-                        lost.append(job_id)
+                    # One client name per request: the drill is about the
+                    # crash, not the per-client rate limit.
+                    doc = client.submit(
+                        text, machine, backend=backend, warmstart=warmstart,
+                        client=f"drill-{index}",
+                    )
+                except ServeError as exc:
+                    key = str(exc.status)
+                    refused[key] = refused.get(key, 0) + 1
+                    continue
+                accepted.append(doc["job"])
+            # The journal now owes answers for the jobs still queued or
+            # solving; the crash erases everything else the daemon knew.
+            handle.kill()
+            client = handle.start()  # same journal: resume
+            resumed = client.stats()["counters"].get("resumed", 0)
+            lost, states = [], {}
+            for job_id in accepted:
+                try:
+                    states[job_id] = client.wait_for(job_id)["state"]
                 except (TimeoutError, ServeError, OSError):
                     lost.append(job_id)
-            restart_report = {
-                "accepted_before_kill": len(accepted_before_kill),
-                "resumed_terminal": len(states),
-                "lost_jobs": lost,
-                "states": states,
+            daemon_stats = client.stats()
+            drained = client.drain()
+            try:
+                exit_code = handle.process.wait(timeout=60.0)
+            except subprocess.TimeoutExpired:
+                exit_code = None
+            doc = {
+                "drill": "serve_crash",
+                "machine": machine,
+                "requests": requests,
+                "backend": backend,
+                "warmstart": warmstart,
+                "faults": faults,
+                "refused": refused,
+                "resumed": resumed,
+                "restart": {
+                    "accepted_before_kill": len(accepted),
+                    "resumed_terminal": len(states),
+                    "lost_jobs": lost,
+                    "states": states,
+                },
+                "daemon_stats": daemon_stats,
+                "drain": drained,
+                "exit_code": exit_code,
             }
-        else:
-            phases.append(open_loop(
-                client, texts[split:], machine, rate=open_rate,
-                backend=backend, warmstart=warmstart,
-            ))
-        daemon_stats = client.stats()
-        # End-to-end error rate over every accepted job: steady-state
-        # failures, plus the post-restart verdicts of the jobs the kill
-        # interrupted (their in-phase "failed" was just a dead client).
-        finished = closed.completed + closed.failed
-        failed = closed.failed
-        if restart_report is not None:
-            finished += restart_report["resumed_terminal"]
-            failed += sum(
-                1 for state in restart_report["states"].values()
-                if state != "done"
-            )
-        else:
-            finished += phases[-1].completed + phases[-1].failed
-            failed += phases[-1].failed
-
-        def _summed(counter: str) -> int:
-            return (
-                stats_before_kill["counters"].get(counter, 0)
-                + daemon_stats["counters"].get(counter, 0)
-            )
-
-        drained = client.drain()
-        deadline = time.monotonic() + 60.0
-        while handle.process.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.1)
-        doc = {
-            "bench": "serve_loadgen",
-            "machine": machine,
-            "requests": requests,
-            "workers": workers,
-            "backend": backend,
-            "warmstart": warmstart,
-            "faults": faults,
-            "phases": [p.to_json_dict() for p in phases],
-            "coalesce_hits": _summed("coalesced"),
-            "store_hits": (
-                _summed("store_hits") + _summed("coalesce_store_hits")
-            ),
-            "error_rate": (failed / finished) if finished else 0.0,
-            "breakers": daemon_stats["breakers"],
-            "failure_kinds": daemon_stats["failure_kinds"],
-            "daemon_stats": daemon_stats,
-            "restart": restart_report,
-            "drain": drained,
-        }
-        atomic_write_json(out, doc)
-        return doc
-    finally:
-        handle.cleanup()
+            atomic_write_json(out, doc)
+            return doc
+        finally:
+            handle.cleanup()

@@ -61,6 +61,9 @@ _MAX_WAIT = 0.25
 #: Signals blocked in the forking thread while a worker starts.
 _WORKER_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
+#: How often an idle worker checks that its supervisor is still alive.
+_ORPHAN_CHECK_S = 1.0
+
 
 class SupervisedTask:
     """One unit of work and its outcome (result *or* failure, never a raise)."""
@@ -123,8 +126,16 @@ def _worker_main(conn, initializer, initargs, memory_mb) -> None:
             pass  # unsupported platform / cap below current usage
     if initializer is not None:
         initializer(*initargs)
+    supervisor = os.getppid()
     while True:
         try:
+            # A forked worker holds copies of the parent-side pipe ends
+            # (its own and its older siblings'), so a supervisor killed
+            # by SIGKILL never shows up here as EOF.  Being re-parented
+            # does: exit rather than linger as an orphan forever.
+            while not conn.poll(_ORPHAN_CHECK_S):
+                if os.getppid() != supervisor:
+                    return
             message = conn.recv()
         except (EOFError, OSError):
             break

@@ -225,9 +225,9 @@ class TestBatchCli:
         assert code == 0
         assert "2 loop(s)" in capsys.readouterr().out
 
-    def test_race_subcommand(self, capsys):
+    def test_schedule_jobs_subcommand(self, capsys):
         code = main([
-            "race", "--kernel", "motivating", "--machine", "motivating",
+            "schedule", "--kernel", "motivating", "--machine", "motivating",
             "--jobs", "2",
         ])
         assert code == 0

@@ -1,10 +1,10 @@
-"""Unit tests for the multiprocess period racer."""
+"""Unit tests for racing candidate periods: ``schedule_loop(jobs=N)``."""
 
 import pytest
 
 from repro.core import schedule_loop, verify_schedule
 from repro.core.errors import SchedulingError
-from repro.core.scheduler import AttemptConfig, attempt_period
+from repro.core.scheduler import CANCELLED, AttemptConfig, attempt_period
 from repro.ddg import Ddg
 from repro.ddg.kernels import motivating_example
 from repro.machine.presets import (
@@ -12,8 +12,6 @@ from repro.machine.presets import (
     nonpipelined_machine,
     powerpc604,
 )
-from repro.parallel import race_periods
-from repro.parallel.race import CANCELLED
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +51,7 @@ class TestAttemptPeriod:
 class TestRaceMatchesSequential:
     def test_motivating_loop(self, machine):
         seq = schedule_loop(motivating_example(), machine)
-        par = race_periods(motivating_example(), machine, jobs=2)
+        par = schedule_loop(motivating_example(), machine, jobs=2)
         assert par.achieved_t == seq.achieved_t == 4
         assert par.is_rate_optimal_proven and seq.is_rate_optimal_proven
         assert par.bounds == seq.bounds
@@ -61,14 +59,14 @@ class TestRaceMatchesSequential:
 
     def test_inline_path_identical(self, machine):
         seq = schedule_loop(motivating_example(), machine)
-        par = race_periods(motivating_example(), machine, jobs=1)
+        par = schedule_loop(motivating_example(), machine, jobs=1)
         assert par.achieved_t == seq.achieved_t
         assert [
             (a.t_period, a.status) for a in par.attempts
         ] == [(a.t_period, a.status) for a in seq.attempts]
 
     def test_counting_only_relaxation(self, machine):
-        par = race_periods(
+        par = schedule_loop(
             motivating_example(), machine, mapping=False, jobs=2
         )
         assert par.achieved_t == 3
@@ -78,7 +76,7 @@ class TestRaceMatchesSequential:
         machine = nonpipelined_machine(div_units=2, div_time=4)
         g = Ddg("single")
         g.add_op("d", "div")
-        par = race_periods(g, machine, jobs=2)
+        par = schedule_loop(g, machine, jobs=2)
         seq = schedule_loop(g, machine)
         assert par.achieved_t == seq.achieved_t == 4
         skipped = [
@@ -98,7 +96,7 @@ class TestRaceMatchesSequential:
         g = Ddg("solo")
         g.add_op("a", "op")
         seq = schedule_loop(g, machine, repair_modulo=True)
-        par = race_periods(g, machine, repair_modulo=True, jobs=2)
+        par = schedule_loop(g, machine, repair_modulo=True, jobs=2)
         # T=2 violates the modulo constraint but delay insertion
         # recovers it — in both drivers.
         assert seq.achieved_t == par.achieved_t == 2
@@ -110,7 +108,7 @@ class TestRaceMatchesSequential:
         g = Ddg("single")
         g.add_op("d", "div")
         seq = schedule_loop(g, machine, repair_modulo=True)
-        par = race_periods(g, machine, repair_modulo=True, jobs=2)
+        par = schedule_loop(g, machine, repair_modulo=True, jobs=2)
         assert par.achieved_t == seq.achieved_t == 4
         assert [
             (a.t_period, a.status)
@@ -120,14 +118,14 @@ class TestRaceMatchesSequential:
 
 class TestRaceBookkeeping:
     def test_attempts_sorted_by_period(self, machine):
-        par = race_periods(motivating_example(), machine, jobs=3)
+        par = schedule_loop(motivating_example(), machine, jobs=3)
         periods = [a.t_period for a in par.attempts]
         assert periods == sorted(periods)
 
     def test_periods_beyond_winner_cancelled_or_resolved(self, machine):
         # warmstart=False: the heuristic would cap the candidate range
         # at its II, leaving no periods beyond the winner to cancel.
-        par = race_periods(
+        par = schedule_loop(
             motivating_example(), machine, jobs=2, max_extra=10,
             warmstart=False,
         )
@@ -140,12 +138,12 @@ class TestRaceBookkeeping:
             )
 
     def test_no_cancellations_below_winner(self, machine):
-        par = race_periods(motivating_example(), machine, jobs=4)
+        par = schedule_loop(motivating_example(), machine, jobs=4)
         below = [a for a in par.attempts if a.t_period < par.achieved_t]
         assert all(a.status != CANCELLED for a in below)
 
     def test_budget_exhausted_returns_none_schedule(self, machine):
-        par = race_periods(
+        par = schedule_loop(
             motivating_example(), machine, max_extra=0, jobs=2
         )
         assert par.schedule is None
@@ -154,18 +152,11 @@ class TestRaceBookkeeping:
 
     def test_bad_jobs_rejected(self, machine):
         with pytest.raises(SchedulingError, match="jobs must be >= 1"):
-            race_periods(motivating_example(), machine, jobs=0)
+            schedule_loop(motivating_example(), machine, jobs=0)
 
     def test_bad_max_extra_rejected(self, machine):
         with pytest.raises(SchedulingError, match="max_extra"):
-            race_periods(motivating_example(), machine, max_extra=-1)
-
-    def test_window_of_one_still_wins(self, machine):
-        par = race_periods(
-            motivating_example(), machine, jobs=2, window=1
-        )
-        assert par.achieved_t == 4
-        assert par.is_rate_optimal_proven
+            schedule_loop(motivating_example(), machine, max_extra=-1)
 
 
 class TestRaceOnRealMachine:
@@ -181,7 +172,7 @@ class TestRaceOnRealMachine:
         g.add_dep("a", "st")
         g.add_dep("a", "a", distance=1)
         seq = schedule_loop(g, machine)
-        par = race_periods(g, machine, jobs=2)
+        par = schedule_loop(g, machine, jobs=2)
         assert par.achieved_t == seq.achieved_t
         assert par.is_rate_optimal_proven == seq.is_rate_optimal_proven
         verify_schedule(par.schedule)

@@ -292,7 +292,7 @@ class TestHealthyRunEquivalence:
         inline = schedule_loop(ddg, machine, time_limit_per_t=10.0)
         supervised = schedule_loop(
             ddg, machine, time_limit_per_t=10.0,
-            supervision=SupervisionPolicy(deadline=120.0),
+            policy=SupervisionPolicy(deadline=120.0),
         )
         assert (supervised.schedule.t_period
                 == inline.schedule.t_period)

@@ -317,6 +317,10 @@ class TestBreakerConfinement:
         assert doc["state"] == "failed"
         assert doc["failure"]["kind"] == "crash"
         assert host.daemon.breaker.state("bnb") == "open"
+        # Each failed job counts once, under its taxonomy kind.
+        stats = client.stats()
+        assert stats["failure_kinds"] == {"crash": 1}
+        assert stats["counters"]["failed"] == 1
 
         # 2. Direct submissions to it are refused up front (503).
         status, body = client.submit_raw(DOT, MACHINE, backend="bnb")

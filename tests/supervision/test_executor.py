@@ -375,3 +375,60 @@ class TestSignalIsolation:
 
         asyncio.run(main())
         assert fired == []
+
+
+_ORPHAN_SCRIPT = """
+import json, sys, time
+from repro.supervision.executor import SupervisedExecutor
+
+executor = SupervisedExecutor(max_workers=2)
+for _ in range(2):
+    executor.submit(time.sleep, 0.2)
+while executor.outstanding():
+    executor.poll(timeout=0.1)
+print(json.dumps([p.pid for p in executor.live_children()]), flush=True)
+time.sleep(120)
+"""
+
+
+def _gone(pid):
+    """True once ``pid`` has exited (an unreaped zombie counts)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+class TestOrphanedWorkers:
+    """Workers outlive a SIGKILLed supervisor by about a second only."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads worker state from /proc")
+    def test_workers_exit_after_supervisor_is_killed(self):
+        import json
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            pids = json.loads(supervisor.stdout.readline())
+        finally:
+            supervisor.kill()
+            supervisor.wait(timeout=10)
+            supervisor.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not all(map(_gone, pids)):
+            time.sleep(0.1)
+        lingering = [pid for pid in pids if not _gone(pid)]
+        for pid in lingering:
+            os.kill(pid, signal.SIGKILL)
+        assert lingering == []

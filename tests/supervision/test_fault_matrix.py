@@ -22,7 +22,7 @@ from repro.ddg.builders import serialize_ddg
 from repro.ddg.generators import GeneratorConfig, random_ddg
 from repro.ddg.kernels import motivating_example
 from repro.machine.presets import motivating_machine, powerpc604
-from repro.parallel import race_periods, run_batch
+from repro.parallel import run_batch
 from repro.supervision import faults
 from repro.supervision.faults import ENV_VAR
 from repro.supervision.records import (
@@ -73,7 +73,7 @@ def _failed(result, kind):
 
 
 class TestSequentialSupervised:
-    """schedule_loop(..., supervision=policy) survives every fault."""
+    """schedule_loop(..., policy=policy) survives every fault."""
 
     def test_crash_retried_then_recorded_and_sweep_continues(
         self, monkeypatch, ddg, machine
@@ -81,7 +81,7 @@ class TestSequentialSupervised:
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
         result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=RETRY_ONE
+            ddg, machine, time_limit_per_t=10.0, policy=RETRY_ONE
         )
         (crashed,) = _failed(result, CRASH)
         assert crashed.t_period == t_lb
@@ -102,7 +102,7 @@ class TestSequentialSupervised:
         )
         start = time.monotonic()
         result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=HANG_KILL
+            ddg, machine, time_limit_per_t=10.0, policy=HANG_KILL
         )
         (hung,) = _failed(result, HANG)
         assert hung.t_period == t_lb
@@ -116,7 +116,7 @@ class TestSequentialSupervised:
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"oom@attempt:t={t_lb}:mb=16")
         result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=RETRY_ONE
+            ddg, machine, time_limit_per_t=10.0, policy=RETRY_ONE
         )
         (oomed,) = _failed(result, OOM)
         assert oomed.failure.attempt == 1  # OOM is not retryable
@@ -127,7 +127,7 @@ class TestSequentialSupervised:
     ):
         monkeypatch.setenv(ENV_VAR, "malformed@solve:times=1")
         result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=NO_RETRY,
+            ddg, machine, time_limit_per_t=10.0, policy=NO_RETRY,
             # min_sum_t forces a real ILP solve at the heuristic's II.
             objective="min_sum_t",
         )
@@ -141,7 +141,7 @@ class TestSequentialSupervised:
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
         result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=NO_RETRY
+            ddg, machine, time_limit_per_t=10.0, policy=NO_RETRY
         )
         assert result.schedule.t_period > t_lb
         assert result.degraded
@@ -151,7 +151,7 @@ class TestSequentialSupervised:
     ):
         monkeypatch.setenv(ENV_VAR, "crash@attempt")
         result = schedule_loop(
-            ddg, machine, time_limit_per_t=10.0, supervision=NO_RETRY,
+            ddg, machine, time_limit_per_t=10.0, policy=NO_RETRY,
             # min_sum_t sends the heuristic's period to a real solve.
             objective="min_sum_t",
         )
@@ -180,7 +180,7 @@ class TestSequentialSupervised:
 
 
 class TestRaceSupervised:
-    """race_periods keeps racing through worker failures.
+    """schedule_loop(jobs=2) keeps racing through worker failures.
 
     Warm starts are disabled in the crash/hang/oom cells so more than
     one candidate reaches the pool and the race has survivors to keep
@@ -190,7 +190,7 @@ class TestRaceSupervised:
     def test_crash_does_not_abort_race(self, monkeypatch, ddg, machine):
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
-        result = race_periods(
+        result = schedule_loop(
             ddg, machine, jobs=2, time_limit_per_t=10.0,
             policy=RETRY_ONE, warmstart=False,
         )
@@ -213,7 +213,7 @@ class TestRaceSupervised:
         policy = SupervisionPolicy(deadline=2.0, grace=0.5,
                                    max_retries=0)
         start = time.monotonic()
-        result = race_periods(
+        result = schedule_loop(
             ddg, machine, jobs=2, time_limit_per_t=10.0, policy=policy,
             warmstart=False,
         )
@@ -227,7 +227,7 @@ class TestRaceSupervised:
     ):
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"oom@attempt:t={t_lb}:mb=16")
-        result = race_periods(
+        result = schedule_loop(
             ddg, machine, jobs=2, time_limit_per_t=10.0,
             policy=NO_RETRY, warmstart=False,
         )
@@ -242,7 +242,7 @@ class TestRaceSupervised:
         # attempt leaves no winner, and the race must degrade to the
         # verified heuristic incumbent instead of raising.
         monkeypatch.setenv(ENV_VAR, "crash@attempt")
-        result = race_periods(
+        result = schedule_loop(
             ddg, machine, jobs=2, time_limit_per_t=10.0,
             policy=NO_RETRY, objective="min_sum_t",
         )
@@ -255,7 +255,7 @@ class TestRaceSupervised:
         self, monkeypatch, ddg, machine
     ):
         monkeypatch.setenv(ENV_VAR, "crash@attempt")
-        result = race_periods(
+        result = schedule_loop(
             ddg, machine, jobs=2, time_limit_per_t=10.0,
             policy=NO_RETRY, objective="min_sum_t",
         )
@@ -279,7 +279,7 @@ class TestRaceSupervised:
 
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
-        result = race_periods(
+        result = schedule_loop(
             ddg, machine, jobs=2, time_limit_per_t=10.0,
             policy=NO_RETRY, warmstart=False,
         )
@@ -315,7 +315,7 @@ class TestRaceSupervised:
         t_lb = lower_bounds(ddg, machine).t_lb
         monkeypatch.setenv(ENV_VAR, f"crash@attempt:t={t_lb}")
         before = set(multiprocessing.active_children())
-        result = race_periods(
+        result = schedule_loop(
             ddg, machine, jobs=2, time_limit_per_t=10.0,
             policy=NO_RETRY, warmstart=False,
         )

@@ -139,6 +139,7 @@ class TestRemovedSwitches:
     @pytest.mark.parametrize("argv", [
         ["profile", "--kernel", "dotprod"],
         ["schedule", "--kernel", "dotprod", "--no-presolve"],
+        ["race", "--kernel", "dotprod"],
     ])
     def test_rejected_by_the_parser(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -204,19 +205,27 @@ class TestBackendValidation:
     """Settings no solver could run are refused before any work."""
 
     def test_portfolio_is_not_a_backend(self, capsys):
-        for command in ("race", "batch", "loadgen"):
+        for command in ("schedule", "batch", "loadgen"):
             with pytest.raises(SystemExit) as err:
                 main([command, "--backend", "portfolio"])
             assert err.value.code == 2
             assert "invalid choice: 'portfolio'" in capsys.readouterr().err
 
-    def test_race_rejects_a_bad_time_limit(self):
+    def test_schedule_rejects_a_bad_time_limit(self):
         with pytest.raises(SystemExit) as err:
             main([
-                "race", "--kernel", "dotprod", "--machine", "powerpc604",
-                "--time-limit", "-1",
+                "schedule", "--kernel", "dotprod", "--machine",
+                "powerpc604", "--time-limit", "-1",
             ])
-        assert "race: time_limit must be > 0" in str(err.value)
+        assert "schedule: time_limit must be > 0" in str(err.value)
+
+    def test_schedule_rejects_a_negative_max_extra(self):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "schedule", "--kernel", "dotprod", "--machine",
+                "powerpc604", "--max-extra", "-1",
+            ])
+        assert "schedule: max_extra must be >= 0" in str(err.value)
 
     def test_batch_rejects_a_bad_time_limit(self, tmp_path):
         path = tmp_path / "loop.ddg"
@@ -232,7 +241,7 @@ class TestBackendValidation:
         # --no-warmstart so the solve reaches the backend at all
         # instead of settling on the heuristic.
         code = main([
-            "race", "--kernel", "dotprod", "--machine", "powerpc604",
+            "schedule", "--kernel", "dotprod", "--machine", "powerpc604",
             "--backend", "bnb", "--time-limit", "5", "--no-warmstart",
         ])
         assert code == 0

@@ -1,9 +1,9 @@
 """Differential tests: sequential sweep vs. multiprocess period race.
 
-For every loop in ``corpus/``, :func:`repro.parallel.race_periods` must
-return the identical achieved period and the identical
-``is_rate_optimal_proven`` flag as :func:`repro.core.schedule_loop` —
-the racer is a pure wall-clock optimization, never a semantic change.
+For every loop in ``corpus/``, ``schedule_loop(jobs=2)`` must return the
+identical achieved period and the identical ``is_rate_optimal_proven``
+flag as the in-process :func:`repro.core.schedule_loop` — racing is a
+pure wall-clock optimization, never a semantic change.
 
 The corpus-wide sweeps (and everything under the pure-python ``bnb``
 backend) are marked ``slow`` and excluded from the default tier-1 run;
@@ -19,7 +19,7 @@ from repro.corpusgen import default_families, generate_corpus
 from repro.ddg.builders import parse_ddg
 from repro.ddg.generators import GenParams
 from repro.machine.presets import coreblocks, powerpc604
-from repro.parallel import race_periods, run_batch
+from repro.parallel import run_batch
 from repro.store.tiering import clear_tiers
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -41,7 +41,7 @@ def _assert_equivalent(path, machine, backend, time_limit):
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
         max_extra=30,
     )
-    par = race_periods(
+    par = schedule_loop(
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
         max_extra=30, jobs=2,
     )
@@ -128,7 +128,7 @@ def _assert_triple_equivalent(ddg, machine, backend, time_limit, store_root):
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
         max_extra=30,
     )
-    par = race_periods(
+    par = schedule_loop(
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
         max_extra=30, jobs=2,
     )

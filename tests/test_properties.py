@@ -29,7 +29,6 @@ from repro.core.scheduler import HEURISTIC
 from repro.ddg.generators import GeneratorConfig, random_ddg
 from repro.ilp.solution import SolveStatus
 from repro.machine.presets import powerpc604
-from repro.parallel import race_periods
 
 SEEDS = list(range(12))
 CONFIG = GeneratorConfig(min_ops=2, max_ops=12)
@@ -81,8 +80,8 @@ def test_sequential_driver_invariants(seed, machine):
 def test_parallel_driver_invariants(seed, machine):
     ddg = _random_loop(seed, machine)
     jobs = 2 if seed < 3 else 1  # a few seeds exercise the real pool
-    result = race_periods(ddg, machine, time_limit_per_t=10.0,
-                          max_extra=20, jobs=jobs)
+    result = schedule_loop(ddg, machine, time_limit_per_t=10.0,
+                           max_extra=20, jobs=jobs)
     assert result.schedule is not None, ddg.name
     _check_invariants(result, ddg, machine)
 
@@ -91,8 +90,8 @@ def test_parallel_driver_invariants(seed, machine):
 def test_drivers_agree_on_random_loops(seed, machine):
     ddg = _random_loop(seed, machine)
     seq = schedule_loop(ddg, machine, time_limit_per_t=10.0, max_extra=20)
-    par = race_periods(ddg, machine, time_limit_per_t=10.0, max_extra=20,
-                       jobs=2)
+    par = schedule_loop(ddg, machine, time_limit_per_t=10.0, max_extra=20,
+                        jobs=2)
     assert par.achieved_t == seq.achieved_t
     assert par.is_rate_optimal_proven == seq.is_rate_optimal_proven
 
