@@ -7,7 +7,6 @@ Commands
     cache        inspect/maintain the persistent schedule store
     analyze      pipeline-hazard analysis of a machine's FUs
     motivating   print the paper's §2 artifacts (Figures 1-4, Tables 1-2)
-    suite        run a synthetic corpus and print Table 4-style buckets
     list         show available kernels and machine presets
     gen          emit a seeded, manifest-reproducible loop corpus
     corpus       dump a synthetic loop corpus as .ddg files
@@ -134,6 +133,7 @@ def _print_store_line(result) -> None:
 
 def _cmd_schedule(args) -> int:
     from repro.core.errors import SchedulingError
+    from repro.core.scheduler import CANCELLED
     from repro.supervision import graceful_interrupts
 
     machine = _machine_of(args)
@@ -167,8 +167,13 @@ def _cmd_schedule(args) -> int:
     if args.explain:
         from repro.core.explain import explain_infeasibility
 
+        # Only the periods the sweep had to give up on: the achieved T
+        # and the cancelled periods above it need no diagnosis.
         for attempt in result.attempts:
-            if attempt.status in ("optimal", "feasible", "cancelled"):
+            if attempt.status == CANCELLED or (
+                result.schedule is not None
+                and attempt.t_period >= result.achieved_t
+            ):
                 continue
             diagnosis = explain_infeasibility(
                 ddg, machine, attempt.t_period, backend=args.backend,
@@ -387,21 +392,6 @@ def _cmd_motivating(args) -> int:
     from repro.experiments import motivating as motivating_experiment
 
     print(motivating_experiment.report())
-    return 0
-
-
-def _cmd_suite(args) -> int:
-    from repro.experiments.table4 import run_table4
-
-    machine = presets.by_name(args.machine)
-    loops = generators.suite(args.count, machine, seed=args.seed)
-    table = run_table4(
-        loops,
-        machine,
-        backend=args.backend,
-        time_limit_per_t=args.time_limit,
-    )
-    print(table.render())
     return 0
 
 
@@ -730,14 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         "motivating", help="print the paper's Section 2 artifacts"
     )
     p_motivating.set_defaults(func=_cmd_motivating)
-
-    p_suite = sub.add_parser("suite", help="run a synthetic corpus")
-    p_suite.add_argument("--count", type=int, default=100)
-    p_suite.add_argument("--seed", type=int, default=604)
-    p_suite.add_argument("--machine", default="powerpc604")
-    p_suite.add_argument("--backend", default="auto")
-    p_suite.add_argument("--time-limit", type=float, default=10.0)
-    p_suite.set_defaults(func=_cmd_suite)
 
     p_list = sub.add_parser("list", help="list kernels and machines")
     p_list.set_defaults(func=_cmd_list)

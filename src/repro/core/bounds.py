@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict
 
 from repro.ddg.analysis import t_dep
 from repro.ddg.graph import Ddg
@@ -74,30 +74,3 @@ def modulo_feasible_t(ddg: Ddg, machine: Machine, t_period: int) -> bool:
         machine.reservation_for(cls).modulo_feasible(t_period)
         for cls in ddg.classes_used()
     )
-
-
-def candidate_periods(
-    ddg: Ddg,
-    machine: Machine,
-    max_extra: int = 10,
-    include_infeasible: bool = False,
-) -> Iterator[int]:
-    """Periods to try, in increasing order, starting at ``T_lb``.
-
-    Yields up to ``max_extra + 1`` values; periods failing the modulo
-    scheduling constraint are skipped unless ``include_infeasible``.
-    """
-    t_lb = lower_bounds(ddg, machine).t_lb
-    for t_period in range(t_lb, t_lb + max_extra + 1):
-        if include_infeasible or modulo_feasible_t(ddg, machine, t_period):
-            yield t_period
-
-
-def infeasible_periods(
-    ddg: Ddg, machine: Machine, up_to: int
-) -> List[int]:
-    """Periods in ``[1, up_to]`` ruled out by the modulo constraint."""
-    return [
-        t for t in range(1, up_to + 1)
-        if not modulo_feasible_t(ddg, machine, t)
-    ]

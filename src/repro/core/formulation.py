@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bounds import modulo_feasible_t
 from repro.core.errors import CoreError, MappingError, ModuloInfeasibleError
-from repro.core.presolve import ALWAYS, MAYBE, NEVER, PresolveInfo, presolve
+from repro.core.presolve import ALWAYS, NEVER, PresolveInfo, presolve
 from repro.core.schedule import Schedule, greedy_mapping
 from repro.ddg.graph import Ddg
 from repro.ilp import LinExpr, Model, Solution, Variable, lin_sum
@@ -79,10 +79,6 @@ class FormulationOptions:
 
     mapping: Optional[bool] = None
     objective: str = "feasibility"
-    k_max: Optional[int] = None
-    symmetry_breaking: bool = True
-    enforce_modulo_constraint: bool = True
-    fu_costs: Dict[str, float] = field(default_factory=dict)
     #: Run the dependence-implied presolve (:mod:`repro.core.presolve`)
     #: before emitting the model: slot-window variable elimination, pair
     #: interference pruning, capacity row dedup.  Preserves feasibility
@@ -114,9 +110,7 @@ class Formulation:
         self.t_period = t_period
         self.options = options or FormulationOptions()
         ddg.validate_against(machine)
-        if self.options.enforce_modulo_constraint and not modulo_feasible_t(
-            ddg, machine, t_period
-        ):
+        if not modulo_feasible_t(ddg, machine, t_period):
             raise ModuloInfeasibleError(
                 f"T={t_period} violates the modulo scheduling constraint "
                 f"for loop {ddg.name!r}"
@@ -143,10 +137,6 @@ class Formulation:
         self.color_order: Dict[str, List[int]] = {}
         self.presolve_info: Optional[PresolveInfo] = None
         self.model_stats: Optional[ModelStats] = None
-        # Whether every usage expression is 0/1 at integer points (true
-        # whenever T satisfies the modulo scheduling constraint); several
-        # redundancy-based prunings rely on it.
-        self._u_binary = True
         self._elim_vars = 0
         self._elim_rows = 0
         self._elim_nnz = 0
@@ -208,11 +198,7 @@ class Formulation:
         ddg = self.ddg
         model = self.model
         n = ddg.num_ops
-        k_max = self.options.k_max or self._default_k_max()
-        self._u_binary = (
-            self.options.enforce_modulo_constraint
-            or modulo_feasible_t(ddg, machine, t_period)
-        )
+        k_max = self._default_k_max()
 
         colored = {
             fu: ops for fu, ops in self._ops_by_type().items()
@@ -392,8 +378,7 @@ class Formulation:
                         self._elim_rows += 1
                         self._elim_nnz += base_nnz
                         continue
-                    if (active and self._u_binary
-                            and contributors <= cap_floor):
+                    if active and contributors <= cap_floor:
                         self._elim_rows += 1
                         self._elim_nnz += base_nnz
                         continue
@@ -473,17 +458,15 @@ class Formulation:
             else:
                 ordered = list(op_indices)
             self.color_order[fu_name] = ordered
-            if self.options.symmetry_breaking:
-                if info is not None:
-                    for rank in range(min(len(ordered), fu.count - 1)):
-                        model.add(
-                            self.color[ordered[rank]] <= rank + 1,
-                            name=f"sym[{fu_name},{rank}]",
-                        )
-                else:
-                    first = op_indices[0]
-                    model.add(self.color[first] <= 1,
-                              name=f"sym[{fu_name}]")
+            if info is not None:
+                for rank in range(min(len(ordered), fu.count - 1)):
+                    model.add(
+                        self.color[ordered[rank]] <= rank + 1,
+                        name=f"sym[{fu_name},{rank}]",
+                    )
+            else:
+                first = op_indices[0]
+                model.add(self.color[first] <= 1, name=f"sym[{fu_name}]")
 
             stages = self.machine.stage_count(fu_name)
             for pos, i in enumerate(op_indices):
@@ -548,7 +531,7 @@ class Formulation:
                         for t in range(t_period):
                             u_i = usage.get((i, s, t))
                             u_j = usage.get((j, s, t))
-                            if (info is not None and self._u_binary
+                            if (info is not None
                                     and (u_i is None or u_j is None)):
                                 # One op can't occupy (s, t) at all: the
                                 # row is o >= U - 1 <= 0, vacuous.
@@ -597,10 +580,7 @@ class Formulation:
                 if not op_indices:
                     continue
                 var = self._count_var(fu_name)
-                cost = self.options.fu_costs.get(
-                    fu_name, self.machine.fu_type(fu_name).cost
-                )
-                terms.append(var * cost)
+                terms.append(var * self.machine.fu_type(fu_name).cost)
             model.minimize(lin_sum(terms))
         elif objective == "min_buffers":
             buffers = []

@@ -489,9 +489,6 @@ def attempt_period(
     # decode split, learned-clause counts, ...) ride along so reports
     # can break attempts down per backend.
     stats.update(solution.stats)
-    if solution.time_limit_clamped:
-        stats["effective_time_limit"] = solution.effective_time_limit
-        stats["time_limit_clamped"] = 1.0
     attempt = ScheduleAttempt(
         t_period=t_period,
         status=solution.status.value,
@@ -505,13 +502,6 @@ def attempt_period(
         backend=solution.backend,
     )
     return AttemptOutcome(attempt=attempt, schedule=schedule)
-
-
-def init_solver_budget(time_budget: Optional[float]) -> None:
-    """Worker initializer: cap every solve in this worker process."""
-    from repro.ilp import solve as solve_module
-
-    solve_module.set_process_time_budget(time_budget)
 
 
 def _period_verdict(outcome: AttemptOutcome) -> int:
@@ -657,7 +647,6 @@ def run_sweep(
         workers=workers, window=window, policy=policy,
         deadline=(policy.deadline if policy.deadline is not None
                   else config.time_limit),
-        initializer=init_solver_budget, initargs=(config.time_limit,),
     )
     with race:
         race.add(feed)

@@ -163,9 +163,3 @@ def cycle_ratio(ddg: Ddg, machine: "Machine", cycle: List[int]) -> Tuple[int, in
         total_latency += lat[src]
         total_distance += best.distance
     return total_latency, total_distance
-
-
-def strongly_connected_components(ddg: Ddg) -> List[List[int]]:
-    """SCCs of the DDG as lists of op indices (singletons included)."""
-    graph = ddg.to_networkx()
-    return [sorted(scc) for scc in nx.strongly_connected_components(graph)]

@@ -49,17 +49,6 @@ def unroll(ddg: Ddg, factor: int) -> Ddg:
     return unrolled
 
 
-def rename_ops(ddg: Ddg, prefix: str) -> Ddg:
-    """A copy of ``ddg`` with every op name prefixed (for composition)."""
-    renamed = Ddg(ddg.name)
-    for op in ddg.ops:
-        renamed.add_op(f"{prefix}{op.name}", op.op_class)
-    for dep in ddg.deps:
-        renamed.add_dep(dep.src, dep.dst, dep.distance, dep.kind,
-                        dep.latency)
-    return renamed
-
-
 def scrambled(ddg: Ddg, rng, name: str = "", prefix: str = "q") -> Ddg:
     """An isomorphic copy with renamed ops, shuffled op and dep order.
 
@@ -80,16 +69,3 @@ def scrambled(ddg: Ddg, rng, name: str = "", prefix: str = "q") -> Ddg:
         copy.add_dep(new_of_old[dep.src], new_of_old[dep.dst],
                      dep.distance, dep.kind, dep.latency)
     return copy
-
-
-def concatenate(first: Ddg, second: Ddg, name: str = "") -> Ddg:
-    """Disjoint union of two loop bodies (independent fused loops)."""
-    merged = Ddg(name or f"{first.name}+{second.name}")
-    for ddg, prefix in ((first, "a_"), (second, "b_")):
-        base = merged.num_ops
-        for op in ddg.ops:
-            merged.add_op(f"{prefix}{op.name}", op.op_class)
-        for dep in ddg.deps:
-            merged.add_dep(base + dep.src, base + dep.dst,
-                           dep.distance, dep.kind, dep.latency)
-    return merged

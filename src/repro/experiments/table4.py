@@ -28,6 +28,9 @@ from repro.machine import Machine
 #: The published Table 4 rows (delta-from-T_lb -> (#loops, mean nodes)).
 PAPER_TABLE4: Dict[int, tuple] = {0: (735, 6), 2: (20, 16), 4: (11, 17)}
 
+#: Periods tried above T_lb; the paper's largest bucket is T_lb + 4.
+MAX_EXTRA = 8
+
 
 @dataclass
 class Bucket:
@@ -99,46 +102,14 @@ class Table4:
 def run_table4(
     loops: List[Ddg],
     machine: Machine,
-    backend: str = "auto",
     time_limit_per_t: Optional[float] = 10.0,
-    max_extra: int = 8,
-    objective: str = "feasibility",
-    jobs: int = 1,
 ) -> Table4:
-    """Schedule every loop and bucket the outcomes.
-
-    ``jobs > 1`` fans the corpus out over the multiprocess batch runner
-    (:func:`repro.parallel.run_batch`); bucketing is identical either
-    way because both paths run the same per-attempt body.
-    """
+    """Schedule every loop and bucket the outcomes."""
     table = Table4()
-    if jobs > 1:
-        from repro.parallel import run_batch
-
-        report = run_batch(
-            loops,
-            machine,
-            backend=backend,
-            objective=objective,
-            time_limit_per_t=time_limit_per_t,
-            max_extra=max_extra,
-            jobs=jobs,
-        )
-        for entry in report.entries:
-            if entry.result is None:
-                raise RuntimeError(
-                    f"loop {entry.name!r} failed in batch: {entry.error}"
-                )
-            table.add(entry.result, entry.num_ops)
-        return table
     for ddg in loops:
         result = schedule_loop(
-            ddg,
-            machine,
-            backend=backend,
-            objective=objective,
-            time_limit_per_t=time_limit_per_t,
-            max_extra=max_extra,
+            ddg, machine, time_limit_per_t=time_limit_per_t,
+            max_extra=MAX_EXTRA,
         )
         table.add(result, ddg.num_ops)
     return table

@@ -59,26 +59,6 @@ class Table5:
         return "\n".join(lines)
 
 
-def run_table5_from_batch(report) -> Table5:
-    """Build Table 5 from a :class:`repro.parallel.BatchReport`.
-
-    Works from the entries' JSON form, so it handles both live results
-    and ``raw`` entries carried over from loaded reports or resume
-    journals.  Loops that errored inside the batch are skipped (they
-    have no attempt records to aggregate).
-    """
-    table = Table5()
-    for entry in report.entries:
-        doc = entry.to_json_dict()
-        if doc.get("error") is not None:
-            continue
-        seconds = sum(
-            a.get("seconds", 0.0) for a in doc.get("attempts", [])
-        )
-        _tally(table, seconds, doc.get("achieved_t") is not None)
-    return table
-
-
 def run_table5(results: Iterable[SchedulingResult]) -> Table5:
     """Summarize solver effort from per-loop scheduling results."""
     table = Table5()

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.ilp.model import Model, Variable
 from repro.ilp.simplex import LpEngine, LpResult
-from repro.ilp.solution import Solution, SolveStatus, relative_gap
+from repro.ilp.solution import MIP_GAP, Solution, SolveStatus, relative_gap
 from repro.ilp.standard import ArrayForm, start_vector, to_arrays
 
 #: A variable value within this distance of an integer counts as integral.
@@ -138,7 +138,6 @@ def _dive(
 def solve_bnb(
     model: Model,
     time_limit: Optional[float] = None,
-    gap: float = 1e-6,
     node_limit: int = 200000,
     mip_start: Optional[Dict[Variable, float]] = None,
 ) -> Solution:
@@ -203,7 +202,7 @@ def solve_bnb(
             timed_out = True
             break
         node = heapq.heappop(heap)
-        if node.bound >= incumbent_obj - gap:
+        if node.bound >= incumbent_obj - MIP_GAP:
             continue  # cannot improve the incumbent; LP never solved
         if node.x is not None:
             lp_obj, x = node.bound, node.x
@@ -213,7 +212,7 @@ def solve_bnb(
             if result.status != "optimal":
                 continue
             lp_obj, x = result.objective, result.x
-            if lp_obj >= incumbent_obj - gap:
+            if lp_obj >= incumbent_obj - MIP_GAP:
                 continue
         branch_var = _most_fractional(x, form.integrality)
         if branch_var is None:
@@ -224,7 +223,7 @@ def solve_bnb(
         probe = _round_probe(form, x, node.lb, node.ub)
         if probe is not None:
             probe_obj = float(form.c @ probe + form.c0)
-            if probe_obj < incumbent_obj - gap:
+            if probe_obj < incumbent_obj - MIP_GAP:
                 incumbent_obj = probe_obj
                 incumbent_x = probe
         value = x[branch_var]

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.ilp.model import Model, Variable
-from repro.ilp.solution import Solution, SolveStatus, relative_gap
+from repro.ilp.solution import MIP_GAP, Solution, SolveStatus, relative_gap
 from repro.ilp.standard import start_vector, to_arrays
 
 #: Slack added to the incumbent cutoff so the start itself stays feasible.
@@ -45,14 +45,13 @@ CUTOFF_EPS = 1e-6
 def solve_highs(
     model: Model,
     time_limit: Optional[float] = None,
-    gap: float = 1e-6,
     mip_start: Optional[Dict[Variable, float]] = None,
 ) -> Solution:
     """Solve ``model`` with scipy's HiGHS MILP interface."""
     start = time.monotonic()
     form = to_arrays(model)
     lower_seconds = time.monotonic() - start
-    options = {"mip_rel_gap": gap}
+    options = {"mip_rel_gap": MIP_GAP}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
 

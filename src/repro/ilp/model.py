@@ -425,20 +425,20 @@ class Model:
         self,
         backend: str = "auto",
         time_limit: Optional[float] = None,
-        gap: float = 1e-6,
         mip_start: Optional[Dict["Variable", float]] = None,
     ):
         """Solve the model and return a :class:`repro.ilp.Solution`.
 
         ``backend`` is ``"highs"`` (scipy/HiGHS), ``"bnb"`` (the built-in
-        branch-and-bound over the pure-python simplex), or ``"auto"``
-        (HiGHS when available, otherwise branch-and-bound).  ``mip_start``
-        optionally warm-starts the search with a feasible assignment.
+        branch-and-bound over the pure-python simplex), ``"sat"`` (CDCL,
+        for scheduling formulations only), or ``"auto"``, which is
+        HiGHS.  ``mip_start`` optionally warm-starts the search with a
+        feasible assignment.
         """
         from repro.ilp import solve as _solve
 
         return _solve.solve(self, backend=backend, time_limit=time_limit,
-                            gap=gap, mip_start=mip_start)
+                            mip_start=mip_start)
 
     def render(self, max_rows: Optional[int] = 40) -> str:
         """Human-readable model dump (debugging aid).

@@ -31,6 +31,11 @@ class SolveStatus(enum.Enum):
         return self in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
 
 
+#: Optimality tolerance of the MILP backends: HiGHS's relative
+#: ``mip_rel_gap`` and branch and bound's pruning slack.
+MIP_GAP = 1e-6
+
+
 def relative_gap(
     objective: Optional[float], bound: Optional[float]
 ) -> Optional[float]:
@@ -63,15 +68,6 @@ class Solution:
     lower_seconds: float = 0.0
     nodes: int = 0
     backend: str = ""
-    #: The time limit the backend actually ran under, after the
-    #: per-process budget clamp (see
-    #: :func:`repro.ilp.solve.set_process_time_budget`).  ``None``
-    #: means the solve was unbounded.
-    effective_time_limit: Optional[float] = None
-    #: True when the process budget shrank a caller-supplied
-    #: ``time_limit`` — deadline accounting needs to know the attempt
-    #: ran under a smaller budget than configured.
-    time_limit_clamped: bool = False
     #: Backend-specific counters (e.g. the SAT backend's conflict /
     #: learned-clause / phase-seconds numbers), merged into the
     #: attempt's ``model_stats`` by the scheduler.

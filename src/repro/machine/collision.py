@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.machine.errors import MachineError
 from repro.machine.reservation import ReservationTable
@@ -158,21 +158,6 @@ def minimum_average_latency(table: ReservationTable) -> Fraction:
     if best is None:  # pragma: no cover - diagram always has a cycle
         raise MachineError("state diagram has no cycle")
     return best
-
-
-def mal_bound(num_ops: int, copies: int, table: ReservationTable) -> int:
-    """MAL-refined resource bound: ``ceil(N * MAL / R)`` for one op class.
-
-    At least as strong as the busiest-stage bound
-    ``ceil(N * max_stage_usage / R)`` because ``MAL >= max_stage_usage``.
-    """
-    if num_ops < 0 or copies < 1:
-        raise MachineError("need num_ops >= 0 and copies >= 1")
-    if num_ops == 0:
-        return 1
-    mal = minimum_average_latency(table)
-    value = Fraction(num_ops) * mal / copies
-    return max(1, -(-value.numerator // value.denominator))
 
 
 def analyze(table: ReservationTable) -> Dict[str, object]:

@@ -43,7 +43,6 @@ from typing import Iterable, List, Optional, Sequence, Union
 from repro.core.scheduler import (
     AttemptConfig,
     SchedulingResult,
-    init_solver_budget,
     run_sweep,
 )
 from repro.ddg.builders import parse_ddg, serialize_ddg
@@ -67,36 +66,8 @@ from repro.supervision.records import (
     SupervisionPolicy,
 )
 
-#: Report schema version (bump on incompatible changes).
-#: v2: per-attempt ``model`` object carrying :class:`repro.ilp.model.
-#: ModelStats` fields (sizes, eliminated vars/rows/nnz, phase timings).
-#: v3: per-attempt ``bound``/``gap``/``warm_started`` fields and a
-#: per-entry ``warmstart`` object (heuristic II/MII, heuristic seconds,
-#: placement count, ILP-solve count, skipped-all-ILP flag).
-#: v4: structured failure taxonomy — per-attempt and per-entry
-#: ``failure`` objects (kind/attempt/retries/elapsed/detail, present
-#: only on failures), per-entry ``degraded`` flag, and journal-backed
-#: resume (resumed entries are carried over verbatim).
-#: v5: persistent schedule store — per-entry ``store`` object
-#: (hit/verified/tier/published/evicted/seconds) and ``schedule``
-#: payload (the full schedule, so journals/reports can warm a store via
-#: ``repro cache warm``), plus report-level ``store`` and ``cache``
-#: aggregates (store hit counts; per-process LRU hit/miss counters).
-#: v6: incremental sweep core — per-attempt ``model`` gains
-#: ``reused_rows``/``rebuilt_rows``/``analysis_seconds`` and a
-#: ``verify_seconds`` phase timing (or a ``cut_skip`` marker when a
-#: recycled infeasibility cut settled the attempt without a solve), and
-#: the report-level ``cache`` aggregate gains an ``incremental`` block
-#: (context registry, analysis reuse and cut-pool counters).
-#: v7: per-attempt ``backend`` (which solver produced the verdict),
-#: plus per-entry and report-level records of multi-backend races (no
-#: longer written: every sweep now runs on one backend).
-#: v8: degraded-settling provenance — entries with ``degraded: true``
-#: carry ``lost_cells``: one ``{t, backend, kind, detail}`` record per
-#: period cell that died without a verdict (supervision failures *and*
-#: cells cancelled above a win), so a degraded winner's missing proofs
-#: are auditable from the report alone.
-#: v9: the report-level ``cache`` aggregate is gone (entries unchanged).
+#: Report schema version (bump on incompatible changes; only the current
+#: version loads).
 #: v10: per-attempt ``model`` drops ``reused_rows``/``rebuilt_rows``/
 #: ``analysis_seconds`` and the ``cut_skip`` marker.
 REPORT_VERSION = 10
@@ -186,11 +157,6 @@ class BatchReport:
     jobs: int
     entries: List[BatchEntry] = field(default_factory=list)
     total_seconds: float = 0.0
-    #: Schema version of the document this report was loaded from (or
-    #: the current version for freshly-run batches).  Older documents
-    #: load fine (see :func:`load_report`); fields introduced later
-    #: simply read as absent.
-    version: int = REPORT_VERSION
 
     @property
     def scheduled(self) -> int:
@@ -263,17 +229,15 @@ class BatchReport:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BatchReport":
-        """Rehydrate a saved report document (any version >= 3).
+        """Rehydrate a saved report document of the current version.
 
-        Entries come back in ``raw`` form — the JSON is authoritative —
-        so fields absent from older versions read as missing rather
-        than defaulted wrongly.
+        Entries come back in ``raw`` form — the JSON is authoritative.
         """
-        version = int(doc.get("report_version", 0))
-        if version < 3:
+        version = doc.get("report_version")
+        if version != REPORT_VERSION:
             raise ValueError(
-                f"report version {version} is too old to load "
-                f"(supported: 3..{REPORT_VERSION})"
+                f"report version {version!r} is not supported "
+                f"(supported: {REPORT_VERSION})"
             )
         return cls(
             machine_name=doc.get("machine", "?"),
@@ -284,7 +248,6 @@ class BatchReport:
                 for e in doc.get("entries", [])
             ],
             total_seconds=float(doc.get("total_seconds", 0.0)),
-            version=version,
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -336,7 +299,7 @@ class BatchReport:
 
 
 def load_report(path) -> BatchReport:
-    """Load a saved batch report (any v3..v10 schema)."""
+    """Load a saved batch report (current schema version only)."""
     with open(path, encoding="utf-8") as handle:
         return BatchReport.from_json_dict(json.load(handle))
 
@@ -453,7 +416,9 @@ def _batch_digest(machine: Machine, config: AttemptConfig,
         machine_digest(machine),
         backend=config.backend,
         objective=config.objective,
-        mapping=config.mapping,
+        # Batches always resolve the mapping automatically; the key
+        # stays so that journals written when it was a setting resume.
+        mapping=None,
         time_limit=config.time_limit,
         # Verification is unconditional; the key stays so that journals
         # written when it was a setting keep their digest and resume.
@@ -470,8 +435,6 @@ def run_batch(
     paths: Sequence[LoopSource],
     machine: Machine,
     backend: str = "auto",
-    objective: str = "feasibility",
-    mapping: Optional[bool] = None,
     time_limit_per_t: Optional[float] = 10.0,
     max_extra: int = 10,
     jobs: Optional[int] = None,
@@ -508,8 +471,6 @@ def run_batch(
     policy = policy or SupervisionPolicy()
     config = AttemptConfig(
         backend=backend,
-        objective=objective,
-        mapping=mapping,
         time_limit=time_limit_per_t,
         warmstart=warmstart,
     )
@@ -556,10 +517,7 @@ def run_batch(
             )))
         # One cell to run gains nothing from a pool but its start-up.
         in_process = jobs == 1 or len(cells) <= 1
-        race = CellRace(
-            workers=0 if in_process else jobs, policy=policy,
-            initializer=init_solver_budget, initargs=(time_limit_per_t,),
-        )
+        race = CellRace(workers=0 if in_process else jobs, policy=policy)
         with race:
             race.add(cells)
             for cell in race.run():

@@ -37,7 +37,6 @@ from repro.sat.solver import SAT, UNSAT, CdclSolver
 def solve_sat(
     model: Model,
     time_limit: Optional[float] = None,
-    gap: float = 1e-6,
     mip_start: Optional[Dict[Variable, float]] = None,
 ) -> Solution:
     """Backend-dispatch entry point (called by :func:`repro.ilp.solve.solve`)."""

@@ -24,10 +24,11 @@ unified Eq. 22-25 model, post-presolve) into propositional clauses:
   conflict clauses, MAYBE pairs get a reservation-table collision
   indicator over exactly the colliding slot pairs).
 
-Only the feasibility objective is supported — the sweep's hot path —
-and only modulo-feasible periods (``u_binary``); anything else raises
-:class:`repro.sat.errors.SatEncodeError` so the dispatcher can fail
-fast with a clear message.
+Only the feasibility objective is supported — the sweep's hot path;
+any other raises :class:`repro.sat.errors.SatEncodeError` so the
+dispatcher can fail fast with a clear message.  Periods are always
+modulo-feasible (:class:`repro.core.Formulation` refuses the rest), so
+every usage expression is 0-1.
 """
 
 from __future__ import annotations
@@ -93,12 +94,6 @@ def encode_formulation(formulation) -> SatEncoding:
     start = time.monotonic()
     require_feasibility(formulation)
     formulation.build()
-    if not formulation._u_binary:
-        raise SatEncodeError(
-            "the sat backend requires a modulo-feasible period "
-            "(usage expressions must be 0-1); re-run with "
-            "repair_modulo or an ILP backend"
-        )
 
     encoding = SatEncoding()
     info = formulation.presolve_info
@@ -249,14 +244,13 @@ def encode_formulation(formulation) -> SatEncoding:
             lits = [cnf.new_var() for _ in range(count)]
             encoding.color_lits[i] = lits
             exactly_one(cnf, lits)
-        if formulation.options.symmetry_breaking:
-            if info is not None:
-                for rank in range(min(len(ordered), count - 1)):
-                    for r in range(rank + 1, count):
-                        cnf.add(-encoding.color_lits[ordered[rank]][r])
-            else:
-                for r in range(1, count):
-                    cnf.add(-encoding.color_lits[ordered[0]][r])
+        if info is not None:
+            for rank in range(min(len(ordered), count - 1)):
+                for r in range(rank + 1, count):
+                    cnf.add(-encoding.color_lits[ordered[rank]][r])
+        else:
+            for r in range(1, count):
+                cnf.add(-encoding.color_lits[ordered[0]][r])
         stages = machine.stage_count(fu_name)
         for pos, i in enumerate(ops):
             for j in ops[pos + 1:]:

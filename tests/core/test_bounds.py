@@ -1,11 +1,8 @@
 """Tests for initiation-interval lower bounds and period filtering."""
 
-import pytest
-
 from repro.core import bounds
 from repro.ddg import Ddg
 from repro.ddg.kernels import motivating_example
-from repro.machine import Machine, ReservationTable
 from repro.machine.presets import (
     clean_machine,
     motivating_machine,
@@ -91,37 +88,8 @@ class TestModuloFilter:
     def test_infeasible_periods_listing(self):
         machine = nonpipelined_machine(div_time=4)
         g = _loop_of("div", 1)
-        assert bounds.infeasible_periods(g, machine, 8) == [1, 2, 3]
-
-
-class TestCandidatePeriods:
-    def test_starts_at_t_lb(self):
-        machine = motivating_machine()
-        periods = list(bounds.candidate_periods(
-            motivating_example(), machine, max_extra=3
-        ))
-        assert periods == [3, 4, 5, 6]
-
-    def test_skips_modulo_infeasible(self):
-        machine = Machine("gappy")
-        machine.add_fu_type(
-            "X", count=1, table=ReservationTable([[1, 0, 0, 1]])
-        )  # forbidden latency 3
-        machine.add_op_class("op", "X", latency=4)
-        g = _loop_of("op", 1)
-        periods = list(bounds.candidate_periods(g, machine, max_extra=4))
-        # T_res = 2 (busiest stage used twice); T=3 violates the modulo rule.
-        assert 3 not in periods
-        assert periods[0] == 2
-
-    def test_include_infeasible_flag(self):
-        machine = Machine("gappy")
-        machine.add_fu_type(
-            "X", count=1, table=ReservationTable([[1, 0, 0, 1]])
-        )
-        machine.add_op_class("op", "X", latency=4)
-        g = _loop_of("op", 1)
-        periods = list(bounds.candidate_periods(
-            g, machine, max_extra=4, include_infeasible=True
-        ))
-        assert 3 in periods
+        ruled_out = [
+            t for t in range(1, 9)
+            if not bounds.modulo_feasible_t(g, machine, t)
+        ]
+        assert ruled_out == [1, 2, 3]

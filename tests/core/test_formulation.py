@@ -38,13 +38,6 @@ class TestConstruction:
         with pytest.raises(ModuloInfeasibleError):
             Formulation(g, machine, 2)
 
-    def test_modulo_check_can_be_disabled(self):
-        machine = nonpipelined_machine(div_time=4)
-        g = Ddg()
-        g.add_op("d", "div")
-        options = FormulationOptions(enforce_modulo_constraint=False)
-        Formulation(g, machine, 2, options)  # no raise
-
     def test_unknown_objective_rejected(self):
         with pytest.raises(CoreError, match="unknown objective"):
             FormulationOptions(objective="min_latency")
@@ -268,11 +261,3 @@ class TestSymmetryBreaking:
         solution = f.solve()
         first_fp = min(f.color)
         assert solution.int_value(f.color[first_fp]) == 1
-
-    def test_can_be_disabled(self):
-        options = FormulationOptions(symmetry_breaking=False)
-        f = Formulation(
-            motivating_example(), motivating_machine(), 4, options
-        )
-        model = f.build()
-        assert not any(c.name.startswith("sym[") for c in model.constraints)

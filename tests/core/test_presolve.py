@@ -111,14 +111,6 @@ class TestOrderedSymmetry:
         ]
         assert sym_rows == ["sym[FP,0]"]
 
-    def test_can_still_be_disabled(self):
-        options = FormulationOptions(symmetry_breaking=False)
-        f = Formulation(_fp_triangle(), motivating_machine(), 4, options)
-        model = f.build()
-        assert not any(
-            c.name.startswith("sym[") for c in model.constraints
-        )
-
 
 class TestDifferential:
     @pytest.mark.parametrize("backend", ("highs", "bnb"))

@@ -135,12 +135,6 @@ class TestStructure:
         g.add_dep("a", "b")
         assert not analysis.has_recurrence(g)
 
-    def test_sccs(self):
-        g = motivating_example()
-        sccs = analysis.strongly_connected_components(g)
-        assert [2] in sccs
-        assert sum(len(s) for s in sccs) == g.num_ops
-
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))

@@ -6,7 +6,7 @@ from repro.core import schedule_loop, verify_schedule
 from repro.ddg import Ddg, DdgError
 from repro.ddg.analysis import t_dep
 from repro.ddg.kernels import dot_product, livermore_kernel11, motivating_example
-from repro.ddg.transforms import concatenate, rename_ops, unroll
+from repro.ddg.transforms import unroll
 from repro.machine.presets import powerpc604
 
 
@@ -87,24 +87,3 @@ class TestUnrollSemantics:
         unrolled = schedule_loop(unroll(g, 2), machine, max_extra=20)
         assert unrolled.achieved_t is not None
         assert unrolled.achieved_t / 2 <= base
-
-
-class TestComposition:
-    def test_rename(self):
-        g = rename_ops(dot_product(), "x_")
-        assert "x_acc" in g
-        assert g.num_deps == dot_product().num_deps
-
-    def test_concatenate_disjoint(self):
-        merged = concatenate(dot_product(), livermore_kernel11())
-        assert merged.num_ops == (
-            dot_product().num_ops + livermore_kernel11().num_ops
-        )
-        assert "a_acc" in merged and "b_add" in merged
-
-    def test_concatenated_schedulable(self):
-        machine = powerpc604()
-        merged = concatenate(dot_product(), livermore_kernel11())
-        result = schedule_loop(merged, machine)
-        assert result.schedule is not None
-        verify_schedule(result.schedule)

@@ -1,8 +1,8 @@
 """Regression tests: solve() validates its parameters up front.
 
-Previously a non-positive time limit or negative gap flowed straight
-into the backends, where scipy silently treats ``time_limit <= 0`` as
-*no limit* — an unbounded solve where the caller asked for an instant
+Previously a non-positive time limit flowed straight into the
+backends, where scipy silently treats ``time_limit <= 0`` as *no
+limit* — an unbounded solve where the caller asked for an instant
 one.  :class:`SolverError` now fires before any backend is touched.
 """
 
@@ -10,11 +10,7 @@ import pytest
 
 from repro.ilp import Model
 from repro.ilp.errors import SolverError
-from repro.ilp.solve import (
-    process_time_budget,
-    set_process_time_budget,
-    solve,
-)
+from repro.ilp.solve import solve
 
 
 @pytest.fixture
@@ -24,12 +20,6 @@ def model():
     m.add(x >= 2)
     m.minimize(x)
     return m
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_budget():
-    yield
-    set_process_time_budget(None)
 
 
 @pytest.mark.parametrize("bad", [0, -1, -0.5, float("nan")])
@@ -47,45 +37,10 @@ def test_non_numeric_time_limit_rejected(model, bad):
         solve(model, time_limit=bad)
 
 
-@pytest.mark.parametrize("bad", [-1e-9, -1, float("nan"), "0", False])
-def test_bad_gap_rejected(model, bad):
-    with pytest.raises(SolverError, match="gap must be"):
-        solve(model, gap=bad)
-
-
-def test_zero_gap_allowed(model):
-    solution = solve(model, gap=0.0)
-    assert solution.status.has_solution
-    assert solution.objective == pytest.approx(2.0)
-
-
 def test_unknown_backend_rejected(model):
     with pytest.raises(SolverError, match="unknown backend"):
         solve(model, backend="cplex")
 
 
-class TestProcessTimeBudget:
-    def test_budget_roundtrip(self):
-        assert process_time_budget() is None
-        set_process_time_budget(5.0)
-        assert process_time_budget() == 5.0
-        set_process_time_budget(None)
-        assert process_time_budget() is None
-
-    def test_bad_budget_rejected(self):
-        with pytest.raises(SolverError, match="process time budget"):
-            set_process_time_budget(0)
-
-    def test_budget_caps_solves(self, model):
-        # An effectively-zero budget forces TIME_LIMIT even though the
-        # call itself asked for a generous limit.
-        set_process_time_budget(1e-9)
-        solution = solve(model, time_limit=100.0, backend="bnb")
-        assert solution.status.value in ("time_limit", "optimal")
-        # (tiny models may still finish within one node; the budget is
-        # what reached the backend either way)
-
-    def test_budget_applies_when_no_limit_given(self, model):
-        set_process_time_budget(30.0)
-        solution = solve(model)
-        assert solution.status.has_solution
+def test_auto_is_highs(model):
+    assert solve(model, backend="auto").backend == "highs"

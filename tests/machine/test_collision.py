@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +11,8 @@ from repro.machine.collision import (
     build_state_diagram,
     greedy_cycle,
     initial_collision_vector,
-    mal_bound,
     minimum_average_latency,
 )
-from repro.machine.errors import MachineError
 
 
 class TestCollisionVector:
@@ -91,24 +88,6 @@ class TestGreedyCycleAndMal:
         greedy_avg = Fraction(sum(greedy), len(greedy))
         assert mal <= greedy_avg
         assert mal >= table.max_stage_usage
-
-
-class TestMalBound:
-    def test_reduces_to_stage_bound_for_clean(self):
-        table = ReservationTable.clean(3)
-        assert mal_bound(6, 2, table) == 3  # ceil(6 * 1 / 2)
-
-    def test_non_pipelined(self):
-        table = ReservationTable.non_pipelined(4)
-        assert mal_bound(3, 1, table) == 12
-        assert mal_bound(3, 2, table) == 6
-
-    def test_zero_ops(self):
-        assert mal_bound(0, 1, ReservationTable.clean(1)) == 1
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(MachineError):
-            mal_bound(1, 0, ReservationTable.clean(1))
 
 
 class TestAnalyze:

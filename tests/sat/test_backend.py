@@ -23,7 +23,7 @@ from repro.ddg.kernels import motivating_example
 from repro.ilp import Model
 from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
-from repro.ilp.solve import set_process_time_budget, solve
+from repro.ilp.solve import solve
 from repro.machine.presets import motivating_machine, powerpc604
 from repro.sat import cardinality
 from repro.sat.encode import encode_formulation
@@ -35,12 +35,6 @@ CORPUS = pathlib.Path(__file__).resolve().parents[2] / "corpus"
 @pytest.fixture
 def machine():
     return motivating_machine()
-
-
-@pytest.fixture(autouse=True)
-def _clean_budget():
-    yield
-    set_process_time_budget(None)
 
 
 def _formulation(ddg, machine, t_period, **options):
@@ -186,28 +180,3 @@ class TestWarmStartAndMemo:
         solution = solve(f.model, backend="sat", mip_start=bogus)
         assert solution.status == SolveStatus.OPTIMAL
         assert "sat_warm_shortcircuit" not in solution.stats
-
-
-class TestBudgetClamp:
-    def test_process_budget_recorded_on_solution(self, machine):
-        f = _formulation(motivating_example(), machine, 4)
-        set_process_time_budget(5.0)
-        solution = solve(f.model, backend="sat", time_limit=60.0)
-        assert solution.effective_time_limit == 5.0
-        assert solution.time_limit_clamped
-
-    def test_unclamped_limit_not_flagged(self, machine):
-        f = _formulation(motivating_example(), machine, 4)
-        solution = solve(f.model, backend="sat", time_limit=60.0)
-        assert solution.effective_time_limit == 60.0
-        assert not solution.time_limit_clamped
-
-    def test_clamp_flows_into_attempt_stats(self, machine):
-        set_process_time_budget(5.0)
-        outcome = attempt_period(
-            motivating_example(), machine, 4,
-            AttemptConfig(backend="sat", time_limit=60.0),
-        )
-        stats = outcome.attempt.model_stats
-        assert stats.get("effective_time_limit") == 5.0
-        assert stats.get("time_limit_clamped") == 1.0
