@@ -16,12 +16,10 @@ neighbours rather than being patched in place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bounds import lower_bounds, modulo_feasible_t
-from repro.core.errors import SchedulingError
 from repro.core.schedule import Schedule
 from repro.ddg.graph import Ddg
 from repro.machine import Machine

@@ -19,7 +19,7 @@ ILP's T.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.baselines.modulo import ModuloScheduleResult, _Mrt
 from repro.core.bounds import lower_bounds, modulo_feasible_t

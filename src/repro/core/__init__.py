@@ -49,6 +49,7 @@ __all__ = [
     "Formulation",
     "FormulationOptions",
     "LowerBounds",
+    "MappingError",
     "ModuloInfeasibleError",
     "Schedule",
     "ScheduleAttempt",

@@ -217,10 +217,10 @@ class Formulation:
         if active:
             k_max = info.k_max
         if info is not None and info.infeasible:
-            # Dependence-infeasible at this T: record the verdict as a
-            # trivially unsatisfiable row (0 == 1) so every backend
-            # returns INFEASIBLE without search, then fall through to
-            # the plain encoding for introspection.
+            # No schedule at this T (see ``info.reason``): record the
+            # verdict as a trivially unsatisfiable row (0 == 1) so every
+            # backend returns INFEASIBLE without search, then fall
+            # through to the plain encoding for introspection.
             model.add(LinExpr() == 1, name="presolve_infeasible")
 
         # Variables: A matrix (windowed) and K vector (bounded).

@@ -5,6 +5,11 @@ Formulation` emits a single row, using only facts implied by the
 dependence constraints ``t_j - t_i >= sep_e - T * m_e`` and the modulo
 structure ``t_i = T*k_i + s_i``:
 
+**Infeasibility.**  A period with no schedule is ruled out with a reason:
+a positive dependence cycle, the resource floor, copy packing (the
+paper's §2 argument: a colored type's ops must split over its copies
+with no copy's stage used more than T times) or an empty slot window.
+
 **Slot windows.**  Longest paths over the dependence graph give each op an
 ``asap`` lower bound (implied by the constraints, so valid for every
 objective) and — via the componentwise-*minimal* solution of the
@@ -58,6 +63,10 @@ NEVER, ALWAYS, MAYBE = "never", "always", "maybe"
 #: Objectives for which the minimal-solution ``latest`` bounds are sound.
 _UB_OBJECTIVES = ("feasibility", "min_sum_t", "min_fu")
 
+#: Nodes the copy-packing search may visit before it gives up; also
+#: bounds its recursion depth.
+_PACK_NODE_CAP = 500
+
 #: Objectives invariant under a uniform schedule shift (anchorable).
 _SHIFT_INVARIANT = (
     "feasibility", "min_fu", "min_buffers", "min_lifetimes",
@@ -79,8 +88,10 @@ class PresolveInfo:
 
     t_period: int
     objective: str
-    #: Dependence-infeasible at this T (positive cycle / empty window).
-    infeasible: bool = False
+    #: Why no schedule exists at this T, or "" if presolve found no
+    #: reason: ``dependence_cycle``, ``resource_floor``, ``copy_packing``
+    #: or ``empty_window``.
+    reason: str = ""
     #: Op anchored to pattern slot 0, or None (min_sum_t, or disabled).
     anchor: Optional[int] = None
     #: Effective stage-count bound (may exceed the caller's k_max by one
@@ -98,6 +109,10 @@ class PresolveInfo:
         default_factory=dict
     )
     seconds: float = 0.0
+
+    @property
+    def infeasible(self) -> bool:
+        return bool(self.reason)
 
     def slot_allowed(self, op: int, slot: int) -> bool:
         window = self.slot_windows[op]
@@ -170,6 +185,54 @@ def _stage_offsets(
     )
 
 
+def _packs(
+    vectors: Sequence[Tuple[int, ...]], bins: int, capacity: int
+) -> bool:
+    """Whether ``vectors`` pack into ``bins`` bins holding at most
+    ``capacity`` on every component.
+
+    Exact depth-first search, largest vectors first, skipping a bin
+    whose load equals one already tried and any (next vector, load
+    multiset) state already refuted.  Past :data:`_PACK_NODE_CAP` nodes
+    it answers True ("may pack"), so False is always a proof.
+    """
+    order = sorted(vectors, key=lambda v: (sum(v), v), reverse=True)
+    refuted = set()
+    nodes = 0
+
+    def place(idx: int, loads: Tuple[Tuple[int, ...], ...]) -> bool:
+        nonlocal nodes
+        if idx == len(order):
+            return True
+        key = (idx, tuple(sorted(loads)))
+        if key in refuted:
+            return False
+        nodes += 1
+        if nodes > _PACK_NODE_CAP:
+            return True
+        tried = set()
+        for b, load in enumerate(loads):
+            if load in tried:
+                continue
+            tried.add(load)
+            grown = tuple(x + y for x, y in zip(load, order[idx]))
+            if max(grown) <= capacity and place(
+                idx + 1, loads[:b] + (grown,) + loads[b + 1:]
+            ):
+                return True
+        refuted.add(key)
+        return False
+
+    return place(0, ((0,) * len(order[0]),) * bins)
+
+
+def _ruled_out(info: PresolveInfo, reason: str, start: float) -> PresolveInfo:
+    info.reason = reason
+    info.slot_windows = [None] * len(info.slot_windows)
+    info.seconds = time.monotonic() - start
+    return info
+
+
 def presolve(
     ddg: Ddg,
     machine: Machine,
@@ -203,9 +266,7 @@ def presolve(
         src == dst and weight > 0 for src, dst, weight in edges
     )
     if positive_self or float(np.max(np.diag(dist))) > 0:
-        info.infeasible = True
-        info.seconds = time.monotonic() - start
-        return info
+        return _ruled_out(info, "dependence_cycle", start)
 
     # Resource floor: each use of a reservation stage occupies exactly
     # one of the R_r * T modulo slot-copies, so T below the busiest
@@ -213,9 +274,19 @@ def presolve(
     # capacity rows are LP-infeasible by the same counting argument).
     res_floor = max(per_type_t_res(ddg, machine).values(), default=1)
     if t_period < res_floor:
-        info.infeasible = True
-        info.seconds = time.monotonic() - start
-        return info
+        return _ruled_out(info, "resource_floor", start)
+
+    # Copy packing: a colored op runs on one copy of its type, and one
+    # copy's stage takes at most T uses mod T, so the ops' stage-use
+    # vectors must pack into fu.count bins of capacity T per stage.
+    for fu_name, op_indices in (colored or {}).items():
+        stages = machine.stage_count(fu_name)
+        tables = [machine.reservation_for(ddg.ops[i].op_class)
+                  for i in op_indices]
+        vectors = [tuple(t.stage_usage_counts())
+                   + (0,) * (stages - t.num_stages) for t in tables]
+        if not _packs(vectors, machine.fu_type(fu_name).count, t_period):
+            return _ruled_out(info, "copy_packing", start)
 
     allow_ub = objective in _UB_OBJECTIVES
     allow_anchor = objective in _SHIFT_INVARIANT
@@ -284,10 +355,7 @@ def presolve(
                     windows[i], _residues(lo, hi, t_period)
                 )
     if any(w is not None and not w for w in windows):
-        info.infeasible = True
-        info.slot_windows = [None] * n
-        info.seconds = time.monotonic() - start
-        return info
+        return _ruled_out(info, "empty_window", start)
     info.slot_windows = windows
 
     k_bounds: List[Tuple[int, int]] = []
@@ -295,10 +363,7 @@ def presolve(
         k_lo = max(0, math.ceil((asap[i] - (t_period - 1)) / t_period))
         k_hi = min(k_max, math.floor(latest[i] / t_period))
         if k_hi < k_lo:
-            info.infeasible = True
-            info.slot_windows = [None] * n
-            info.seconds = time.monotonic() - start
-            return info
+            return _ruled_out(info, "empty_window", start)
         k_bounds.append((int(k_lo), int(k_hi)))
     info.k_bounds = k_bounds
 

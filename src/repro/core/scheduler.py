@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.core.bounds import LowerBounds, lower_bounds, modulo_feasible_t
 from repro.core.errors import SchedulingError
@@ -71,7 +71,8 @@ class ScheduleAttempt:
     #: :class:`repro.ilp.model.ModelStats` as a plain dict (sizes,
     #: eliminated vars/rows/nnz, per-phase seconds) — kept a dict so the
     #: attempt pickles across worker processes and serializes to JSON.
-    model_stats: Dict[str, float] = field(default_factory=dict)
+    #: A period presolve ruled out also carries ``presolve_reason``.
+    model_stats: Dict[str, Union[float, str]] = field(default_factory=dict)
     nodes: int = 0
     #: True when the period was admissible only after delay insertion.
     repaired: bool = False
@@ -478,6 +479,9 @@ def attempt_period(
         verify_schedule(schedule, check_mapping=require_mapping)
         verify_seconds = time.monotonic() - verify_start
     stats = formulation.model_stats.to_dict()
+    info = formulation.presolve_info
+    if info is not None and info.infeasible:
+        stats["presolve_reason"] = info.reason
     stats["lower_seconds"] = solution.lower_seconds
     stats["solve_seconds"] = solution.solve_seconds
     stats["verify_seconds"] = verify_seconds

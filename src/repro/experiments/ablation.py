@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core import (
-    Formulation,
-    FormulationOptions,
-    MappingError,
-    lower_bounds,
-    schedule_loop,
-)
-from repro.core.bounds import modulo_feasible_t
+from repro.core import MappingError, schedule_loop
 from repro.core.schedule import greedy_mapping
 from repro.ddg.graph import Ddg
 from repro.machine import Machine, ReservationTable

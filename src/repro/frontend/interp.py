@@ -15,7 +15,6 @@ from typing import Dict, List
 
 from repro.frontend.ast_nodes import (
     ArrayRef,
-    Assign,
     BinOp,
     Const,
     LoopAst,

@@ -65,19 +65,18 @@ from repro.supervision.records import (
     FailureRecord,
     SupervisionPolicy,
 )
-
-#: Report schema version (bump on incompatible changes; only the current
-#: version loads).
-#: v10: per-attempt ``model`` drops ``reused_rows``/``rebuilt_rows``/
-#: ``analysis_seconds`` and the ``cut_skip`` marker.
-REPORT_VERSION = 10
-
 from repro.corpusgen.manifest import (
     MANIFEST_NAME,
     ManifestEntrySource,
     manifest_sources,
     sha256_text,
 )
+
+#: Report schema version (bump on incompatible changes; only the current
+#: version loads).
+#: v10: per-attempt ``model`` drops ``reused_rows``/``rebuilt_rows``/
+#: ``analysis_seconds`` and the ``cut_skip`` marker.
+REPORT_VERSION = 10
 
 LoopSource = Union[str, "os.PathLike[str]", Ddg, ManifestEntrySource]
 

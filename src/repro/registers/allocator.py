@@ -131,8 +131,8 @@ def allocate_registers(
         placed = False
         for register, existing in enumerate(register_arcs):
             if all(
-                not _arcs_conflict(start, length, s, l, circle)
-                for s, l in existing
+                not _arcs_conflict(start, length, other, span, circle)
+                for other, span in existing
             ):
                 existing.append((start, length))
                 assignment[(producer, copy)] = register

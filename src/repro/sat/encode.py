@@ -99,7 +99,7 @@ def encode_formulation(formulation) -> SatEncoding:
     info = formulation.presolve_info
     if info is not None and info.infeasible:
         encoding.trivially_unsat = True
-        encoding.unsat_reason = "presolve_infeasible"
+        encoding.unsat_reason = info.reason
         encoding.encode_seconds = time.monotonic() - start
         return encoding
 

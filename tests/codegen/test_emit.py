@@ -32,7 +32,7 @@ class TestFlatListing:
 
     def test_rows_are_cycles(self, schedule_b):
         lines = flat_listing(schedule_b, iterations=2).splitlines()
-        body = [l for l in lines[2:] if l.strip()]
+        body = [line for line in lines[2:] if line.strip()]
         # First issuing cycle is 0 (i0 of iteration 0).
         assert body[0].startswith("   0 |")
 

@@ -6,23 +6,33 @@ asserting the presolve never changes a scheduling outcome — only the
 model the solver has to chew through.
 """
 
+import pathlib
+
 import pytest
 
 from repro.core import Formulation, FormulationOptions, verify_schedule
-from repro.core.bounds import lower_bounds
+import repro.core.presolve as presolve_module
+from repro.core.bounds import lower_bounds, modulo_feasible_t
 from repro.core.presolve import ALWAYS, MAYBE, NEVER, presolve
+from repro.core.scheduler import AttemptConfig, attempt_period
+from repro.corpusgen import default_families, generate_corpus
 from repro.ddg import Ddg
+from repro.ddg.builders import parse_ddg
 from repro.ddg.kernels import motivating_example
+from repro.enumerative import search_at_period
 from repro.machine.presets import (
     clean_machine,
     motivating_machine,
     powerpc604,
 )
+from repro.sat.encode import encode_formulation
+
+CORPUS = pathlib.Path(__file__).resolve().parents[2] / "corpus"
 
 
-def _fp_triangle() -> Ddg:
-    g = Ddg("fp3")
-    for i in range(3):
+def _fp_ops(count: int) -> Ddg:
+    g = Ddg(f"fp{count}")
+    for i in range(count):
         g.add_op(f"f{i}", "fadd")
     return g
 
@@ -66,6 +76,7 @@ class TestAnalysis:
         # Cycle separation 4 with distance 1 forces T >= 4.
         info = presolve(_cyclic_pair(), clean_machine(), 3, k_max=20)
         assert info.infeasible
+        assert info.reason == "dependence_cycle"
 
     def test_pair_classification_covers_colored_pairs(self):
         ddg = motivating_example()
@@ -103,7 +114,7 @@ class TestOrderedSymmetry:
     def test_rank_rows_emitted(self):
         """With 3 colored ops on 2 FP units there is one rank row, and
         it pins the earliest-window op to color 1."""
-        f = Formulation(_fp_triangle(), motivating_machine(), 4)
+        f = Formulation(_fp_ops(3), motivating_machine(), 4)
         model = f.build()
         sym_rows = [
             c.name for c in model.constraints
@@ -145,7 +156,7 @@ class TestDifferential:
     def test_min_fu_counts_unchanged(self):
         """Satellite check: the capacity-row fix for Variable capacities
         plus presolve must not change min_fu's answer."""
-        ddg = _fp_triangle()
+        ddg = _fp_ops(3)
         machine = motivating_machine()
         for t_period, expected in ((6, 1), (4, 2)):
             counts = {}
@@ -166,8 +177,95 @@ class TestDifferential:
             options = FormulationOptions(
                 objective="min_fu", presolve=presolve_on
             )
-            f = Formulation(_fp_triangle(), motivating_machine(), 3, options)
+            f = Formulation(_fp_ops(3), motivating_machine(), 3, options)
             assert not f.solve().status.has_solution, presolve_on
+
+
+class TestCopyPacking:
+    """The FP table ``100/010/011`` uses stage 3 twice, so one of the two
+    FP copies hosts at most floor(T/2) ops: 7 ops need T >= 8, although
+    the resource floor (14 uses over 2 copies) allows T = 7."""
+
+    def test_rules_out_unpackable_period(self):
+        machine = motivating_machine()
+        f = Formulation(_fp_ops(7), machine, 7)
+        f.build()
+        assert f.presolve_info.reason == "copy_packing"
+        assert not f.solve(backend="highs").status.has_solution
+        assert encode_formulation(f).unsat_reason == "copy_packing"
+
+        f = Formulation(_fp_ops(7), machine, 8)
+        f.build()
+        assert not f.presolve_info.infeasible
+
+    def test_uncolored_types_are_not_checked(self):
+        f = Formulation(
+            _fp_ops(7), motivating_machine(), 7,
+            FormulationOptions(mapping=False),
+        )
+        f.build()
+        assert not f.presolve_info.infeasible
+
+    def test_search_past_its_cap_rules_nothing_out(self, monkeypatch):
+        monkeypatch.setattr(presolve_module, "_PACK_NODE_CAP", 1)
+        f = Formulation(_fp_ops(7), motivating_machine(), 7)
+        f.build()
+        assert not f.presolve_info.infeasible
+
+    def test_reason_reaches_attempt_record(self):
+        outcome = attempt_period(
+            _fp_ops(7), motivating_machine(), 7,
+            AttemptConfig(backend="sat"),
+        )
+        assert outcome.attempt.status == "infeasible"
+        assert outcome.attempt.model_stats["presolve_reason"] == (
+            "copy_packing"
+        )
+        doc = outcome.attempt.to_json_dict()
+        assert doc["model"]["presolve_reason"] == "copy_packing"
+
+
+@pytest.mark.slow
+def test_copy_packing_agrees_with_exact_searches():
+    """Every copy-packing verdict on ``corpus/`` and a generated
+    ``motivating`` sample is a real infeasibility: the enumerator finds
+    no schedule wherever it decides, and neither does HiGHS without
+    presolve on loops of at most 10 ops."""
+    cases = [
+        (parse_ddg(path.read_text()), powerpc604())
+        for path in sorted(CORPUS.glob("*.ddg"))
+    ]
+    machine = motivating_machine()
+    cases += [
+        (ddg, machine)
+        for ddg in generate_corpus(11, machine, default_families(40))
+    ]
+    verdicts = enumerated = solved = 0
+    for ddg, machine in cases:
+        t_lb = lower_bounds(ddg, machine).t_lb
+        for t_period in range(t_lb, t_lb + 11):
+            if not modulo_feasible_t(ddg, machine, t_period):
+                continue
+            f = Formulation(ddg, machine, t_period)
+            f.build()
+            if f.presolve_info.reason != "copy_packing":
+                break  # bins of a larger T only pack more easily
+            verdicts += 1
+            where = f"{ddg.name} T={t_period}"
+            outcome = search_at_period(
+                ddg, machine, t_period, time_limit=2.0
+            )
+            assert outcome.feasible is not True, where
+            enumerated += outcome.feasible is False
+            if ddg.num_ops <= 10:
+                plain = Formulation(
+                    ddg, machine, t_period,
+                    FormulationOptions(presolve=False),
+                )
+                status = plain.solve(backend="highs", time_limit=120.0)
+                assert status.status.value == "infeasible", where
+                solved += 1
+    assert verdicts >= 5 and enumerated >= 5 and solved >= 3
 
 
 class TestModelReduction:

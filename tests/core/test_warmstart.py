@@ -25,7 +25,6 @@ from repro.core import (
     verify_schedule,
 )
 from repro.core.warmstart import violated_rows, warmstart_assignment
-from repro.ddg import Ddg
 from repro.ddg.generators import GeneratorConfig, random_ddg
 from repro.ddg.kernels import KERNELS, motivating_example
 from repro.machine.presets import motivating_machine, powerpc604

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import schedule_loop, verify_schedule
-from repro.ddg import Ddg, DdgError
+from repro.ddg import DdgError
 from repro.ddg.analysis import t_dep
 from repro.ddg.kernels import dot_product, livermore_kernel11, motivating_example
 from repro.ddg.transforms import unroll

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.ddg.generators import GeneratorConfig, random_ddg
 from repro.ddg.kernels import all_kernels
 from repro.experiments.crosscheck import cross_check

@@ -1,7 +1,5 @@
 """Tests for load CSE and store-to-load forwarding."""
 
-import pytest
-
 from repro.core import schedule_loop, verify_schedule
 from repro.ddg.analysis import t_dep
 from repro.frontend import compile_loop

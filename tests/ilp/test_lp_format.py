@@ -1,7 +1,5 @@
 """Tests for the CPLEX LP format writer."""
 
-import pytest
-
 from repro.core import Formulation
 from repro.ddg.kernels import motivating_example
 from repro.ilp import Model

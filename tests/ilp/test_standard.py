@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from repro.ilp import Model
 from repro.ilp.standard import to_arrays

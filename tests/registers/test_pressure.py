@@ -31,7 +31,7 @@ class TestLifetimes:
         assert len(lifetimes(schedule_b)) == schedule_b.ddg.num_deps
 
     def test_flow_edge_spans(self, schedule_b):
-        lives = {(l.producer, l.consumer): l for l in lifetimes(schedule_b)}
+        lives = {(lt.producer, lt.consumer): lt for lt in lifetimes(schedule_b)}
         # i0 (load@0, lat 3) -> i2 (@3): defined at 3, used at 3.
         assert lives[(0, 2)].span == 0
         # i2 (fadd@3, lat 2) -> i3 (@5): defined at 5, used at 5.
@@ -40,8 +40,8 @@ class TestLifetimes:
         assert lives[(4, 5)].span == 2
 
     def test_loop_carried_lifetime(self, schedule_b):
-        lives = {(l.producer, l.consumer, l.distance): l
-                 for l in lifetimes(schedule_b)}
+        lives = {(lt.producer, lt.consumer, lt.distance): lt
+                 for lt in lifetimes(schedule_b)}
         # Self-loop on i2 (m=1): defined at 5, used at 3 + 4 = 7.
         self_loop = lives[(2, 2, 1)]
         assert self_loop.define_time == 5

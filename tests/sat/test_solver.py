@@ -19,7 +19,7 @@ def _brute_force(num_vars, clauses):
     for bits in itertools.product([False, True], repeat=num_vars):
         model = (None,) + bits  # 1-based
         if all(
-            any(model[abs(l)] == (l > 0) for l in clause)
+            any(model[abs(lit)] == (lit > 0) for lit in clause)
             for clause in clauses
         ):
             return True
@@ -28,7 +28,7 @@ def _brute_force(num_vars, clauses):
 
 def _check_model(clauses, model):
     assert all(
-        any(model[abs(l)] == (l > 0) for l in clause)
+        any(model[abs(lit)] == (lit > 0) for lit in clause)
         for clause in clauses
     )
 

@@ -95,7 +95,7 @@ class TestRoundTrip:
         second = opened(path)
         second._journal.close()
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert [l for l in lines if "journal_version" in l] == [HEADER]
+        assert [line for line in lines if "journal_version" in line] == [HEADER]
         assert queued_ids(second) == ["j1"]
 
     def test_digest_mismatch_refuses(self, tmp_path):
