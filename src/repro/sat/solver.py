@@ -1,7 +1,6 @@
 """A self-contained CDCL SAT solver.
 
-The propositional sibling of ``ilp/simplex.py`` + ``ilp/branch_bound.py``:
-pure python, no dependencies, deterministic.  Implements the standard
+Pure python, no dependencies, deterministic.  Implements the standard
 modern kernel:
 
 * **two-watched literals** — each clause is watched on its first two
@@ -10,8 +9,8 @@ modern kernel:
 * **1-UIP conflict analysis** — resolve backwards along the trail until
   one literal of the current decision level remains, learn the
   asserting clause, backjump to its second-highest level;
-* **VSIDS** — exponentially decayed activity with a lazy max-heap
-  (stale entries are skipped on pop, duplicates pushed on bump/unassign);
+* **VSIDS** — exponentially decayed activity with a lazy max-heap that
+  holds one live entry per unassigned variable (see below);
 * **phase saving** — decisions reuse the last value a variable held,
   seedable from an external hint (the warm-start incumbent);
 * **Luby restarts** — universal-sequence restart intervals, with the
@@ -21,9 +20,30 @@ modern kernel:
   an assignment; a conflicting assumption reports
   ``assumption_conflict`` instead of global UNSAT.
 
-Satisfying assignments are re-checked against every input clause before
-being returned — the solver never hands back a model it cannot verify
-in linear time (the same self-auditing posture as the warm LP engine).
+Layout.  Values and watch lists are indexed by the signed literal
+itself: both lists have ``2n + 1`` slots, ``value[v]``/``watches[v]``
+serve literal ``v`` and Python's negative indexing sends ``-v`` to the
+top half, so ``value[lit]`` is 1 (true), -1 (false) or 0 (unassigned)
+with no sign flip, and assigning a variable writes both of its slots.
+
+Decision heap.  ``order`` holds ``(-activity, -var)`` entries and
+``queued[var]`` says that an entry with the variable's current activity
+is in it.  A bump only raises the activity and clears ``queued`` (a
+bumped variable is always assigned); unassigning pushes a variable whose
+``queued`` is clear; popping the entry that matches the current activity
+clears it again.  Every unassigned variable therefore has its live entry
+in the heap, older entries are skipped on pop, and a decision picks the
+unassigned variable with the greatest ``(activity, var)``.  When the
+activities are rescaled the heap is rebuilt from the unassigned
+variables, so stale keys never steer a decision.
+
+The kernel's search — decisions, conflicts, propagations, learned
+clauses and models — is pinned by ``tests/sat/test_search_golden.py``;
+a change meant only to make it faster must reproduce that record.
+
+Satisfying assignments are re-checked against every input clause, as
+given, before being returned: the solver never hands back a model it
+cannot verify in linear time.
 """
 
 from __future__ import annotations
@@ -31,6 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence
 
 SAT = "sat"
@@ -44,6 +65,8 @@ _BUDGET_CHECK_EVERY = 256
 #: Learned-clause DB reduction trigger: first at this many learned
 #: clauses, growing by the same amount after each reduction.
 _REDUCE_BASE = 2000
+#: Activities are scaled down by 1e-100 once one passes this.
+_RESCALE_AT = 1e100
 
 
 @dataclass
@@ -111,22 +134,23 @@ class CdclSolver:
         phase_hints: Optional[Dict[int, bool]] = None,
     ) -> None:
         self.nvars = num_vars
-        self.assign = [0] * (num_vars + 1)   # 0 unknown, 1 true, -1 false
+        # value[lit]: 1 true, -1 false, 0 unassigned (-v wraps to the top)
+        self.value = [0] * (2 * num_vars + 1)
         self.level = [0] * (num_vars + 1)
         self.reason: List[Optional[List[int]]] = [None] * (num_vars + 1)
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
-        # watches[idx(lit)] = clauses currently watching ``lit``
-        # (idx: positive lit v -> 2v, negative -> 2v+1).
+        # watches[lit] = clauses currently watching ``lit``
         self.watches: List[List[List[int]]] = [
-            [] for _ in range(2 * num_vars + 2)
+            [] for _ in range(2 * num_vars + 1)
         ]
         self.activity = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
         self.var_decay = 1.0 / 0.95
         self.order: List = [(0.0, -v) for v in range(num_vars, 0, -1)]
         heapify(self.order)
+        self.queued = [True] * (num_vars + 1)
         self.phase = [False] * (num_vars + 1)
         if phase_hints:
             for var, value in phase_hints.items():
@@ -137,35 +161,36 @@ class CdclSolver:
         self.lbd: Dict[int, int] = {}
         self.stats = SatStats()
         self.ok = True
-        # Normalized copy of the input, kept for the final model audit.
-        self._audit: List[List[int]] = []
+        # The input clauses as given, kept for the final model audit.
+        self._audit: List[Sequence[int]] = []
+        literals = set(range(-num_vars, num_vars + 1))
+        literals.discard(0)
         for clause in clauses:
-            self._add_input_clause(clause)
+            self._add_input_clause(clause, literals)
 
     # -- construction --------------------------------------------------------
-    def _add_input_clause(self, raw: Sequence[int]) -> None:
-        seen = set()
-        clause: List[int] = []
-        for lit in raw:
-            var = abs(lit)
-            if not 1 <= var <= self.nvars:
-                raise ValueError(
-                    f"literal {lit} out of range for {self.nvars} vars"
-                )
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                clause.append(lit)
-        self._audit.append(list(clause))
+    def _add_input_clause(self, raw: Sequence[int], literals: set) -> None:
+        """Load one clause; ``literals`` is the set of valid literals."""
+        lits = set(raw)
+        if not lits <= literals:
+            bad = next(lit for lit in raw if lit not in literals)
+            raise ValueError(
+                f"literal {bad} out of range for {self.nvars} vars"
+            )
+        if not lits.isdisjoint(map(neg, raw)):
+            return  # tautology
+        self._audit.append(raw)
         if not self.ok:
             return
+        # Repeated literals are dropped, keeping first occurrences.
+        clause = (list(raw) if len(lits) == len(raw)
+                  else list(dict.fromkeys(raw)))
         if not clause:
             self.ok = False
             return
         if len(clause) == 1:
             lit = clause[0]
-            value = self._value(lit)
+            value = self.value[lit]
             if value == -1:
                 self.ok = False
             elif value == 0:
@@ -175,20 +200,14 @@ class CdclSolver:
         self._attach(clause)
 
     def _attach(self, clause: List[int]) -> None:
-        self.watches[self._idx(clause[0])].append(clause)
-        self.watches[self._idx(clause[1])].append(clause)
-
-    @staticmethod
-    def _idx(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-    def _value(self, lit: int) -> int:
-        return self.assign[lit] if lit > 0 else -self.assign[-lit]
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     # -- trail ---------------------------------------------------------------
     def _enqueue(self, lit: int, reason: Optional[List[int]]) -> None:
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
+        self.value[lit] = 1
+        self.value[-lit] = -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -197,28 +216,37 @@ class CdclSolver:
         if len(self.trail_lim) <= target:
             return
         bound = self.trail_lim[target]
+        value = self.value
+        phase = self.phase
+        reason = self.reason
+        queued = self.queued
+        activity = self.activity
+        order = self.order
         for lit in self.trail[bound:]:
-            var = abs(lit)
-            self.phase[var] = lit > 0
-            self.assign[var] = 0
-            self.reason[var] = None
-            heappush(self.order, (-self.activity[var], -var))
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0
+            value[lit] = value[-lit] = 0
+            reason[var] = None
+            if not queued[var]:
+                queued[var] = True
+                heappush(order, (-activity[var], -var))
         del self.trail[bound:]
         del self.trail_lim[target:]
         self.qhead = len(self.trail)
 
     # -- propagation ---------------------------------------------------------
     def _propagate(self) -> Optional[List[int]]:
-        assign = self.assign
+        value = self.value
         watches = self.watches
         trail = self.trail
+        level = self.level
+        reason = self.reason
         level_now = len(self.trail_lim)
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            falsified = -p
-            wl = watches[self._idx(falsified)]
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            wl = watches[falsified]
             i = j = 0
             n = len(wl)
             while i < n:
@@ -228,77 +256,103 @@ class CdclSolver:
                     clause[0] = clause[1]
                     clause[1] = falsified
                 first = clause[0]
-                value = assign[first] if first > 0 else -assign[-first]
-                if value == 1:
+                first_value = value[first]
+                if first_value == 1:
                     wl[j] = clause
                     j += 1
                     continue
-                relocated = False
-                for k in range(2, len(clause)):
-                    lit = clause[k]
-                    lv = assign[lit] if lit > 0 else -assign[-lit]
-                    if lv != -1:
+                size = len(clause)
+                if size == 3:
+                    lit = clause[2]
+                    if value[lit] != -1:
                         clause[1] = lit
-                        clause[k] = falsified
-                        watches[self._idx(lit)].append(clause)
-                        relocated = True
-                        break
-                if relocated:
-                    continue
+                        clause[2] = falsified
+                        watches[lit].append(clause)
+                        continue
+                elif size > 3:
+                    for k in range(2, size):
+                        lit = clause[k]
+                        if value[lit] != -1:
+                            clause[1] = lit
+                            clause[k] = falsified
+                            watches[lit].append(clause)
+                            break
+                    else:
+                        k = 0  # no literal to watch instead
+                    if k:
+                        continue
                 wl[j] = clause
                 j += 1
-                if value == -1:
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
+                if first_value == -1:
+                    del wl[j:i]
                     self.qhead = len(trail)
+                    self.stats.propagations += qhead - start
                     return clause
                 var = first if first > 0 else -first
-                assign[var] = 1 if first > 0 else -1
-                self.level[var] = level_now
-                self.reason[var] = clause
+                value[first] = 1
+                value[-first] = -1
+                level[var] = level_now
+                reason[var] = clause
                 trail.append(first)
             del wl[j:]
+        self.qhead = qhead
+        self.stats.propagations += qhead - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.nvars + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        heappush(self.order, (-self.activity[var], -var))
+    def _rescale(self) -> None:
+        """Scale every activity down and rebuild the decision heap."""
+        activity = self.activity
+        value = self.value
+        queued = self.queued
+        for v in range(1, self.nvars + 1):
+            activity[v] *= 1e-100
+            queued[v] = value[v] == 0
+        self.var_inc *= 1e-100
+        self.order[:] = [
+            (-activity[v], -v) for v in range(1, self.nvars + 1)
+            if value[v] == 0
+        ]
+        heapify(self.order)
 
     def _analyze(self, conflict: List[int]) -> List[int]:
         """Derive the 1-UIP clause; returns [asserting_lit, rest...]."""
         learnt: List[int] = []
         seen = bytearray(self.nvars + 1)
+        level = self.level
+        activity = self.activity
+        queued = self.queued
+        trail = self.trail
+        var_inc = self.var_inc
         counter = 0
-        p = 0
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         current = len(self.trail_lim)
-        clause: Optional[List[int]] = conflict
+        clause = conflict
         while True:
-            for q in (clause if p == 0 else clause[1:]):
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+            # A reason clause's first literal is the one it implied,
+            # whose variable is already seen.
+            for q in clause:
+                var = q if q > 0 else -q
+                if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    self._bump(var)
-                    if self.level[var] >= current:
+                    activity[var] += var_inc
+                    queued[var] = False
+                    if activity[var] > _RESCALE_AT:
+                        self._rescale()
+                        var_inc = self.var_inc
+                    if level[var] >= current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[index])]:
+            p = trail[index]
+            while not seen[p if p > 0 else -p]:
                 index -= 1
-            p = self.trail[index]
+                p = trail[index]
             index -= 1
             counter -= 1
             if counter == 0:
                 break
-            clause = self.reason[abs(p)]
+            clause = self.reason[p if p > 0 else -p]
         learnt.insert(0, -p)
         return learnt
 
@@ -307,12 +361,15 @@ class CdclSolver:
             return 0
         # Put the second-highest-level literal at position 1 so the
         # watch invariant holds immediately after backjumping.
+        level = self.level
         best = 1
+        best_level = level[abs(learnt[1])]
         for i in range(2, len(learnt)):
-            if self.level[abs(learnt[i])] > self.level[abs(learnt[best])]:
-                best = i
+            lit_level = level[abs(learnt[i])]
+            if lit_level > best_level:
+                best, best_level = i, lit_level
         learnt[1], learnt[best] = learnt[best], learnt[1]
-        return self.level[abs(learnt[1])]
+        return best_level
 
     def _record_learnt(self, learnt: List[int]) -> None:
         self.stats.learned_clauses += 1
@@ -364,21 +421,21 @@ class CdclSolver:
             self._rewatch(clause)
 
     def _rewatch(self, clause: List[int]) -> None:
+        value = self.value
         free = []
         sat_at = -1
         for i, lit in enumerate(clause):
-            value = self._value(lit)
-            if value == 1:
+            if value[lit] == 1:
                 sat_at = i
                 break
-            if value == 0:
+            if value[lit] == 0:
                 free.append(i)
                 if len(free) == 2:
                     break
         if sat_at >= 0:
             clause[0], clause[sat_at] = clause[sat_at], clause[0]
             for i in range(1, len(clause)):
-                if self._value(clause[i]) != -1:
+                if value[clause[i]] != -1:
                     clause[1], clause[i] = clause[i], clause[1]
                     break
         else:
@@ -390,10 +447,15 @@ class CdclSolver:
 
     # -- decisions -----------------------------------------------------------
     def _pick_branch_var(self) -> int:
-        while self.order:
-            _, negvar = heappop(self.order)
+        order = self.order
+        activity = self.activity
+        value = self.value
+        while order:
+            key, negvar = heappop(order)
             var = -negvar
-            if self.assign[var] == 0:
+            if key == -activity[var]:
+                self.queued[var] = False
+            if value[var] == 0:
                 return var
         return 0
 
@@ -473,7 +535,7 @@ class CdclSolver:
             decision_level = len(self.trail_lim)
             if decision_level < len(assume):
                 lit = assume[decision_level]
-                value = self._value(lit)
+                value = self.value[lit]
                 if value == -1:
                     self._cancel_until(0)
                     return done(UNSAT, assumption_conflict=True)
@@ -484,9 +546,7 @@ class CdclSolver:
 
             var = self._pick_branch_var()
             if var == 0:
-                model = [False] * (self.nvars + 1)
-                for v in range(1, self.nvars + 1):
-                    model[v] = self.assign[v] == 1
+                model = [x == 1 for x in self.value[: self.nvars + 1]]
                 self._audit_model(model)
                 self._cancel_until(0)
                 return done(SAT, model=model)
@@ -495,12 +555,10 @@ class CdclSolver:
             self._enqueue(var if self.phase[var] else -var, None)
 
     def _audit_model(self, model: List[bool]) -> None:
+        true = {v if model[v] else -v for v in range(1, self.nvars + 1)}
         for clause in self._audit:
-            if not any(
-                model[lit] if lit > 0 else not model[-lit]
-                for lit in clause
-            ):
+            if true.isdisjoint(clause):
                 raise RuntimeError(
                     "internal error: CDCL model violates clause "
-                    f"{clause!r}"
+                    f"{list(clause)!r}"
                 )

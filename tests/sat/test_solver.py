@@ -176,3 +176,65 @@ class TestPhaseHints:
         ).solve()
         assert opposite.status == SAT
         assert not opposite.model[1] and opposite.model[2]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("clause", [
+        [1, 4],        # duplicate-free
+        [-4, 2],
+        [0, 1],
+        [1, 1, 4],     # repeated literal
+        [2, 0, 2],
+        [1, -1, 4],    # a tautology is checked too
+    ])
+    def test_out_of_range_literal_rejected(self, clause):
+        with pytest.raises(ValueError, match="out of range for 3 vars"):
+            CdclSolver(3, [[1, 2], clause])
+
+    def test_repeated_literals_and_tautologies_load(self):
+        clauses = [[1, 2, 1, 2], [-1, -1], [3, -3], [2, -3, 2]]
+        result = CdclSolver(3, clauses).solve()
+        assert result.status == SAT
+        assert not result.model[1] and result.model[2]
+        _check_model(clauses, result.model)
+
+
+class TestModelAudit:
+    def test_violating_model_raises(self):
+        solver = CdclSolver(2, [[1, 2], [-1, -2, -1]])
+        with pytest.raises(RuntimeError, match="violates clause"):
+            solver._audit_model([False, True, True])
+        with pytest.raises(RuntimeError, match="violates clause"):
+            solver._audit_model([False, False, False])
+
+    def test_audit_checks_clauses_as_given(self):
+        clauses = [[1, 1, 2], [2, -2], [-1, 3, -1]]
+        solver = CdclSolver(3, clauses)
+        result = solver.solve()
+        assert result.status == SAT
+        solver._audit_model(result.model)
+        with pytest.raises(RuntimeError, match=r"\[-1, 3, -1\]"):
+            solver._audit_model([False, True, True, False])
+
+
+class TestActivityRescale:
+    @pytest.mark.parametrize("before", [10, 15, 20, 25])
+    def test_decision_after_rescale_follows_current_activities(
+            self, before):
+        """A rescale rebuilds the heap, so no stale key steers a decision.
+
+        After ``before`` ordinary conflicts ``var_inc`` is set just below
+        the rescale threshold: the next conflict bumps its variables to
+        about 0.99e100 and the one after rescales every activity.  The
+        next decision must be the unassigned variable with the highest
+        (activity, index), not one keyed by its pre-rescale activity.
+        """
+        num_vars, clauses = _pigeonhole(5)
+        solver = CdclSolver(num_vars, clauses)
+        assert solver.solve(conflict_limit=before).status == UNKNOWN
+        solver.var_inc = 0.99e100
+        assert solver.solve(conflict_limit=before + 2).status == UNKNOWN
+        assert solver.var_inc < 10.0  # the activities were rescaled
+        free = [v for v in range(1, num_vars + 1) if solver.value[v] == 0]
+        expected = max(free, key=lambda v: (solver.activity[v], v))
+        assert solver._pick_branch_var() == expected
