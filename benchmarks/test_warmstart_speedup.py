@@ -1,15 +1,13 @@
 """Warm-start ablation: sweep wall-clock with the heuristic pass on vs off.
 
 Schedules a synthetic corpus on the §2 motivating machine (the
-hazard-heavy configuration) twice per backend — warm starts enabled and
-disabled — through the same sequential driver.  HiGHS takes the full
-corpus; the pure-python branch-and-bound backend takes the small-loop
-subset (it is the research baseline, not the production path).  Asserts
-the differential guarantee (identical achieved periods wherever both
-runs reached a definitive answer) and the headline claim per backend: at
-least a 10% wall-clock reduction, or the heuristic settling at least a
-third of the corpus with zero ILP solves.  Writes the measured numbers
-to ``BENCH_warmstart.json`` at the repo root.
+hazard-heavy configuration) twice on HiGHS — warm starts enabled and
+disabled — through the same sequential driver.  Asserts the
+differential guarantee (identical achieved periods wherever both runs
+reached a definitive answer) and the headline claim: at least a 10%
+wall-clock reduction, or the heuristic settling at least a third of the
+corpus with zero ILP solves.  Writes the measured numbers to
+``BENCH_warmstart.json`` at the repo root.
 """
 
 import json
@@ -28,11 +26,8 @@ CORPUS_SIZE = 40
 SEED = 604
 MAX_EXTRA = 30
 TIMED_OUT = SolveStatus.TIME_LIMIT.value
-#: Per-backend corpus filter and per-period budget.
-BACKENDS = {
-    "highs": {"max_ops": None, "time_limit": 10.0},
-    "bnb": {"max_ops": 8, "time_limit": 5.0},
-}
+#: Per-backend per-period budget.
+BACKENDS = {"highs": 10.0}
 
 
 def _run_corpus(loops, machine, backend, warmstart, time_limit):
@@ -73,30 +68,21 @@ def _totals(results):
 
 def test_warmstart_speedup(benchmark, motivating):
     corpus = suite(CORPUS_SIZE, motivating, seed=SEED)
-    per_backend_loops = {
-        backend: [
-            ddg for ddg in corpus
-            if cfg["max_ops"] is None or ddg.num_ops <= cfg["max_ops"]
-        ]
-        for backend, cfg in BACKENDS.items()
-    }
-
     cold = {
         backend: _run_corpus(
-            per_backend_loops[backend], motivating, backend,
-            warmstart=False, time_limit=BACKENDS[backend]["time_limit"],
+            corpus, motivating, backend, warmstart=False,
+            time_limit=time_limit,
         )
-        for backend in BACKENDS
+        for backend, time_limit in BACKENDS.items()
     }
     warm = once(
         benchmark,
         lambda: {
             backend: _run_corpus(
-                per_backend_loops[backend], motivating, backend,
-                warmstart=True,
-                time_limit=BACKENDS[backend]["time_limit"],
+                corpus, motivating, backend, warmstart=True,
+                time_limit=time_limit,
             )
-            for backend in BACKENDS
+            for backend, time_limit in BACKENDS.items()
         },
     )
 
@@ -120,15 +106,15 @@ def test_warmstart_speedup(benchmark, motivating):
             if totals_off["seconds"] else 0.0
         )
         doc["backends"][backend] = {
-            "loops": len(per_backend_loops[backend]),
-            "time_limit_per_t": BACKENDS[backend]["time_limit"],
+            "loops": len(corpus),
+            "time_limit_per_t": BACKENDS[backend],
             "warmstart_on": totals_on,
             "warmstart_off": totals_off,
             "skipped_ilp": skipped,
             "time_reduction": round(time_reduction, 4),
         }
         lines.append(
-            f"{backend}: {len(per_backend_loops[backend])} loops, "
+            f"{backend}: {len(corpus)} loops, "
             f"time {totals_off['seconds']:.2f}s -> "
             f"{totals_on['seconds']:.2f}s ({time_reduction:.1%}), "
             f"ILP solves {totals_off['ilp_solves']} -> "

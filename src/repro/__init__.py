@@ -21,7 +21,7 @@ Layout:
 * :mod:`repro.core`      — the unified ILP scheduling+mapping formulation
 * :mod:`repro.ddg`       — dependence graphs, kernels, generators
 * :mod:`repro.machine`   — reservation tables, FU types, machine presets
-* :mod:`repro.ilp`       — modeling layer + simplex/B&B/HiGHS solvers
+* :mod:`repro.ilp`       — modeling layer + HiGHS backend dispatch
 * :mod:`repro.baselines` — iterative modulo scheduling, list scheduling
 * :mod:`repro.sim`       — cycle-accurate replay (hazard cross-check)
 * :mod:`repro.codegen`   — prolog/kernel/epilog emission

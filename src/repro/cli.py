@@ -25,6 +25,7 @@ from repro.baselines import iterative_modulo_schedule, list_schedule
 from repro.codegen import emit_assembly, flat_listing
 from repro.core import lower_bounds, schedule_loop
 from repro.ddg import builders, generators, kernels, render
+from repro.ilp.solve import BACKENDS
 from repro.machine import presets
 
 
@@ -594,8 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.add_argument("--machine-file", metavar="PATH",
                             help="machine description file "
                                  "(overrides --machine)")
-    p_schedule.add_argument("--backend", default="auto",
-                            choices=("auto", "highs", "bnb", "sat"))
+    p_schedule.add_argument("--backend", default="auto", choices=BACKENDS)
     p_schedule.add_argument("--objective", default="min_sum_t",
                             choices=("feasibility", "min_sum_t", "min_fu",
                                      "min_buffers", "min_lifetimes"))
@@ -636,8 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--machine-file", metavar="PATH",
                          help="machine description file (overrides "
                               "--machine)")
-    p_batch.add_argument("--backend", default="auto",
-                         choices=("auto", "highs", "bnb", "sat"))
+    p_batch.add_argument("--backend", default="auto", choices=BACKENDS)
     p_batch.add_argument("--time-limit", type=float, default=10.0,
                          help="per-period solver budget (seconds)")
     p_batch.add_argument("--max-extra", type=int, default=10)
@@ -701,8 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_warm.add_argument("--machine-file", metavar="PATH",
                         help="machine description file "
                              "(overrides --machine)")
-    c_warm.add_argument("--backend", default="auto",
-                        choices=("auto", "highs", "bnb", "sat"))
+    c_warm.add_argument("--backend", default="auto", choices=BACKENDS)
     c_warm.add_argument("--objective", default="feasibility",
                         choices=("feasibility", "min_sum_t", "min_fu",
                                  "min_buffers", "min_lifetimes"))
@@ -845,8 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadgen.add_argument("--out", default="drill.json", metavar="PATH",
                            help="write the drill document here")
     p_loadgen.add_argument("--time-limit", type=float, default=5.0)
-    p_loadgen.add_argument("--backend", default="auto",
-                           choices=("auto", "highs", "bnb", "sat"))
+    p_loadgen.add_argument("--backend", default="auto", choices=BACKENDS)
     p_loadgen.add_argument("--no-warmstart", action="store_true",
                            help="submit with warmstart off so solves "
                                 "reach the ILP attempt sites (where "

@@ -34,7 +34,7 @@ from repro.core.warmstart import WarmStart, compute_warmstart, warmstart_assignm
 from repro.ddg.graph import Ddg
 from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
-from repro.ilp.solve import _BACKENDS, _validate_time_limit
+from repro.ilp.solve import BACKENDS, _validate_time_limit
 from repro.machine import Machine
 from repro.supervision import faults
 from repro.supervision.cells import CLEAN, PROOF, WIN, Cell, CellRace
@@ -86,8 +86,9 @@ class ScheduleAttempt:
     #: interrupted) that ended this attempt, after any retries.
     failure: Optional[FailureRecord] = None
     #: Which solver actually produced this attempt's verdict ("highs",
-    #: "bnb", "sat"; "" for attempts that never reached a backend —
+    #: "sat"; "" for attempts that never reached a backend —
     #: modulo-infeasible, cut skips, heuristic settles, cancellations).
+    #: Older reports may name a backend that has since been deleted.
     #: Provenance only: never part of any cache or store fingerprint.
     backend: str = ""
 
@@ -382,10 +383,10 @@ class AttemptConfig:
         Checked here rather than at solve time because a warm start or
         a store hit can settle a loop before any solver is asked.
         """
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise SchedulingError(
                 f"unknown backend {self.backend!r}; expected one of "
-                f"{_BACKENDS}"
+                f"{BACKENDS}"
             )
         if self.objective not in OBJECTIVES:
             raise SchedulingError(

@@ -11,9 +11,9 @@ worth a lot to the exact sweep:
 * otherwise ``II`` is an upper bound that brackets the §6 sweep —
   periods above ``II`` never need to be tried — and the schedule itself
   converts into a complete ILP variable assignment that seeds the
-  solver's incumbent at ``T = II`` (pruning branch-and-bound from the
-  root, exactly the heuristic/exact interplay of SAT-MapIt and Roorda's
-  bounded SMT runs).
+  solver's incumbent at ``T = II`` (HiGHS takes it as an objective
+  cutoff, SAT answers from it directly: the heuristic/exact interplay of
+  SAT-MapIt and Roorda's bounded SMT runs).
 
 The conversion is the delicate part.  The presolved model
 (:mod:`repro.core.presolve`) anchors one op to pattern slot 0 and

@@ -4,7 +4,7 @@ For each loop, four independent paths compute or bound the optimal
 initiation interval:
 
 1. the ILP on HiGHS,
-2. the ILP on the built-in simplex/branch-and-bound,
+2. the formulation lowered to CNF on the CDCL SAT backend,
 3. the exhaustive enumeration (:mod:`repro.enumerative`),
 4. the heuristics (upper bounds only).
 
@@ -39,7 +39,7 @@ class CrossCheckRow:
     loop_name: str
     t_lb: int
     highs_t: Optional[int]
-    bnb_t: Optional[int]
+    sat_t: Optional[int]
     enum_t: Optional[int]
     ims_ii: Optional[int]
     slack_ii: Optional[int]
@@ -85,7 +85,7 @@ def cross_check(
     for ddg in loops:
         problems: List[str] = []
         results = {}
-        for backend in ("highs", "bnb"):
+        for backend in ("highs", "sat"):
             outcome = schedule_loop(
                 ddg, machine, backend=backend,
                 time_limit_per_t=time_limit_per_t, max_extra=max_extra,
@@ -111,13 +111,13 @@ def cross_check(
         sequential = list_schedule(ddg, machine)
 
         highs_t = results["highs"].achieved_t
-        bnb_t = results["bnb"].achieved_t
+        sat_t = results["sat"].achieved_t
         t_lb = results["highs"].bounds.t_lb
-        exact = [t for t in (highs_t, bnb_t, enumerated.achieved_t)
+        exact = [t for t in (highs_t, sat_t, enumerated.achieved_t)
                  if t is not None]
         if len(set(exact)) > 1:
             problems.append(
-                f"exact methods disagree: highs={highs_t} bnb={bnb_t} "
+                f"exact methods disagree: highs={highs_t} sat={sat_t} "
                 f"enum={enumerated.achieved_t}"
             )
         if exact:
@@ -139,7 +139,7 @@ def cross_check(
             loop_name=ddg.name,
             t_lb=t_lb,
             highs_t=highs_t,
-            bnb_t=bnb_t,
+            sat_t=sat_t,
             enum_t=enumerated.achieved_t,
             ims_ii=ims.achieved_ii,
             slack_ii=slack.achieved_ii,

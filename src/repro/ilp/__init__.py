@@ -6,12 +6,12 @@ self-contained stack:
 
 * :mod:`repro.ilp.model` — a small modeling layer (variables, affine
   expressions, linear constraints, objectives) in the spirit of PuLP.
-* :mod:`repro.ilp.simplex` — a dense two-phase primal simplex solver for
-  the LP relaxations (pure numpy).
-* :mod:`repro.ilp.branch_bound` — a best-first branch-and-bound MILP
-  solver built on the simplex engine.
+* :mod:`repro.ilp.standard` — the sparse (CSR) array form the solver
+  reads, and warm-start validation.
 * :mod:`repro.ilp.highs` — an adapter to :func:`scipy.optimize.milp`
-  (HiGHS), used as the default production backend.
+  (HiGHS), the MILP backend.
+* :mod:`repro.ilp.solve` — backend dispatch: HiGHS, or the CDCL SAT
+  backend of :mod:`repro.sat` for scheduling formulations.
 
 The public surface is :class:`Model`, :class:`Variable`, :class:`LinExpr`,
 :class:`Solution`, and :class:`SolveStatus`; everything needed by

@@ -18,12 +18,11 @@ wrapper does allow:
   point, the validated start itself is returned as the ``FEASIBLE``
   fallback instead of an empty ``TIME_LIMIT``.
 
-Each period of the T-sweep is an independent solve: no simplex basis
-or certificate crosses from one period to the next, and the cutoff-row
-adapter above is the only solution-hint channel.  Warm *LP* bases
-across branch-and-bound nodes exist only in the pure-python backend
-(:class:`repro.ilp.simplex.LpEngine`); HiGHS keeps its own internal
-node warm-starting, which this wrapper neither sees nor needs to manage.
+Each period of the T-sweep is an independent solve: no LP basis or
+certificate crosses from one period to the next, and the cutoff-row
+adapter above is the only solution-hint channel.  HiGHS keeps its own
+internal node warm-starting, which this wrapper neither sees nor needs
+to manage.
 """
 
 from __future__ import annotations

@@ -296,7 +296,7 @@ class Model:
     """A mixed-integer linear program.
 
     Holds variables, constraints and one objective; delegates solving to a
-    backend chosen in :meth:`solve` (``"highs"``, ``"bnb"`` or ``"auto"``).
+    backend chosen in :meth:`solve` (``"highs"``, ``"sat"`` or ``"auto"``).
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -317,7 +317,7 @@ class Model:
         """Create and register a new variable.
 
         ``lb`` must be finite (the scheduling formulation never needs free
-        variables, and finite lower bounds keep the simplex conversion
+        variables, and finite lower bounds keep the array lowering
         simple).
         """
         if not math.isfinite(lb):
@@ -429,10 +429,8 @@ class Model:
     ):
         """Solve the model and return a :class:`repro.ilp.Solution`.
 
-        ``backend`` is ``"highs"`` (scipy/HiGHS), ``"bnb"`` (the built-in
-        branch-and-bound over the pure-python simplex), ``"sat"`` (CDCL,
-        for scheduling formulations only), or ``"auto"``, which is
-        HiGHS.  ``mip_start`` optionally warm-starts the search with a
+        ``backend`` is ``"highs"`` (scipy/HiGHS), ``"sat"`` (CDCL, for
+        scheduling formulations only), or ``"auto"``, which is HiGHS.  ``mip_start`` optionally warm-starts the search with a
         feasible assignment.
         """
         from repro.ilp import solve as _solve

@@ -31,8 +31,8 @@ class SolveStatus(enum.Enum):
         return self in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
 
 
-#: Optimality tolerance of the MILP backends: HiGHS's relative
-#: ``mip_rel_gap`` and branch and bound's pruning slack.
+#: Optimality tolerance of the MILP backend: HiGHS's relative
+#: ``mip_rel_gap``.
 MIP_GAP = 1e-6
 
 

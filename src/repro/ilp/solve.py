@@ -9,7 +9,8 @@ from repro.ilp.errors import SolverError
 from repro.ilp.model import Model, Variable
 from repro.ilp.solution import Solution
 
-_BACKENDS = ("auto", "highs", "bnb", "sat")
+#: Every accepted ``backend`` value; ``auto`` is HiGHS.
+BACKENDS = ("auto", "highs", "sat")
 
 
 def _validate_time_limit(value: float) -> None:
@@ -38,9 +39,9 @@ def solve(
     assignment (see :func:`repro.ilp.standard.start_vector`); an invalid
     start is ignored, never an error.
     """
-    if backend not in _BACKENDS:
+    if backend not in BACKENDS:
         raise SolverError(
-            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     if time_limit is not None:
         _validate_time_limit(time_limit)
@@ -57,11 +58,6 @@ def _dispatch(
         from repro.sat.backend import solve_sat
 
         return _checked(solve_sat(model, time_limit=time_limit,
-                                  mip_start=mip_start))
-    if backend == "bnb":
-        from repro.ilp.branch_bound import solve_bnb
-
-        return _checked(solve_bnb(model, time_limit=time_limit,
                                   mip_start=mip_start))
     from repro.ilp.highs import solve_highs
 

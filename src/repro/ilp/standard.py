@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -17,9 +17,7 @@ class ArrayForm:
     """Array representation of a model.
 
     The constraint matrix is assembled as COO triplets and stored sparse
-    (CSR); a dense view is materialized lazily only for the pure-Python
-    simplex backend, which works row-by-row on a dense tableau anyway.
-    The objective is always stored as *minimize* ``c @ x + c0``; for a
+    (CSR), which HiGHS consumes directly.  The objective is always stored as *minimize* ``c @ x + c0``; for a
     maximization model ``c``/``c0`` are pre-negated and ``flipped`` is set
     so callers can restore the user-facing objective value.
     """
@@ -34,9 +32,6 @@ class ArrayForm:
     integrality: np.ndarray
     flipped: bool
     row_names: List[str]
-    _dense: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def num_vars(self) -> int:
@@ -50,17 +45,6 @@ class ArrayForm:
     def nnz(self) -> int:
         return int(self.a_csr.nnz)
 
-    @property
-    def a_matrix(self) -> np.ndarray:
-        """Dense view of the constraint matrix (lazy, cached).
-
-        Only the simplex backend and debugging code should touch this;
-        HiGHS consumes :attr:`a_csr` directly.
-        """
-        if self._dense is None:
-            self._dense = self.a_csr.toarray()
-        return self._dense
-
     def user_objective(self, minimized_value: float) -> float:
         """Map a minimized objective value back to the model's sense."""
         return -minimized_value if self.flipped else minimized_value
@@ -70,7 +54,7 @@ def to_arrays(model: Model) -> ArrayForm:
     """Lower a model to :class:`ArrayForm` via COO-triplet assembly.
 
     Rows are encoded with two-sided bounds ``row_lower <= A x <= row_upper``
-    which matches both HiGHS and the simplex driver.  Duplicate (row, col)
+    as HiGHS takes them.  Duplicate (row, col)
     triplets sum, matching the ``+=`` semantics of the old dense path.
     """
     n = model.num_vars
@@ -136,10 +120,10 @@ def start_vector(
     """Dense vector for a warm start, or None if it is not usable.
 
     A usable start assigns every variable, respects the bounds, is
-    integral on the integer variables, and satisfies every row.  Both
-    MILP backends share this validation so a stale or converted-wrong
-    start silently degrades to a cold solve instead of corrupting the
-    search with an unattainable incumbent objective.
+    integral on the integer variables, and satisfies every row.  A
+    stale or converted-wrong start thus silently degrades to a cold
+    solve instead of corrupting the search with an unattainable
+    incumbent objective.
     """
     if not values:
         return None

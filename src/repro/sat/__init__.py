@@ -12,8 +12,8 @@ SAT-MapIt both exploit exactly this).  This subpackage mirrors how
   at-most-k encodings plus exactly-one helpers.
 * :mod:`repro.sat.solver` — a self-contained CDCL core (two-watched
   literals, 1-UIP learning, VSIDS, phase saving, Luby restarts,
-  assumptions), the propositional sibling of ``ilp/simplex.py`` +
-  ``ilp/branch_bound.py``.
+  assumptions), the propositional counterpart of HiGHS in
+  ``ilp/highs.py``.
 * :mod:`repro.sat.encode` — lowers a built
   :class:`repro.core.formulation.Formulation` (slot windows, k bounds,
   pair verdicts) to CNF.

@@ -85,7 +85,7 @@ def require_feasibility(formulation) -> None:
         raise SatEncodeError(
             "the sat backend is feasibility-only; objective "
             f"{formulation.options.objective!r} needs an ILP backend "
-            "(highs/bnb)"
+            "(highs)"
         )
 
 

@@ -38,6 +38,13 @@ whatever remains is already in the journal as accepted-but-unfinished
 — the next incarnation re-admits those jobs under their original ids,
 which is also exactly what happens after a SIGKILL with no drain at
 all.  An accepted job is never lost.
+
+The daemon is crash-only: if the dispatcher thread dies on an
+unexpected exception, its traceback is logged, ``/healthz`` answers
+``ok: false``, submits get 503, connections already open are answered,
+and the server stops, so :func:`serve_main` returns non-zero.  The jobs
+it had accepted stay unfinished in the journal for the next
+incarnation to re-admit.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -55,7 +63,7 @@ import uuid
 from typing import Dict, List, Optional, Tuple
 
 from repro.ddg.builders import parse_ddg
-from repro.ilp.solve import _BACKENDS
+from repro.ilp.solve import BACKENDS
 from repro.machine import presets
 from repro.serve.admission import FairQueue, TokenBucket
 from repro.serve.breaker import CircuitBreaker
@@ -77,6 +85,8 @@ from repro.supervision.records import (
     FailureRecord,
     SupervisionPolicy,
 )
+
+_log = logging.getLogger(__name__)
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -102,7 +112,7 @@ def _entry_doc_verdict(entry: dict) -> int:
 
 def _breaker_tracks(backend) -> bool:
     """The breaker watches every named solver; ``auto`` is not one."""
-    return backend != "auto" and backend in _BACKENDS
+    return backend != "auto" and backend in BACKENDS
 
 
 def _close_inherited_fds(fds) -> None:
@@ -139,11 +149,14 @@ class ServeDaemon:
         self._journal: Optional[Journal] = None
         self._journal_lock = threading.Lock()
         self._mode = _RUNNING
+        #: Set when the dispatcher died on an unexpected exception.
+        self._crashed = False
         self._dispatcher: Optional[threading.Thread] = None
         #: Live connection-handler tasks; drain waits for them so an
         #: in-flight long-poll gets its response before the loop dies.
         self._connections: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
         self.port: Optional[int] = None
 
@@ -156,6 +169,7 @@ class ServeDaemon:
     async def start(self) -> None:
         """Open the journal, start the server and the dispatcher."""
         self._stopped = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         if self.config.journal is not None:
             self._open_journal()
         # Bind before spawning the dispatcher: workers must know the
@@ -198,9 +212,17 @@ class ServeDaemon:
             return
         self._mode = _DRAINING
         deadline = time.monotonic() + self.config.drain_grace
-        while time.monotonic() < deadline and self._unfinished() > 0:
+        while (self._mode == _DRAINING and time.monotonic() < deadline
+               and self._unfinished() > 0):
             await asyncio.sleep(0.1)
+        if self._mode == _HALTED:
+            return  # the dispatcher died; its shutdown is under way
         self._mode = _HALTED
+        await self._shutdown()
+
+    async def _shutdown(self) -> None:
+        """Join the dispatcher, close the journal, answer the open
+        connections and stop the server (mode already halted)."""
         if self._dispatcher is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._dispatcher.join
@@ -325,7 +347,7 @@ class ServeDaemon:
         """Admit one submission; returns (status, body, extra headers)."""
         self.stats.bump("submitted")
         if self._mode != _RUNNING:
-            return 503, {"error": "daemon is draining"}, []
+            return 503, {"error": f"daemon is {self._mode}"}, []
         client = str(payload.get("client") or "anon")
         wait = self._bucket(client).take()
         if wait is not None:
@@ -420,6 +442,20 @@ class ServeDaemon:
         )
 
     def _dispatch_loop(self) -> None:
+        """Thread body: run the dispatcher; halt the daemon if it dies."""
+        try:
+            self._dispatch()
+        except Exception:  # noqa: BLE001 - crash-only: log, halt, exit
+            self._crashed = True
+            running = self._mode != _HALTED
+            self._mode = _HALTED
+            _log.exception("serve dispatcher died; halting the daemon")
+            if running:  # else a drain is already shutting down
+                asyncio.run_coroutine_threadsafe(
+                    self._shutdown(), self._loop
+                )
+
+    def _dispatch(self) -> None:
         initializer, initargs = None, ()
         if multiprocessing.get_start_method() == "fork":
             # Forked workers inherit the listening socket; close it so
@@ -649,4 +685,4 @@ def serve_main(config: ServeConfig) -> int:
         asyncio.run(daemon.run())
     except KeyboardInterrupt:
         pass
-    return 0
+    return 1 if daemon._crashed else 0

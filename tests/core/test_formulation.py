@@ -166,7 +166,7 @@ class TestSolveAndExtract:
 
     def test_both_backends_agree_on_feasibility(self):
         for t_period, feasible in ((3, False), (4, True)):
-            for backend in ("highs", "bnb"):
+            for backend in ("highs", "sat"):
                 f = Formulation(
                     motivating_example(), motivating_machine(), t_period
                 )

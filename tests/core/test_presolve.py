@@ -124,7 +124,7 @@ class TestOrderedSymmetry:
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("backend", ("highs", "bnb"))
+    @pytest.mark.parametrize("backend", ("highs", "sat"))
     def test_infeasible_period_agrees_with_solver(self, backend):
         """Presolve's dependence-infeasibility verdict (T=3 < cycle
         bound 4) must match what both solvers say, with and without the
@@ -137,7 +137,7 @@ class TestDifferential:
             status = f.solve(backend=backend).status
             assert not status.has_solution, (backend, presolve_on)
 
-    @pytest.mark.parametrize("backend", ("highs", "bnb"))
+    @pytest.mark.parametrize("backend", ("highs", "sat"))
     def test_motivating_statuses_match(self, backend):
         """Presolve on/off agree period by period on the §2 loop."""
         ddg = motivating_example()

@@ -107,15 +107,15 @@ class TestDriverBehaviour:
         )
         assert sum(result.schedule.starts) == 26
 
-    def test_bnb_backend_matches_highs(self):
+    def test_sat_backend_matches_highs(self):
         highs = schedule_loop(
             motivating_example(), motivating_machine(), backend="highs"
         )
-        bnb = schedule_loop(
-            motivating_example(), motivating_machine(), backend="bnb"
+        sat = schedule_loop(
+            motivating_example(), motivating_machine(), backend="sat"
         )
-        assert highs.achieved_t == bnb.achieved_t == 4
-        verify_schedule(bnb.schedule)
+        assert highs.achieved_t == sat.achieved_t == 4
+        verify_schedule(sat.schedule)
 
 
 def _attempt_log(ddg, machine, backend):
@@ -148,7 +148,7 @@ class TestHistoryIndependence:
             assert attempt.model_stats["variables"] > 0
             assert attempt.model_stats["constraints"] > 0
 
-    @pytest.mark.parametrize("backend", ["highs", "bnb", "sat"])
+    @pytest.mark.parametrize("backend", ["highs", "sat"])
     def test_repeated_sweep_is_identical(self, backend):
         ddg, machine = motivating_example(), motivating_machine()
         first = _attempt_log(ddg, machine, backend)
@@ -232,12 +232,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("settings", [
         {"backend": "bogus"},
         {"backend": "portfolio"},
+        {"backend": "bnb"},
         {"objective": "bogus"},
         {"backend": "sat", "objective": "min_fu"},
         {"time_limit": 0},
         {"time_limit": -1.0},
         {"time_limit": float("nan")},
-    ], ids=["unknown-backend", "portfolio", "unknown-objective",
+    ], ids=["unknown-backend", "portfolio", "bnb", "unknown-objective",
             "sat-min_fu", "zero-limit", "negative-limit", "nan-limit"])
     def test_attempt_config_rejects(self, settings):
         with pytest.raises(SchedulingError):

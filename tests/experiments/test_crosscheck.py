@@ -23,7 +23,7 @@ class TestKernels:
         )
         assert report.all_consistent, report.problems()
         row = report.rows[0]
-        assert row.highs_t == row.bnb_t == row.enum_t == 4
+        assert row.highs_t == row.sat_t == row.enum_t == 4
 
     def test_render_mentions_verdict(self):
         from repro.ddg.kernels import dot_product

@@ -40,6 +40,9 @@ def test_non_numeric_time_limit_rejected(model, bad):
 def test_unknown_backend_rejected(model):
     with pytest.raises(SolverError, match="unknown backend"):
         solve(model, backend="cplex")
+    # The deleted branch & bound backend is unknown too.
+    with pytest.raises(SolverError, match="unknown backend 'bnb'"):
+        solve(model, backend="bnb")
 
 
 def test_auto_is_highs(model):

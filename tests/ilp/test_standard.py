@@ -2,8 +2,6 @@
 
 import math
 
-import numpy as np
-
 from repro.ilp import Model
 from repro.ilp.standard import to_arrays
 
@@ -44,7 +42,7 @@ class TestToArrays:
         x = m.add_var("x")
         m.add(x + x + 2 * x <= 8)
         form = to_arrays(m)
-        assert form.a_matrix[0, 0] == 4.0
+        assert form.a_csr[0, 0] == 4.0
 
     def test_integrality_mask(self):
         m = Model()
@@ -73,7 +71,7 @@ class TestToArrays:
         xs = [m.add_var(f"x{i}") for i in range(4)]
         m.add(xs[0] + xs[3] <= 1)
         form = to_arrays(m)
-        assert form.a_matrix.shape == (1, 4)
+        assert form.a_csr.shape == (1, 4)
         assert form.num_vars == 4
         assert form.num_rows == 1
-        assert np.count_nonzero(form.a_matrix) == 2
+        assert form.nnz == 2

@@ -121,8 +121,7 @@ class TestAttemptPeriodIntegration:
 
 
 class TestDifferentialAgainstIlp:
-    @pytest.mark.parametrize("ilp_backend", ["auto", "bnb"])
-    def test_verdicts_agree_on_seeded_suite(self, machine, ilp_backend):
+    def test_verdicts_agree_on_seeded_suite(self, machine):
         checked = 0
         for ddg in suite(6, machine, seed=604):
             bounds = lower_bounds(ddg, machine)
@@ -131,9 +130,7 @@ class TestDifferentialAgainstIlp:
                     continue
                 f = _formulation(ddg, machine, t)
                 sat = solve(f.model, backend="sat", time_limit=30.0)
-                ilp = solve(
-                    f.model, backend=ilp_backend, time_limit=30.0
-                )
+                ilp = solve(f.model, backend="highs", time_limit=30.0)
                 assert (
                     sat.status.has_solution == ilp.status.has_solution
                 ), f"{ddg.name} T={t}: sat={sat.status} ilp={ilp.status}"

@@ -43,7 +43,6 @@ class TestTripping:
         breaker.record_failure("sat", "crash")
         assert not breaker.allows("sat")
         assert breaker.allows("highs")
-        assert breaker.allows("bnb")
 
 
 class TestCooldown:

@@ -8,6 +8,8 @@ the in-process daemon object, which is thread-safe by design.
 
 import json
 import random
+import socket
+import threading
 import time
 
 import pytest
@@ -24,7 +26,10 @@ from repro.ddg.kernels import (
 )
 from repro.ddg.transforms import scrambled
 from repro.machine import presets
-from repro.serve.client import ServeError
+from repro.serve.client import ServeClient, ServeError
+from repro.serve.config import ServeConfig
+from repro.serve.daemon import serve_main
+from repro.supervision.cells import CellRace
 from repro.supervision.journal import read_journal
 
 MACHINE = "powerpc604"
@@ -109,6 +114,7 @@ class TestSubmitPoll:
             {"objective": "bogus"},
             {"objective": "min_fu"},  # sat is feasibility-only
             {"backend": "portfolio"},
+            {"backend": "bnb"},
         ):
             status, body = client.submit_raw(
                 DOT, MACHINE, **{"backend": "sat", **options}
@@ -302,7 +308,7 @@ class TestBreakerConfinement:
     def test_tripped_backend_is_confined_then_probed(
         self, daemon_factory, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_FAULTS", "crash@attempt:backend=bnb")
+        monkeypatch.setenv("REPRO_FAULTS", "crash@attempt:backend=sat")
         host = daemon_factory(
             breaker_threshold=1, breaker_cooldown=2.0, max_retries=0,
         )
@@ -311,19 +317,19 @@ class TestBreakerConfinement:
         # 1. The faulted backend crashes its job and trips the breaker.
         # (warmstart off: the heuristic pre-pass would otherwise settle
         # the loop before any ILP attempt fires the fault site.)
-        failed = client.submit(DOT, MACHINE, backend="bnb",
+        failed = client.submit(DOT, MACHINE, backend="sat",
                                warmstart=False)
         doc = client.wait_for(failed["job"], timeout=60)
         assert doc["state"] == "failed"
         assert doc["failure"]["kind"] == "crash"
-        assert host.daemon.breaker.state("bnb") == "open"
+        assert host.daemon.breaker.state("sat") == "open"
         # Each failed job counts once, under its taxonomy kind.
         stats = client.stats()
         assert stats["failure_kinds"] == {"crash": 1}
         assert stats["counters"]["failed"] == 1
 
         # 2. Direct submissions to it are refused up front (503).
-        status, body = client.submit_raw(DOT, MACHINE, backend="bnb")
+        status, body = client.submit_raw(DOT, MACHINE, backend="sat")
         assert status == 503
         assert body["retry_after"] >= 1
         assert host.daemon.stats.count("breaker_rejected") == 1
@@ -335,17 +341,93 @@ class TestBreakerConfinement:
         assert doc["state"] == "done"
         assert doc["entry"]["attempts"][-1]["backend"] == "highs"
         breakers = client.stats()["breakers"]
-        assert breakers["bnb"]["state"] == "open"
+        assert breakers["sat"]["state"] == "open"
         assert breakers["highs"]["state"] == "closed"
 
         # 4. After the cooldown it re-enters half-open for one probe...
         time.sleep(2.1)
-        assert host.daemon.breaker.allows("bnb")
-        assert host.daemon.breaker.state("bnb") == "half_open"
+        assert host.daemon.breaker.allows("sat")
+        assert host.daemon.breaker.state("sat") == "half_open"
 
         # 5. ...and the still-crashing probe re-opens it immediately.
-        probe = client.submit(LK1, MACHINE, backend="bnb",
+        probe = client.submit(LK1, MACHINE, backend="sat",
                               warmstart=False)
         doc = client.wait_for(probe["job"], timeout=60)
         assert doc["state"] == "failed"
-        assert host.daemon.breaker.state("bnb") == "open"
+        assert host.daemon.breaker.state("sat") == "open"
+
+
+def _raw_request(sock, method, path, body=None):
+    """One HTTP exchange on an already-open connection."""
+    data = b"" if body is None else json.dumps(body).encode("utf-8")
+    sock.sendall(
+        f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {len(data)}\r\n\r\n".encode("latin-1") + data
+    )
+    reply = b""
+    while chunk := sock.recv(65536):
+        reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+class TestDispatcherCrash:
+    """A dead dispatcher halts the daemon instead of wedging it."""
+
+    def test_crash_halts_and_a_restart_finishes_the_job(
+        self, daemon_factory, tmp_path, monkeypatch, caplog
+    ):
+        journal = tmp_path / "serve.jsonl"
+        port_file = tmp_path / "port"
+        config = ServeConfig(port=0, workers=2, time_limit=5.0,
+                             journal=str(journal), port_file=str(port_file))
+
+        def broken_step(self, timeout=None):
+            raise RuntimeError("injected dispatcher fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CellRace, "step", broken_step)
+            exit_codes = []
+            thread = threading.Thread(
+                target=lambda: exit_codes.append(serve_main(config)),
+                daemon=True,
+            )
+            thread.start()
+            deadline = time.monotonic() + 30
+            while not port_file.exists() or not port_file.read_text():
+                assert time.monotonic() < deadline, "daemon never started"
+                time.sleep(0.02)
+            port = int(port_file.read_text())
+            # Connections opened before the crash are still answered.
+            probes = [
+                socket.create_connection(("127.0.0.1", port), timeout=10)
+                for _ in range(2)
+            ]
+            client = ServeClient("127.0.0.1", port)
+            job_id = client.submit(DOT, MACHINE, warmstart=False)["job"]
+            submitted = time.monotonic()
+            while not any("dispatcher died" in r.getMessage()
+                          for r in caplog.records):
+                assert time.monotonic() - submitted < 1.0
+                time.sleep(0.01)
+            status, health = _raw_request(probes[0], "GET", "/healthz")
+            assert time.monotonic() - submitted < 1.0
+            assert status == 200 and health["ok"] is False
+            status, body = _raw_request(probes[1], "POST", "/submit", {
+                "ddg": DAXPY, "machine": MACHINE,
+            })
+            assert status == 503 and "halted" in body["error"]
+            for probe in probes:
+                probe.close()
+            thread.join(timeout=30)
+            assert exit_codes == [1]
+        record = next(r for r in caplog.records
+                      if "dispatcher died" in r.getMessage())
+        assert record.name == "repro.serve.daemon"
+        assert "injected dispatcher fault" in caplog.text  # the traceback
+        accepted, done = journal_events(journal)
+        assert job_id in accepted and job_id not in done
+
+        host = daemon_factory(journal=str(journal), time_limit=5.0)
+        doc = host.start().wait_for(job_id, timeout=60)
+        assert doc["state"] == "done"

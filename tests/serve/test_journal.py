@@ -13,7 +13,7 @@ import pytest
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeDaemon
 from repro.serve.jobs import DONE, FAILED, Job
-from repro.supervision.journal import JournalError
+from repro.supervision.journal import JournalError, read_journal
 
 REQUEST = {"ddg": "loop x { }", "machine": "powerpc604",
            "backend": "auto", "objective": "min_sum_t",
@@ -156,3 +156,37 @@ class TestCorruption:
         daemon._journal.close()
         assert daemon._registry == {}
         assert path.read_text(encoding="utf-8").splitlines() == [HEADER]
+
+
+class TestDeletedBackend:
+    def test_queued_bnb_job_fails_and_the_daemon_keeps_serving(
+        self, daemon_factory, tmp_path
+    ):
+        # A daemon that still had the branch & bound backend accepted
+        # this job and died before finishing it.
+        path = tmp_path / "serve.jsonl"
+        write_lines(
+            path, HEADER,
+            '{"client": "c", "event": "accepted", "job": "oldbnb0001ab", '
+            '"key": "k-old", "request": {"backend": "bnb", "ddg": '
+            '"loop dotprod\\nop ld_a load\\nop ld_b load\\nop mul fmul\\n'
+            'op acc fadd\\ndep ld_a mul 0 flow\\ndep ld_b mul 0 flow\\n'
+            'dep mul acc 0 flow\\ndep acc acc 1 flow\\n", '
+            '"machine": "powerpc604", "objective": "feasibility", '
+            '"time_limit": 5.0, "warmstart": true}, "weight": 1}',
+        )
+        host = daemon_factory(journal=str(path), time_limit=5.0)
+        client = host.start()
+        doc = client.wait_for("oldbnb0001ab", timeout=60)
+        assert doc["state"] == FAILED
+        assert doc["failure"]["kind"] == "solver_error"
+        assert "unknown backend 'bnb'" in doc["error"]
+        fresh = client.submit(
+            "loop one\nop a fadd\n", "powerpc604", backend="auto"
+        )
+        assert client.wait_for(fresh["job"], timeout=60)["state"] == DONE
+        assert "bnb" not in client.stats()["breakers"]
+        _, records = read_journal(path)
+        done = [r for r in records if r.get("event") == "done"]
+        assert [r["job"] for r in done[:1]] == ["oldbnb0001ab"]
+        assert done[0]["state"] == FAILED

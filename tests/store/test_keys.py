@@ -83,7 +83,7 @@ class TestFingerprintAndKey:
         # suites) — they stay out of the key.
         base = config_fingerprint(AttemptConfig(), 10)
         for variant in (
-            AttemptConfig(backend="bnb"),
+            AttemptConfig(backend="sat"),
             AttemptConfig(time_limit=1.0),
             AttemptConfig(warmstart=False),
         ):

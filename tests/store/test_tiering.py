@@ -130,7 +130,7 @@ class TestLookupTiers:
         run_sweep(ddg, machine, CONFIG, 10, store=store)
         clear_tiers()
         fast = AttemptConfig(time_limit=1.0, warmstart=False,
-                             backend="bnb")
+                             backend="sat")
         stored, stats = lookup(store, ddg, machine, fast, 10)
         assert stored is not None and stats.hit
 

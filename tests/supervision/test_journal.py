@@ -41,7 +41,7 @@ class TestConfigDigest:
     def test_sensitive_to_every_setting(self):
         base = config_digest("m", backend="auto", time_limit=10.0)
         assert config_digest("m2", backend="auto", time_limit=10.0) != base
-        assert config_digest("m", backend="bnb", time_limit=10.0) != base
+        assert config_digest("m", backend="sat", time_limit=10.0) != base
         assert config_digest("m", backend="auto", time_limit=30.0) != base
 
 

@@ -38,3 +38,27 @@ def test_portfolio_paragraph_matches_bench_portfolio():
     assert portfolio["killed_running"] == 119
     assert portfolio["cancelled_queued"] == 73
     assert "119 running losers killed and 73 queued ones dropped" in text
+
+
+def test_warmstart_paragraph_matches_bench_warmstart():
+    doc = json.loads(
+        (ROOT / "BENCH_warmstart.json").read_text(encoding="utf-8")
+    )
+    text = _flat_text("docs/performance.md")
+    assert list(doc["backends"]) == ["highs"]
+    highs = doc["backends"]["highs"]
+    on, off = highs["warmstart_on"], highs["warmstart_off"]
+    assert highs["loops"] == doc["corpus_size"] == 40
+    assert "over the motivating-machine corpus (40 loops, 10 s" in text
+    assert highs["time_limit_per_t"] == 10.0
+    reduction = round(100 * highs["time_reduction"])
+    assert (
+        f"**-{reduction}% wall-clock** ({off['seconds']:.2f} s → "
+        f"{on['seconds']:.2f} s)" in text
+    )
+    assert (
+        f"{highs['skipped_ilp']}/40 loops settled by the heuristic alone "
+        f"({off['ilp_solves']} → {on['ilp_solves']} ILP solves)" in text
+    )
+    assert on["scheduled"] == off["scheduled"] == 40
+    assert "all 40 scheduled both ways" in text

@@ -83,8 +83,8 @@ class TestBackendAgreement:
                             class_weights={"op": 1.0}),
         )
         highs = schedule_loop(ddg, machine, backend="highs", max_extra=12)
-        bnb = schedule_loop(ddg, machine, backend="bnb", max_extra=12)
-        assert highs.achieved_t == bnb.achieved_t
+        sat = schedule_loop(ddg, machine, backend="sat", max_extra=12)
+        assert highs.achieved_t == sat.achieved_t
 
 
 class TestUncleanDemoMachine:

@@ -5,9 +5,8 @@ identical achieved period and the identical ``is_rate_optimal_proven``
 flag as the in-process :func:`repro.core.schedule_loop` — racing is a
 pure wall-clock optimization, never a semantic change.
 
-The corpus-wide sweeps (and everything under the pure-python ``bnb``
-backend) are marked ``slow`` and excluded from the default tier-1 run;
-a small smoke subset always runs.
+The corpus-wide sweeps (on HiGHS and on SAT) are marked ``slow`` and
+excluded from the default tier-1 run; a small smoke subset always runs.
 """
 
 import pathlib
@@ -26,9 +25,6 @@ CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 FILES = sorted(CORPUS_DIR.glob("*.ddg"))
 SMOKE_FILES = FILES[:4]
 
-#: Loops whose ILPs stay small enough for the pure-python solver.
-BNB_MAX_OPS = 8
-
 
 @pytest.fixture(scope="module")
 def machine():
@@ -36,15 +32,18 @@ def machine():
 
 
 def _assert_equivalent(path, machine, backend, time_limit):
+    # Warm start off: the heuristic settles every corpus loop on its
+    # own, and then neither driver would ask the backend anything.
     ddg = parse_ddg(path.read_text(encoding="utf-8"))
     seq = schedule_loop(
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
-        max_extra=30,
+        max_extra=30, warmstart=False,
     )
     par = schedule_loop(
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
-        max_extra=30, jobs=2,
+        max_extra=30, jobs=2, warmstart=False,
     )
+    assert any(a.backend == backend for a in seq.attempts), path.name
     assert par.achieved_t == seq.achieved_t, path.name
     assert par.is_rate_optimal_proven == seq.is_rate_optimal_proven, path.name
     if par.schedule is not None:
@@ -72,14 +71,8 @@ def test_equivalence_corpus_highs(path, machine):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)
-def test_equivalence_corpus_bnb(path, machine):
-    ddg = parse_ddg(path.read_text(encoding="utf-8"))
-    if ddg.num_ops > BNB_MAX_OPS:
-        pytest.skip(
-            f"{path.name}: {ddg.num_ops} ops is beyond the pure-python "
-            "solver's practical size"
-        )
-    _assert_equivalent(path, machine, "bnb", 20.0)
+def test_equivalence_corpus_sat(path, machine):
+    _assert_equivalent(path, machine, "sat", 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +80,7 @@ def test_equivalence_corpus_bnb(path, machine):
 # store-warmed batch must all report the same achieved period and the
 # same proven-optimality flag.  The sample is the seeded 50-loop corpus
 # the issue pins (master seed 604, mixed families); a small slice runs
-# in tier-1, the full sample and the ``bnb`` backend are ``slow``.
+# in tier-1, the full sample on HiGHS and on SAT is ``slow``.
 # ---------------------------------------------------------------------------
 
 GEN_SAMPLE_SEED = 604
@@ -183,11 +176,9 @@ def test_generated_differential_full_highs(preset, tmp_path,
 
 
 @pytest.mark.slow
-def test_generated_differential_full_bnb(machine, tmp_path,
+def test_generated_differential_full_sat(machine, tmp_path,
                                          fresh_store_state):
     for ddg in _generated_sample(machine):
-        if ddg.num_ops > BNB_MAX_OPS:
-            continue
         _assert_triple_equivalent(
-            ddg, machine, "bnb", 20.0, tmp_path / "store"
+            ddg, machine, "sat", 10.0, tmp_path / "store"
         )

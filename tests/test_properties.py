@@ -149,28 +149,21 @@ def test_presolve_differential_highs(seed, machine):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
-def test_presolve_differential_bnb(machine, seed):
-    # Smaller loops: the pure-Python B&B is the slow backend.
-    rng = random.Random(1000 + seed)
-    ddg = random_ddg(rng, machine, GeneratorConfig(min_ops=2, max_ops=8),
-                     name=f"bnbprop{seed}")
+def test_presolve_differential_sat(seed, machine):
+    ddg = _random_loop(seed, machine)
     _assert_presolve_equivalent(
-        ddg, machine, "bnb", time_limit_per_t=15.0, max_extra=20
+        ddg, machine, "sat", time_limit_per_t=10.0, max_extra=20
     )
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ("highs", "bnb"))
+@pytest.mark.parametrize("backend", ("highs", "sat"))
 def test_presolve_differential_corpus(machine, backend):
     """>= 50 random loops per backend: the sweep and the paper-literal
     formulation must reach identical per-period verdicts."""
-    max_ops = 12 if backend == "highs" else 8
     for seed in range(50):
         rng = random.Random(5000 + seed)
-        ddg = random_ddg(
-            rng, machine, GeneratorConfig(min_ops=2, max_ops=max_ops),
-            name=f"corpus{seed}",
-        )
+        ddg = random_ddg(rng, machine, CONFIG, name=f"corpus{seed}")
         _assert_presolve_equivalent(
             ddg, machine, backend, time_limit_per_t=15.0, max_extra=20
         )
