@@ -24,8 +24,8 @@ from typing import List, Optional
 from repro.baselines import iterative_modulo_schedule, list_schedule
 from repro.codegen import emit_assembly, flat_listing
 from repro.core import lower_bounds, schedule_loop
+from repro.core.formulation import BACKENDS
 from repro.ddg import builders, generators, kernels, render
-from repro.ilp.solve import BACKENDS
 from repro.machine import presets
 
 

@@ -1,8 +1,13 @@
-"""The unified ILP formulation (paper §4–§5).
+"""The unified formulation (paper §4–§5).
 
-Given a loop DDG, a machine and a candidate period ``T``, builds one
-integer linear program whose feasible points are exactly the valid
-software-pipelined schedules *with a fixed instruction-to-FU mapping*:
+Given a loop DDG, a machine and a candidate period ``T``, states one
+model whose feasible points are exactly the valid software-pipelined
+schedules *with a fixed instruction-to-FU mapping*.  Its structure —
+slot windows, stage bounds, Eq. 25 usage, colors and the pair verdicts
+that gate them — is built on construction and read by both backends:
+HiGHS through the integer linear program :meth:`Formulation.build`
+emits, the SAT backend through its CNF lowering (:mod:`repro.sat`).
+The ILP:
 
 Variables
     * ``a[t][i]``  (0-1)  — instruction ``i`` starts at pattern slot ``t``
@@ -49,20 +54,26 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.bounds import modulo_feasible_t
 from repro.core.errors import CoreError, MappingError, ModuloInfeasibleError
-from repro.core.presolve import ALWAYS, NEVER, PresolveInfo, presolve
+from repro.core.presolve import ALWAYS, MAYBE, NEVER, PresolveInfo, presolve
 from repro.core.schedule import Schedule, greedy_mapping
 from repro.ddg.graph import Ddg
 from repro.ilp import LinExpr, Model, Solution, Variable, lin_sum
 from repro.ilp.model import GE, LE, EQ, ModelStats, RowSpec
+from repro.ilp.solve import ILP_BACKENDS, _validate_time_limit
+from repro.ilp.solve import solve as solve_ilp
 from repro.machine import Machine
 
 OBJECTIVES = (
     "feasibility", "min_sum_t", "min_fu", "min_buffers", "min_lifetimes",
 )
+
+#: Every accepted ``backend`` of :meth:`Formulation.solve`; ``auto`` is
+#: HiGHS.
+BACKENDS = ILP_BACKENDS + ("sat",)
 
 
 @dataclass
@@ -94,7 +105,15 @@ class FormulationOptions:
 
 
 class Formulation:
-    """One ILP instance for a (ddg, machine, T) triple."""
+    """The §4–§5 model of one (ddg, machine, T) triple.
+
+    Construction builds the structure both backends read: the presolve
+    verdict, the windowed ``a`` slot variables, the bounded ``k`` stage
+    variables, the ``c`` colors of the FU types that need mapping, the
+    Eq. 25 usage terms and the op order of the symmetry caps.
+    :meth:`build` emits the ILP rows over that structure, which only
+    HiGHS reads; :meth:`solve` is the one backend dispatch.
+    """
 
     def __init__(
         self,
@@ -115,95 +134,30 @@ class Formulation:
                 f"T={t_period} violates the modulo scheduling constraint "
                 f"for loop {ddg.name!r}"
             )
+        start = time.monotonic()
         self._built = False
         self.model: Model = Model(f"{ddg.name}@T={t_period}")
-        # Backref for backends that need formulation structure rather
-        # than bare rows (the SAT lowering reads slot windows, pair
-        # verdicts and reservation shapes straight from here).
-        self.model._formulation = self
-        self.a: List[List[Optional[Variable]]] = []   # a[t][i]; None = pruned
-        self.k: List[Variable] = []
-        self.t_expr: List[LinExpr] = []
-        self.color: Dict[int, Variable] = {}
         self.fu_count_var: Dict[str, Variable] = {}
-        self.colored_types: List[str] = []
         # Coloring side variables, keyed so a warm start can assign them:
         # w[i,j] sign binaries, o[i,j] overlap binaries (absent for pairs
-        # where presolve folded the indicator), b[e] buffer counts, and
-        # the per-type op order the sym[...] caps were emitted along.
+        # where presolve folded the indicator) and b[e] buffer counts.
         self.sign_var: Dict[Tuple[int, int], Variable] = {}
         self.overlap_var: Dict[Tuple[int, int], Variable] = {}
         self.buffer_var: Dict[int, Variable] = {}
-        self.color_order: Dict[str, List[int]] = {}
-        self.presolve_info: Optional[PresolveInfo] = None
-        self.model_stats: Optional[ModelStats] = None
         self._elim_vars = 0
         self._elim_rows = 0
         self._elim_nnz = 0
-        self._usage: Optional[
-            Dict[Tuple[int, int, int], Dict[Variable, float]]
-        ] = None
 
-    # -- structure helpers --------------------------------------------------------
-    def _needs_coloring(self, fu_name: str) -> bool:
-        """Whether mapping must be decided by the ILP for this FU type."""
-        if self.options.mapping is False:
-            return False
-        fu = self.machine.fu_type(fu_name)
-        ops_on = [
-            op for op in self.ddg.ops
-            if self.machine.op_class(op.op_class).fu_type == fu_name
-        ]
-        if len(ops_on) < 2 or fu.count < 2:
-            # count == 1: aggregate capacity 1 already forbids any overlap,
-            # which *is* the mapping constraint.
-            return False
-        if self.options.mapping is True:
-            return True
-        return any(
-            not self.machine.reservation_for(op.op_class).is_clean
-            for op in ops_on
-        )
-
-    def _ops_by_type(self) -> Dict[str, List[int]]:
-        groups: Dict[str, List[int]] = {}
-        for op in self.ddg.ops:
-            fu = self.machine.op_class(op.op_class).fu_type
-            groups.setdefault(fu, []).append(op.index)
-        return groups
-
-    def _default_k_max(self) -> int:
-        total_latency = sum(self.ddg.latencies(self.machine))
-        n = self.ddg.num_ops
-        horizon = (self.t_period - 1) + total_latency + (n - 1) * (self.t_period - 1)
-        return max(1, math.ceil(horizon / self.t_period) + 1)
-
-    def _stage_cycles(self, op_index: int, stage: int) -> List[int]:
-        table = self.machine.reservation_for(
-            self.ddg.ops[op_index].op_class
-        )
-        if stage >= table.num_stages:
-            return []
-        return table.stage_cycles(stage)
-
-    # -- build ----------------------------------------------------------------------
-    def build(self) -> Model:
-        """Construct the model (idempotent)."""
-        if self._built:
-            return self.model
-        self._built = True
-        build_start = time.monotonic()
-        t_period = self.t_period
-        machine = self.machine
-        ddg = self.ddg
-        model = self.model
-        n = ddg.num_ops
-        k_max = self._default_k_max()
-
+        #: Op indices grouped by FU type, in first-occurrence order.
+        self.ops_by_type: Dict[str, List[int]] = {}
+        for op in ddg.ops:
+            fu = machine.op_class(op.op_class).fu_type
+            self.ops_by_type.setdefault(fu, []).append(op.index)
         colored = {
-            fu: ops for fu, ops in self._ops_by_type().items()
-            if self._needs_coloring(fu)
+            fu: ops for fu, ops in self.ops_by_type.items()
+            if self._needs_coloring(fu, ops)
         }
+        k_max = self._default_k_max()
         info: Optional[PresolveInfo] = None
         if self.options.presolve:
             info = presolve(
@@ -212,43 +166,33 @@ class Formulation:
                 k_max=k_max,
                 colored=colored,
             )
-            self.presolve_info = info
-        active = info is not None and not info.infeasible
-        if active:
-            k_max = info.k_max
-        if info is not None and info.infeasible:
-            # No schedule at this T (see ``info.reason``): record the
-            # verdict as a trivially unsatisfiable row (0 == 1) so every
-            # backend returns INFEASIBLE without search, then fall
-            # through to the plain encoding for introspection.
-            model.add(LinExpr() == 1, name="presolve_infeasible")
+        self.presolve_info = info
+        # The presolve that narrowed this model; None when it was off or
+        # proved the period infeasible (the plain encoding is kept then).
+        pruning = None if info is None or info.infeasible else info
+        self._pruning = pruning
+        n = ddg.num_ops
 
         # Variables: A matrix (windowed) and K vector (bounded).
-        self.a = []
+        self.a: List[List[Optional[Variable]]] = []   # a[t][i]; None = pruned
         for t in range(t_period):
             row: List[Optional[Variable]] = []
             for i in range(n):
-                if active and not info.slot_allowed(i, t):
+                if pruning is not None and not pruning.slot_allowed(i, t):
                     row.append(None)
                     self._elim_vars += 1
                 else:
-                    row.append(model.add_binary(f"a[{t},{i}]"))
+                    row.append(self.model.add_binary(f"a[{t},{i}]"))
             self.a.append(row)
-        if active:
-            self.k = [
-                model.add_var(
-                    f"k[{i}]", lb=info.k_bounds[i][0],
-                    ub=info.k_bounds[i][1], integer=True,
-                )
-                for i in range(n)
-            ]
-        else:
-            self.k = [
-                model.add_var(f"k[{i}]", lb=0, ub=k_max, integer=True)
-                for i in range(n)
-            ]
+        k_bounds = (
+            pruning.k_bounds if pruning is not None else [(0, k_max)] * n
+        )
+        self.k: List[Variable] = [
+            self.model.add_var(f"k[{i}]", lb=lo, ub=hi, integer=True)
+            for i, (lo, hi) in enumerate(k_bounds)
+        ]
         # Start-time expressions t_i = T*k_i + sum_t t*a[t][i]   (Eq. 7/22)
-        self.t_expr = [
+        self.t_expr: List[LinExpr] = [
             lin_sum(
                 [self.k[i] * t_period]
                 + [self.a[t][i] * t for t in range(1, t_period)
@@ -256,49 +200,73 @@ class Formulation:
             )
             for i in range(n)
         ]
+        if self.options.objective == "min_fu":
+            # FU counts as variables (HiGHS only; they bound the colors).
+            for fu_name in self.ops_by_type:
+                self.fu_count_var[fu_name] = self.model.add_var(
+                    f"R[{fu_name}]", lb=1,
+                    ub=machine.fu_type(fu_name).count, integer=True,
+                )
 
-        # Assignment: each op starts at exactly one slot.   (Eq. 9/23)
-        assign_rows: List[RowSpec] = []
-        for i in range(n):
-            terms: Dict[Variable, float] = {
-                self.a[t][i]: 1.0 for t in range(t_period)
-                if self.a[t][i] is not None
-            }
-            self._elim_nnz += t_period - len(terms)
-            assign_rows.append((terms, EQ, 1.0, f"assign[{i}]"))
-        model.add_rows(assign_rows)
-
-        # Dependences: t_j - t_i >= d_i - T*m_ij.            (Eq. 4/8)
-        separations = ddg.dep_latencies(machine)
-        for e, dep in enumerate(ddg.deps):
-            rhs = separations[e] - t_period * dep.distance
-            model.add(
-                self.t_expr[dep.dst] - self.t_expr[dep.src] >= rhs,
-                name=f"dep[{e}]",
+        # Colors of the FU types whose mapping the model decides.  Colors
+        # are interchangeable, so any coloring can be relabeled by first
+        # appearance along a fixed op order; ordering by earliest
+        # possible start slot makes the symmetry caps bite where search
+        # branches first.
+        self.colored_types: List[str] = list(colored)
+        self.color: Dict[int, Variable] = {}
+        self.color_order: Dict[str, List[int]] = {}
+        for fu_name, op_indices in colored.items():
+            count = machine.fu_type(fu_name).count
+            for i in op_indices:
+                self.color[i] = self.model.add_var(
+                    f"c[{i}]", lb=1, ub=count, integer=True
+                )
+            self.color_order[fu_name] = (
+                sorted(op_indices, key=lambda i: (pruning.asap[i], i))
+                if pruning is not None else list(op_indices)
             )
 
-        usage = self._usage_terms()
-        self._usage = usage
-        self._add_capacity_rows(usage, active)
-        self._add_coloring(usage, info if active else None)
-        self._set_objective()
-
+        #: ``U_s[t][i]`` per Eq. 25, keyed (op, stage, slot).
+        self.usage = self._usage_terms()
         presolve_seconds = info.seconds if info is not None else 0.0
-        sizes = model.stats()
         self.model_stats = ModelStats(
-            variables=sizes["variables"],
-            integer_variables=sizes["integer_variables"],
-            constraints=sizes["constraints"],
-            nonzeros=sizes["nonzeros"],
-            eliminated_variables=self._elim_vars,
-            eliminated_constraints=self._elim_rows,
-            eliminated_nonzeros=self._elim_nnz,
             presolve_seconds=presolve_seconds,
-            build_seconds=(
-                time.monotonic() - build_start - presolve_seconds
-            ),
+            build_seconds=time.monotonic() - start - presolve_seconds,
         )
-        return model
+
+    # -- structure ----------------------------------------------------------------
+    def _needs_coloring(self, fu_name: str, ops_on: List[int]) -> bool:
+        """Whether mapping must be decided by the model for this FU type."""
+        if self.options.mapping is False:
+            return False
+        if len(ops_on) < 2 or self.machine.fu_type(fu_name).count < 2:
+            # count == 1: aggregate capacity 1 already forbids any overlap,
+            # which *is* the mapping constraint.
+            return False
+        if self.options.mapping is True:
+            return True
+        return any(
+            not self.machine.reservation_for(
+                self.ddg.ops[i].op_class
+            ).is_clean
+            for i in ops_on
+        )
+
+    def _default_k_max(self) -> int:
+        total_latency = sum(self.ddg.latencies(self.machine))
+        n = self.ddg.num_ops
+        horizon = (self.t_period - 1) + total_latency + (n - 1) * (self.t_period - 1)
+        return max(1, math.ceil(horizon / self.t_period) + 1)
+
+    def stage_cycles(self, op_index: int, stage: int) -> List[int]:
+        """Reservation-table cycles op ``op_index`` holds ``stage``."""
+        table = self.machine.reservation_for(
+            self.ddg.ops[op_index].op_class
+        )
+        if stage >= table.num_stages:
+            return []
+        return table.stage_cycles(stage)
 
     def _usage_terms(self) -> Dict[Tuple[int, int, int], Dict[Variable, float]]:
         """``U_s[t][i]`` per Eq. 25 as raw coefficient dicts.
@@ -326,246 +294,309 @@ class Formulation:
                         usage[(op.index, stage, t)] = terms
         return usage
 
-    def _add_capacity_rows(
-        self,
-        usage: Dict[Tuple[int, int, int], Dict[Variable, float]],
-        active: bool,
-    ) -> None:
+    def capacity_floor(self, fu_name: str) -> int:
+        """Users a stage slot of ``fu_name`` always has room for.
+
+        The FU count, or 1 under ``min_fu``, where the count is a
+        variable with lower bound 1.
+        """
+        if self.options.objective == "min_fu":
+            return 1
+        return self.machine.fu_type(fu_name).count
+
+    def capacity_cells(self) -> Iterator[tuple]:
+        """The Eq. 24 capacity cells of every stage that can overflow.
+
+        Yields ``(fu_name, stage, users, slots)`` for each stage used by
+        more ops than :meth:`capacity_floor`; ``slots[t]`` lists
+        ``(op, usage terms)`` for the ops able to hold the stage at
+        slot ``t``.  A slot with at most the floor's occupants cannot
+        bind, since each op holds a cell from one slot at most.
+        """
+        for fu_name, op_indices in self.ops_by_type.items():
+            floor = self.capacity_floor(fu_name)
+            for stage in range(self.machine.stage_count(fu_name)):
+                users = [
+                    i for i in op_indices if self.stage_cycles(i, stage)
+                ]
+                if len(users) <= floor:
+                    continue
+                slots = []
+                for t in range(self.t_period):
+                    occupants = []
+                    for i in users:
+                        part = self.usage.get((i, stage, t))
+                        if part:
+                            occupants.append((i, part))
+                    slots.append(occupants)
+                yield fu_name, stage, users, slots
+
+    @staticmethod
+    def occupancy_key(
+        occupants: List[Tuple[int, Dict[Variable, float]]],
+    ) -> tuple:
+        """Identity of a capacity cell's occupancy.
+
+        Clean pipeline stages are shifted copies of each other, so many
+        cells repeat one occupancy; both backends emit each key once.
+        """
+        return tuple(sorted(
+            (var.index, coef)
+            for _, part in occupants for var, coef in part.items()
+        ))
+
+    def symmetry_caps(self, fu_name: str) -> List[int]:
+        """Ops whose color is capped by rank: ``c[ops[r]] <= r + 1``.
+
+        Caps at or above the FU count are vacuous; the plain encoding
+        (no presolve) caps the first op only.
+        """
+        ordered = self.color_order[fu_name]
+        if self._pruning is None:
+            return ordered[:1]
+        return ordered[:self.machine.fu_type(fu_name).count - 1]
+
+    def coloring_pairs(
+        self, fu_name: str,
+    ) -> Iterator[Tuple[int, int, List[int], str, List[int]]]:
+        """Same-type op pairs that share a stage, with their verdict.
+
+        Yields ``(i, j, shared, kind, cover)``.  ``kind`` gates the
+        different-color conflict: NEVER pairs cannot co-occupy a stage
+        slot (no conflict), ALWAYS pairs always do (an unconditional
+        conflict), MAYBE pairs conflict only when their slots overlap,
+        which is decided on the ``cover`` stages (a residue that
+        overlaps anywhere overlaps on a cover stage).  Without presolve
+        every pair is MAYBE over all of ``shared``.
+        """
+        op_indices = self.ops_by_type[fu_name]
+        stages = self.machine.stage_count(fu_name)
+        pruning = self._pruning
+        for pos, i in enumerate(op_indices):
+            for j in op_indices[pos + 1:]:
+                shared = [
+                    s for s in range(stages)
+                    if self.stage_cycles(i, s) and self.stage_cycles(j, s)
+                ]
+                if not shared:
+                    continue
+                verdict = (
+                    pruning.pairs.get((i, j)) if pruning is not None
+                    else None
+                )
+                if verdict is None:
+                    yield i, j, shared, MAYBE, shared
+                else:
+                    yield (i, j, shared, verdict.kind,
+                           list(verdict.cover_stages))
+
+    # -- ILP rows -------------------------------------------------------------------
+    def build(self) -> Model:
+        """Emit the ILP rows over the structure (idempotent; HiGHS only)."""
+        if self._built:
+            return self.model
+        self._built = True
+        build_start = time.monotonic()
+        t_period = self.t_period
+        model = self.model
+        info = self.presolve_info
+        if info is not None and info.infeasible:
+            # No schedule at this T (see ``info.reason``): record the
+            # verdict as a trivially unsatisfiable row (0 == 1) so the
+            # solver returns INFEASIBLE without search, then fall
+            # through to the plain encoding for introspection.
+            model.add(LinExpr() == 1, name="presolve_infeasible")
+
+        # Assignment: each op starts at exactly one slot.   (Eq. 9/23)
+        assign_rows: List[RowSpec] = []
+        for i in range(self.ddg.num_ops):
+            terms: Dict[Variable, float] = {
+                self.a[t][i]: 1.0 for t in range(t_period)
+                if self.a[t][i] is not None
+            }
+            self._elim_nnz += t_period - len(terms)
+            assign_rows.append((terms, EQ, 1.0, f"assign[{i}]"))
+        model.add_rows(assign_rows)
+
+        # Dependences: t_j - t_i >= d_i - T*m_ij.            (Eq. 4/8)
+        separations = self.ddg.dep_latencies(self.machine)
+        for e, dep in enumerate(self.ddg.deps):
+            rhs = separations[e] - t_period * dep.distance
+            model.add(
+                self.t_expr[dep.dst] - self.t_expr[dep.src] >= rhs,
+                name=f"dep[{e}]",
+            )
+
+        self._add_capacity_rows()
+        self._add_coloring()
+        self._set_objective()
+
+        sizes = model.stats()
+        self.model_stats = ModelStats(
+            variables=sizes["variables"],
+            integer_variables=sizes["integer_variables"],
+            constraints=sizes["constraints"],
+            nonzeros=sizes["nonzeros"],
+            eliminated_variables=self._elim_vars,
+            eliminated_constraints=self._elim_rows,
+            eliminated_nonzeros=self._elim_nnz,
+            presolve_seconds=self.model_stats.presolve_seconds,
+            build_seconds=(
+                self.model_stats.build_seconds
+                + time.monotonic() - build_start
+            ),
+        )
+        return model
+
+    def _add_capacity_rows(self) -> None:
         """Aggregate stage-capacity constraints (Eq. 5 / 24).
 
         A stage whose user count cannot exceed the FU count emits no rows
         — including under ``min_fu``, where the count variable's lower
         bound of 1 plays the role of the constant capacity.  With
-        presolve active, rows that lost all contributors to slot windows
-        are dropped, per-slot rows whose surviving contributors fit under
-        the capacity floor are dropped, and rows identical to an earlier
-        one (clean pipeline stages are shifted copies of each other) are
-        emitted once.
+        presolve active, per-slot rows whose surviving contributors fit
+        under the capacity floor are dropped, and rows identical to an
+        earlier one are emitted once.
         """
-        t_period = self.t_period
+        active = self._pruning is not None
         rows: List[RowSpec] = []
-        seen: Dict[tuple, bool] = {}
-        for fu_name, op_indices in self._ops_by_type().items():
-            fu = self.machine.fu_type(fu_name)
-            capacity: object = fu.count
+        seen: set = set()
+        for fu_name, stage, users, slots in self.capacity_cells():
+            capacity: object = self.machine.fu_type(fu_name).count
             if self.options.objective == "min_fu":
-                capacity = self._count_var(fu_name)
-            cap_floor = (
-                capacity if isinstance(capacity, int)
-                else int(capacity.lb)
-            )
-            stages = self.machine.stage_count(fu_name)
-            for stage in range(stages):
-                users = [
-                    i for i in op_indices if self._stage_cycles(i, stage)
-                ]
-                if len(users) <= cap_floor:
-                    continue  # no slot can ever exceed the capacity
-                base_nnz = sum(
-                    len(self._stage_cycles(i, stage)) for i in users
-                ) + (0 if isinstance(capacity, int) else 1)
-                for t in range(t_period):
-                    terms: Dict[Variable, float] = {}
-                    contributors = 0
-                    for i in users:
-                        part = usage.get((i, stage, t))
-                        if not part:
-                            continue
-                        contributors += 1
-                        for var, coef in part.items():
-                            terms[var] = terms.get(var, 0.0) + coef
-                    if active and not terms:
+                capacity = self.fu_count_var[fu_name]
+            cap_floor = self.capacity_floor(fu_name)
+            base_nnz = sum(
+                len(self.stage_cycles(i, stage)) for i in users
+            ) + (0 if isinstance(capacity, int) else 1)
+            for t, occupants in enumerate(slots):
+                if active and len(occupants) <= cap_floor:
+                    self._elim_rows += 1
+                    self._elim_nnz += base_nnz
+                    continue
+                terms: Dict[Variable, float] = {}
+                for _, part in occupants:
+                    for var, coef in part.items():
+                        terms[var] = terms.get(var, 0.0) + coef
+                if isinstance(capacity, int):
+                    rhs = float(capacity)
+                else:
+                    terms[capacity] = terms.get(capacity, 0.0) - 1.0
+                    rhs = 0.0
+                if active:
+                    key = self.occupancy_key(occupants)
+                    if key in seen:
                         self._elim_rows += 1
-                        self._elim_nnz += base_nnz
+                        self._elim_nnz += len(terms)
                         continue
-                    if active and contributors <= cap_floor:
-                        self._elim_rows += 1
-                        self._elim_nnz += base_nnz
-                        continue
-                    if isinstance(capacity, int):
-                        rhs = float(capacity)
-                    else:
-                        terms[capacity] = terms.get(capacity, 0.0) - 1.0
-                        rhs = 0.0
-                    if active:
-                        key = (
-                            tuple(sorted(
-                                (var.index, coef)
-                                for var, coef in terms.items()
-                            )),
-                            rhs,
-                        )
-                        if key in seen:
-                            self._elim_rows += 1
-                            self._elim_nnz += len(terms)
-                            continue
-                        seen[key] = True
-                        self._elim_nnz += base_nnz - len(terms)
-                    rows.append(
-                        (terms, LE, rhs, f"cap[{fu_name},s{stage},t{t}]")
-                    )
+                    seen.add(key)
+                    self._elim_nnz += base_nnz - len(terms)
+                rows.append(
+                    (terms, LE, rhs, f"cap[{fu_name},s{stage},t{t}]")
+                )
         self.model.add_rows(rows)
 
-    def _count_var(self, fu_name: str) -> Variable:
-        if fu_name not in self.fu_count_var:
-            fu = self.machine.fu_type(fu_name)
-            self.fu_count_var[fu_name] = self.model.add_var(
-                f"R[{fu_name}]", lb=1, ub=fu.count, integer=True
-            )
-        return self.fu_count_var[fu_name]
-
-    def _add_coloring(
-        self,
-        usage: Dict[Tuple[int, int, int], Dict[Variable, float]],
-        info: Optional[PresolveInfo],
-    ) -> None:
+    def _add_coloring(self) -> None:
         """§4.2 / §5 mapping constraints via circular-arc coloring.
 
-        With presolve info available, the static interference relation
-        gates what gets emitted per pair: NEVER pairs vanish entirely,
-        ALWAYS pairs keep only the Hu rows with the overlap indicator
-        folded to 1, and MAYBE pairs emit ``ov`` rows only on a covering
-        stage subset (a residue that overlaps anywhere overlaps on a
-        cover stage) and only at slots both ops can occupy.
+        The pair verdicts of :meth:`coloring_pairs` gate what gets
+        emitted: NEVER pairs vanish entirely, ALWAYS pairs keep only the
+        Hu rows with the overlap indicator folded to 1, and MAYBE pairs
+        emit ``ov`` rows only on their cover stages and, with presolve
+        active, only at slots both ops can occupy.
         """
         t_period = self.t_period
         model = self.model
-        for fu_name, op_indices in self._ops_by_type().items():
-            if not self._needs_coloring(fu_name):
-                continue
-            self.colored_types.append(fu_name)
-            fu = self.machine.fu_type(fu_name)
-            big_m = fu.count
-            color_cap: object = fu.count
+        active = self._pruning is not None
+        for fu_name in self.colored_types:
+            big_m = self.machine.fu_type(fu_name).count
             if self.options.objective == "min_fu":
-                color_cap = self._count_var(fu_name)
-            for i in op_indices:
-                self.color[i] = model.add_var(
-                    f"c[{i}]", lb=1, ub=fu.count, integer=True
+                color_cap = self.fu_count_var[fu_name]
+                for i in self.ops_by_type[fu_name]:
+                    model.add(self.color[i] <= color_cap, name=f"cub[{i}]")
+            for rank, i in enumerate(self.symmetry_caps(fu_name)):
+                model.add(
+                    self.color[i] <= rank + 1,
+                    name=(f"sym[{fu_name},{rank}]" if active
+                          else f"sym[{fu_name}]"),
                 )
-                if not isinstance(color_cap, int):
-                    model.add(self.color[i] <= color_cap,
-                              name=f"cub[{i}]")
-            if info is not None:
-                # Colors are interchangeable, so any coloring can be
-                # relabeled by first appearance along a fixed op
-                # order; ordering by earliest possible start slot
-                # makes the caps bite where the solver branches
-                # first.  Caps at or above the FU count are vacuous.
-                ordered = sorted(
-                    op_indices, key=lambda i: (info.asap[i], i)
-                )
-            else:
-                ordered = list(op_indices)
-            self.color_order[fu_name] = ordered
-            if info is not None:
-                for rank in range(min(len(ordered), fu.count - 1)):
-                    model.add(
-                        self.color[ordered[rank]] <= rank + 1,
-                        name=f"sym[{fu_name},{rank}]",
-                    )
-            else:
-                first = op_indices[0]
-                model.add(self.color[first] <= 1, name=f"sym[{fu_name}]")
 
-            stages = self.machine.stage_count(fu_name)
-            for pos, i in enumerate(op_indices):
-                for j in op_indices[pos + 1:]:
-                    shared = [
-                        s for s in range(stages)
-                        if self._stage_cycles(i, s)
-                        and self._stage_cycles(j, s)
-                    ]
-                    if not shared:
-                        continue
-                    base_row_nnz = {
-                        s: 1 + len(self._stage_cycles(i, s))
-                        + len(self._stage_cycles(j, s))
-                        for s in shared
-                    }
-                    verdict = info.pairs.get((i, j)) if info else None
-                    ci, cj = self.color[i], self.color[j]
-                    if verdict is not None and verdict.kind == NEVER:
-                        # The pair can never co-occupy a stage slot: no
-                        # overlap indicator, no Hu rows.
-                        self._elim_vars += 2
-                        self._elim_rows += (
-                            len(shared) * t_period + 2
-                        )
-                        self._elim_nnz += sum(
-                            base_row_nnz[s] * t_period for s in shared
-                        ) + 8
-                        continue
-                    if verdict is not None and verdict.kind == ALWAYS:
-                        # Overlap is certain: fold o == 1 into the Hu
-                        # rows and drop every ov row.
-                        self._elim_vars += 1
-                        self._elim_rows += len(shared) * t_period
-                        self._elim_nnz += sum(
-                            base_row_nnz[s] * t_period for s in shared
-                        ) + 2
-                        sign = model.add_binary(f"w[{i},{j}]")
-                        self.sign_var[(i, j)] = sign
-                        model.add(
-                            ci - cj >= 1 - big_m * (1 - sign),
-                            name=f"hu1[{i},{j}]",
-                        )
-                        model.add(
-                            cj - ci >= 1 - big_m * sign,
-                            name=f"hu2[{i},{j}]",
-                        )
-                        continue
-                    overlap = model.add_binary(f"o[{i},{j}]")
-                    self.overlap_var[(i, j)] = overlap
-                    emit_stages = (
-                        list(verdict.cover_stages)
-                        if verdict is not None else shared
-                    )
-                    skipped = [s for s in shared if s not in emit_stages]
-                    self._elim_rows += len(skipped) * t_period
+            for i, j, shared, kind, cover in self.coloring_pairs(fu_name):
+                base_row_nnz = {
+                    s: 1 + len(self.stage_cycles(i, s))
+                    + len(self.stage_cycles(j, s))
+                    for s in shared
+                }
+                ci, cj = self.color[i], self.color[j]
+                if kind == NEVER:
+                    # The pair can never co-occupy a stage slot: no
+                    # overlap indicator, no Hu rows.
+                    self._elim_vars += 2
+                    self._elim_rows += len(shared) * t_period + 2
                     self._elim_nnz += sum(
-                        base_row_nnz[s] * t_period for s in skipped
-                    )
-                    ov_rows: List[RowSpec] = []
-                    for s in emit_stages:
-                        for t in range(t_period):
-                            u_i = usage.get((i, s, t))
-                            u_j = usage.get((j, s, t))
-                            if (info is not None
-                                    and (u_i is None or u_j is None)):
-                                # One op can't occupy (s, t) at all: the
-                                # row is o >= U - 1 <= 0, vacuous.
-                                self._elim_rows += 1
-                                self._elim_nnz += base_row_nnz[s]
-                                continue
-                            terms: Dict[Variable, float] = {overlap: 1.0}
-                            for part in (u_i, u_j):
-                                if not part:
-                                    continue
-                                for var, coef in part.items():
-                                    terms[var] = (
-                                        terms.get(var, 0.0) - coef
-                                    )
-                            if info is not None:
-                                self._elim_nnz += (
-                                    base_row_nnz[s] - len(terms)
-                                )
-                            ov_rows.append((
-                                terms, GE, -1.0,
-                                f"ov[{i},{j},s{s},t{t}]",
-                            ))
-                    model.add_rows(ov_rows)
+                        base_row_nnz[s] * t_period for s in shared
+                    ) + 8
+                    continue
+                if kind == ALWAYS:
+                    # Overlap is certain: fold o == 1 into the Hu rows
+                    # and drop every ov row.
+                    self._elim_vars += 1
+                    self._elim_rows += len(shared) * t_period
+                    self._elim_nnz += sum(
+                        base_row_nnz[s] * t_period for s in shared
+                    ) + 2
                     sign = model.add_binary(f"w[{i},{j}]")
                     self.sign_var[(i, j)] = sign
                     model.add(
-                        ci - cj
-                        >= 1 - big_m * (1 - sign) - big_m * (1 - overlap),
+                        ci - cj >= 1 - big_m * (1 - sign),
                         name=f"hu1[{i},{j}]",
                     )
                     model.add(
-                        cj - ci >= 1 - big_m * sign - big_m * (1 - overlap),
+                        cj - ci >= 1 - big_m * sign,
                         name=f"hu2[{i},{j}]",
                     )
+                    continue
+                overlap = model.add_binary(f"o[{i},{j}]")
+                self.overlap_var[(i, j)] = overlap
+                skipped = [s for s in shared if s not in cover]
+                self._elim_rows += len(skipped) * t_period
+                self._elim_nnz += sum(
+                    base_row_nnz[s] * t_period for s in skipped
+                )
+                ov_rows: List[RowSpec] = []
+                for s in cover:
+                    for t in range(t_period):
+                        u_i = self.usage.get((i, s, t))
+                        u_j = self.usage.get((j, s, t))
+                        if active and (u_i is None or u_j is None):
+                            # One op can't occupy (s, t) at all: the row
+                            # is o >= U - 1 <= 0, vacuous.
+                            self._elim_rows += 1
+                            self._elim_nnz += base_row_nnz[s]
+                            continue
+                        terms: Dict[Variable, float] = {overlap: 1.0}
+                        for part in (u_i, u_j):
+                            if not part:
+                                continue
+                            for var, coef in part.items():
+                                terms[var] = terms.get(var, 0.0) - coef
+                        if active:
+                            self._elim_nnz += base_row_nnz[s] - len(terms)
+                        ov_rows.append((
+                            terms, GE, -1.0, f"ov[{i},{j},s{s},t{t}]",
+                        ))
+                model.add_rows(ov_rows)
+                sign = model.add_binary(f"w[{i},{j}]")
+                self.sign_var[(i, j)] = sign
+                model.add(
+                    ci - cj
+                    >= 1 - big_m * (1 - sign) - big_m * (1 - overlap),
+                    name=f"hu1[{i},{j}]",
+                )
+                model.add(
+                    cj - ci >= 1 - big_m * sign - big_m * (1 - overlap),
+                    name=f"hu2[{i},{j}]",
+                )
 
     def _set_objective(self) -> None:
         objective = self.options.objective
@@ -575,13 +606,10 @@ class Formulation:
         elif objective == "min_sum_t":
             model.minimize(lin_sum(self.t_expr))
         elif objective == "min_fu":
-            terms = []
-            for fu_name, op_indices in self._ops_by_type().items():
-                if not op_indices:
-                    continue
-                var = self._count_var(fu_name)
-                terms.append(var * self.machine.fu_type(fu_name).cost)
-            model.minimize(lin_sum(terms))
+            model.minimize(lin_sum(
+                var * self.machine.fu_type(fu_name).cost
+                for fu_name, var in self.fu_count_var.items()
+            ))
         elif objective == "min_buffers":
             buffers = []
             for e, dep in enumerate(self.ddg.deps):
@@ -606,23 +634,6 @@ class Formulation:
                 for dep in self.ddg.deps
             ))
 
-    # -- public structure accessors (used by the SAT lowering) -------------------
-    def usage_terms(
-        self,
-    ) -> Dict[Tuple[int, int, int], Dict[Variable, float]]:
-        """The built Eq. 25 usage structure, keyed (op, stage, slot)."""
-        self.build()
-        assert self._usage is not None
-        return self._usage
-
-    def stage_cycles(self, op_index: int, stage: int) -> List[int]:
-        """Reservation-table cycles op ``op_index`` holds ``stage``."""
-        return self._stage_cycles(op_index, stage)
-
-    def ops_by_type(self) -> Dict[str, List[int]]:
-        """Op indices grouped by FU type, in first-occurrence order."""
-        return self._ops_by_type()
-
     # -- solve / extract ----------------------------------------------------------------
     def solve(
         self,
@@ -630,10 +641,25 @@ class Formulation:
         time_limit: Optional[float] = None,
         mip_start: Optional[Dict[Variable, float]] = None,
     ) -> Solution:
-        self.build()
-        return self.model.solve(
-            backend=backend, time_limit=time_limit, mip_start=mip_start
-        )
+        """Solve with ``backend``; the one backend dispatch.
+
+        ``sat`` lowers the structure to CNF and never builds the ILP
+        rows (:mod:`repro.sat.backend`); ``auto`` and ``highs`` build
+        them and hand them to :func:`repro.ilp.solve.solve`, with
+        ``mip_start`` as HiGHS's starting incumbent (SAT search takes
+        no start).  Both return a :class:`Solution` that
+        :meth:`extract` reads.
+        """
+        if backend == "sat":
+            from repro.sat.backend import solve_formulation
+
+            if time_limit is not None:
+                _validate_time_limit(time_limit)
+            solution = solve_formulation(self, time_limit=time_limit)
+        else:
+            solution = solve_ilp(self.build(), backend=backend,
+                                 time_limit=time_limit, mip_start=mip_start)
+        return _checked(solution)
 
     def extract(self, solution: Solution, require_mapping: bool = True) -> Schedule:
         """Turn a feasible solution into a :class:`Schedule`.
@@ -645,8 +671,6 @@ class Formulation:
         back a schedule with a partial mapping instead of the
         :class:`MappingError` (experiment E11 relies on observing both).
         """
-        if not self._built:
-            raise CoreError("build() (or solve()) must run before extract()")
         if not solution.status.has_solution:
             raise CoreError(
                 f"cannot extract a schedule from status {solution.status}"
@@ -679,3 +703,20 @@ class Formulation:
             colors=colors,
             fu_counts_used=fu_counts,
         )
+
+
+def _checked(solution: Solution) -> Solution:
+    """Fault-injection seam: optionally corrupt a backend's solution.
+
+    With a ``malformed@solve`` fault armed (see
+    :mod:`repro.supervision.faults`) the returned solution is mangled —
+    missing variables, fractional values — so tests can prove the
+    downstream extraction/verification layers reject garbage instead of
+    silently scheduling from it.  A no-op unless the fault env var is
+    set.
+    """
+    from repro.supervision import faults
+
+    if solution.values and faults.should_corrupt("solve"):
+        return faults.corrupt_solution(solution)
+    return solution

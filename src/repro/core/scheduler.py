@@ -27,14 +27,16 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.bounds import LowerBounds, lower_bounds, modulo_feasible_t
 from repro.core.errors import SchedulingError
-from repro.core.formulation import OBJECTIVES, Formulation, FormulationOptions
+from repro.core.formulation import (
+    BACKENDS, OBJECTIVES, Formulation, FormulationOptions,
+)
 from repro.core.schedule import Schedule
 from repro.core.verify import verify_schedule
 from repro.core.warmstart import WarmStart, compute_warmstart, warmstart_assignment
 from repro.ddg.graph import Ddg
 from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
-from repro.ilp.solve import BACKENDS, _validate_time_limit
+from repro.ilp.solve import _validate_time_limit
 from repro.machine import Machine
 from repro.supervision import faults
 from repro.supervision.cells import CLEAN, PROOF, WIN, Cell, CellRace
@@ -423,15 +425,17 @@ def attempt_period(
     """Run the §6 procedure's body for one candidate period.
 
     Checks the modulo scheduling constraint (optionally repairing via
-    delay insertion), builds and solves the unified ILP, and extracts +
-    verifies a schedule when the solve is feasible.  Every period cell
+    delay insertion), solves the unified formulation on the config's
+    backend (:meth:`Formulation.solve`), and extracts + verifies a
+    schedule when the solve is feasible.  Every period cell
     of :func:`run_sweep` funnels through here, whichever its dispatch,
     which is what keeps the in-process and raced sweeps identical.
 
     ``incumbent`` is an already-verified schedule at this exact period
     (normally the heuristic's); it is converted into a full variable
-    assignment and handed to the solver as its starting incumbent.  A
-    schedule that cannot be converted — wrong period, machine repaired
+    assignment and handed to HiGHS as its starting incumbent (the sweep
+    passes one only under objectives beyond feasibility, which the SAT
+    backend does not solve).  A schedule that cannot be converted — wrong period, machine repaired
     by delay insertion, or any row of the built model unsatisfied — is
     silently dropped and the solve runs cold.
 
@@ -460,7 +464,6 @@ def attempt_period(
         mapping=config.mapping, objective=config.objective
     )
     formulation = Formulation(ddg, attempt_machine, t_period, options)
-    formulation.build()
     mip_start = None
     if (incumbent is not None and not repaired
             and incumbent.t_period == t_period):

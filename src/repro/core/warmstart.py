@@ -12,8 +12,9 @@ worth a lot to the exact sweep:
   periods above ``II`` never need to be tried — and the schedule itself
   converts into a complete ILP variable assignment that seeds the
   solver's incumbent at ``T = II`` (HiGHS takes it as an objective
-  cutoff, SAT answers from it directly: the heuristic/exact interplay of
-  SAT-MapIt and Roorda's bounded SMT runs).
+  cutoff: the heuristic/exact interplay of SAT-MapIt and Roorda's
+  bounded SMT runs).  Under the feasibility objective, the only one the
+  SAT backend solves, the heuristic's period needs no solve at all.
 
 The conversion is the delicate part.  The presolved model
 (:mod:`repro.core.presolve`) anchors one op to pattern slot 0 and

@@ -10,8 +10,10 @@ self-contained stack:
   reads, and warm-start validation.
 * :mod:`repro.ilp.highs` — an adapter to :func:`scipy.optimize.milp`
   (HiGHS), the MILP backend.
-* :mod:`repro.ilp.solve` — backend dispatch: HiGHS, or the CDCL SAT
-  backend of :mod:`repro.sat` for scheduling formulations.
+* :mod:`repro.ilp.solve` — parameter checks and the HiGHS call.  The
+  CDCL SAT backend of :mod:`repro.sat` reads the scheduling
+  formulation's structure, not rows, so
+  :meth:`repro.core.formulation.Formulation.solve` picks the backend.
 
 The public surface is :class:`Model`, :class:`Variable`, :class:`LinExpr`,
 :class:`Solution`, and :class:`SolveStatus`; everything needed by

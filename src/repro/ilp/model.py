@@ -295,8 +295,8 @@ class Constraint:
 class Model:
     """A mixed-integer linear program.
 
-    Holds variables, constraints and one objective; delegates solving to a
-    backend chosen in :meth:`solve` (``"highs"``, ``"sat"`` or ``"auto"``).
+    Holds variables, constraints and one objective; :meth:`solve` hands
+    it to HiGHS.
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -427,11 +427,13 @@ class Model:
         time_limit: Optional[float] = None,
         mip_start: Optional[Dict["Variable", float]] = None,
     ):
-        """Solve the model and return a :class:`repro.ilp.Solution`.
+        """Solve the model with HiGHS; return a :class:`repro.ilp.Solution`.
 
-        ``backend`` is ``"highs"`` (scipy/HiGHS), ``"sat"`` (CDCL, for
-        scheduling formulations only), or ``"auto"``, which is HiGHS.  ``mip_start`` optionally warm-starts the search with a
-        feasible assignment.
+        ``backend`` is ``"highs"`` or ``"auto"``, which is HiGHS (the SAT
+        backend reads a scheduling formulation's structure, not rows:
+        see :meth:`repro.core.formulation.Formulation.solve`).
+        ``mip_start`` optionally warm-starts the search with a feasible
+        assignment.
         """
         from repro.ilp import solve as _solve
 

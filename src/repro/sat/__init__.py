@@ -14,13 +14,13 @@ SAT-MapIt both exploit exactly this).  This subpackage mirrors how
   literals, 1-UIP learning, VSIDS, phase saving, Luby restarts,
   assumptions), the propositional counterpart of HiGHS in
   ``ilp/highs.py``.
-* :mod:`repro.sat.encode` — lowers a built
+* :mod:`repro.sat.encode` — lowers the structure of a
   :class:`repro.core.formulation.Formulation` (slot windows, k bounds,
-  pair verdicts) to CNF.
-* :mod:`repro.sat.backend` — the ``backend="sat"`` entry point,
-  returning the same :class:`repro.ilp.Solution` surface as
-  ``ilp/highs.py`` so extraction, verification, warm starts and the
-  store work unchanged.
+  usage terms, pair verdicts) to CNF, without its ILP rows.
+* :mod:`repro.sat.backend` — the ``backend="sat"`` side of
+  :meth:`Formulation.solve`, returning the same
+  :class:`repro.ilp.Solution` surface as ``ilp/highs.py`` so
+  extraction, verification and the store work unchanged.
 
 The backend is feasibility-only (the sweep's hot path): a SATISFIABLE
 answer maps to ``OPTIMAL`` under the constant objective, UNSAT to

@@ -1,7 +1,8 @@
 """CNF lowering of the presolved scheduling formulation.
 
-Translates a built :class:`repro.core.formulation.Formulation` (the
-unified Eq. 22-25 model, post-presolve) into propositional clauses:
+Translates the structure of a :class:`repro.core.formulation.Formulation`
+(the unified Eq. 22-25 model, post-presolve) into propositional clauses,
+without building its ILP rows:
 
 * **slots** — one literal per surviving ``a[t][i]`` variable, an
   exactly-one row per op (the windowed assignment constraint);
@@ -15,14 +16,15 @@ unified Eq. 22-25 model, post-presolve) into propositional clauses:
   one activation literal when several slot pairs agree);
 * **capacities** — per (FU type, stage, slot) occupancy literals
   bounded by the FU count through a sequential-counter or totalizer
-  cardinality encoding (:mod:`repro.sat.cardinality`), with the same
-  row-elision rules the ILP build applies (stage fits under capacity,
-  duplicate rows);
+  cardinality encoding (:mod:`repro.sat.cardinality`), over the cells
+  :meth:`~repro.core.formulation.Formulation.capacity_cells` says can
+  bind, each distinct occupancy once — the rule the ILP rows follow;
 * **mapping** — direct-encoded colors with the formulation's own
   symmetry caps as unit clauses; pair interference follows the
-  presolve verdicts (NEVER pairs vanish, ALWAYS pairs get per-color
-  conflict clauses, MAYBE pairs get a reservation-table collision
-  indicator over exactly the colliding slot pairs).
+  verdicts of :meth:`~repro.core.formulation.Formulation.coloring_pairs`
+  (NEVER pairs vanish, ALWAYS pairs get per-color conflict clauses,
+  MAYBE pairs get a reservation-table collision indicator over exactly
+  the colliding slot pairs).
 
 Only the feasibility objective is supported — the sweep's hot path;
 any other raises :class:`repro.sat.errors.SatEncodeError` so the
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.presolve import ALWAYS, NEVER
-from repro.core.warmstart import _footprint
 from repro.ilp.model import Variable
 from repro.sat.cardinality import at_most_k, exactly_one
 from repro.sat.cnf import Cnf
@@ -79,21 +80,15 @@ class SatEncoding:
         return lits[j]
 
 
-def require_feasibility(formulation) -> None:
-    """Raise SatEncodeError unless ``formulation`` is a feasibility one."""
+def encode_formulation(formulation) -> SatEncoding:
+    """Lower ``formulation`` to CNF; raises SatEncodeError if unsupported."""
+    start = time.monotonic()
     if formulation.options.objective != "feasibility":
         raise SatEncodeError(
             "the sat backend is feasibility-only; objective "
             f"{formulation.options.objective!r} needs an ILP backend "
             "(highs)"
         )
-
-
-def encode_formulation(formulation) -> SatEncoding:
-    """Lower ``formulation`` to CNF; raises SatEncodeError if unsupported."""
-    start = time.monotonic()
-    require_feasibility(formulation)
-    formulation.build()
 
     encoding = SatEncoding()
     info = formulation.presolve_info
@@ -176,87 +171,51 @@ def encode_formulation(formulation) -> SatEncoding:
                     )
 
     # -- capacities ----------------------------------------------------------
-    usage = formulation.usage_terms()
     seen_rows: set = set()
     occupancy_aux: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     cards_used: set = set()
-    for fu_name, op_indices in formulation.ops_by_type().items():
-        fu = machine.fu_type(fu_name)
-        capacity = fu.count
-        stages = machine.stage_count(fu_name)
-        for stage in range(stages):
-            users = [
-                i for i in op_indices
-                if formulation.stage_cycles(i, stage)
-            ]
-            if len(users) <= capacity:
+    for fu_name, _stage, _users, slots in formulation.capacity_cells():
+        capacity = formulation.capacity_floor(fu_name)
+        for occupants in slots:
+            if len(occupants) <= capacity:
                 continue
-            for t in range(t_period):
-                occupants: List[Tuple[int, Tuple[int, ...]]] = []
-                for i in users:
-                    part = usage.get((i, stage, t))
-                    if not part:
-                        continue
-                    lits = []
-                    for var, coef in part.items():
-                        if coef != 1.0:
-                            raise SatEncodeError(
-                                "non-unit usage coefficient at "
-                                f"({i}, {stage}, {t}); period is not "
-                                "modulo-feasible"
-                            )
-                        lits.append(sat_of[var])
-                    occupants.append((i, tuple(sorted(lits))))
-                if len(occupants) <= capacity:
-                    # Each op holds the cell for at most one of its
-                    # slots (exactly-one assignment), so the bound
-                    # cannot be exceeded.
+            key = formulation.occupancy_key(occupants)
+            if key in seen_rows:
+                continue
+            seen_rows.add(key)
+            occ_lits = []
+            for i, part in occupants:
+                lits = tuple(sorted(sat_of[var] for var in part))
+                if len(lits) == 1:
+                    occ_lits.append(lits[0])
                     continue
-                key = (
-                    capacity,
-                    tuple(lits for _, lits in sorted(occupants)),
-                )
-                if key in seen_rows:
-                    continue
-                seen_rows.add(key)
-                occ_lits = []
-                for i, lits in occupants:
-                    if len(lits) == 1:
-                        occ_lits.append(lits[0])
-                        continue
-                    aux_key = (i, lits)
-                    aux = occupancy_aux.get(aux_key)
-                    if aux is None:
-                        aux = cnf.new_var()
-                        occupancy_aux[aux_key] = aux
-                        for lit in lits:
-                            cnf.add(-lit, aux)
-                    occ_lits.append(aux)
-                cards_used.add(at_most_k(cnf, occ_lits, capacity))
+                aux_key = (i, lits)
+                aux = occupancy_aux.get(aux_key)
+                if aux is None:
+                    aux = cnf.new_var()
+                    occupancy_aux[aux_key] = aux
+                    for lit in lits:
+                        cnf.add(-lit, aux)
+                occ_lits.append(aux)
+            cards_used.add(at_most_k(cnf, occ_lits, capacity))
     encoding.card_encodings = tuple(sorted(cards_used))
 
     # -- mapping (circular-arc coloring) -------------------------------------
     for fu_name in formulation.colored_types:
-        ordered = formulation.color_order[fu_name]
-        ops = sorted(ordered)
         count = machine.fu_type(fu_name).count
-        for i in ops:
+        for i in formulation.ops_by_type[fu_name]:
             lits = [cnf.new_var() for _ in range(count)]
             encoding.color_lits[i] = lits
             exactly_one(cnf, lits)
-        if info is not None:
-            for rank in range(min(len(ordered), count - 1)):
-                for r in range(rank + 1, count):
-                    cnf.add(-encoding.color_lits[ordered[rank]][r])
-        else:
-            for r in range(1, count):
-                cnf.add(-encoding.color_lits[ordered[0]][r])
-        stages = machine.stage_count(fu_name)
-        for pos, i in enumerate(ops):
-            for j in ops[pos + 1:]:
-                _encode_pair_conflict(
-                    formulation, encoding, info, i, j, stages, count
-                )
+        for rank, i in enumerate(formulation.symmetry_caps(fu_name)):
+            for r in range(rank + 1, count):
+                cnf.add(-encoding.color_lits[i][r])
+        for i, j, shared, kind, _cover in formulation.coloring_pairs(
+            fu_name
+        ):
+            _encode_pair_conflict(
+                formulation, encoding, i, j, shared, kind, count
+            )
 
     encoding.encode_seconds = time.monotonic() - start
     return encoding
@@ -299,40 +258,31 @@ def _emit_ladder(
 def _encode_pair_conflict(
     formulation,
     encoding: SatEncoding,
-    info,
     i: int,
     j: int,
-    stages: int,
+    shared: List[int],
+    kind: str,
     count: int,
 ) -> None:
     """Different-color clauses for one same-FU-type op pair.
 
-    Follows the presolve verdict when available; otherwise computes the
-    reservation-table collision residues directly (the slot-pair analog
-    of the ILP's ``ov`` rows).
+    NEVER pairs get none and ALWAYS pairs a conflict per color.  A
+    MAYBE pair conflicts when its slots collide on a shared stage (the
+    slot-pair analog of the ILP's ``ov`` rows).
     """
+    if kind == NEVER:
+        return
     cnf = encoding.cnf
-    shared = [
-        s for s in range(stages)
-        if formulation.stage_cycles(i, s)
-        and formulation.stage_cycles(j, s)
-    ]
-    if not shared:
-        return
-    verdict = info.pairs.get((i, j)) if info is not None else None
     ci, cj = encoding.color_lits[i], encoding.color_lits[j]
-    if verdict is not None and verdict.kind == NEVER:
-        return
-    if verdict is not None and verdict.kind == ALWAYS:
+    if kind == ALWAYS:
         for r in range(count):
             cnf.add(-ci[r], -cj[r])
         return
     t_period = formulation.t_period
     residues = set()
     for s in shared:
-        cycles_i = formulation.stage_cycles(i, s)
         cycles_j = formulation.stage_cycles(j, s)
-        for l_i in cycles_i:
+        for l_i in formulation.stage_cycles(i, s):
             for l_j in cycles_j:
                 residues.add((l_i - l_j) % t_period)
     colliding: List[Tuple[int, int]] = []
@@ -358,26 +308,15 @@ def _encode_pair_conflict(
 def decode_model(
     formulation, encoding: SatEncoding, model: Sequence[bool]
 ) -> Dict[Variable, float]:
-    """Expand a CDCL model into a full ILP variable assignment.
+    """The formulation's ``a``, ``k`` and ``c`` values in a CDCL model.
 
-    Mirrors :func:`repro.core.warmstart.warmstart_assignment`: slot and
-    stage variables come straight from the literals; the ``w``/``o``
-    coloring side variables are recomputed from reservation-table
-    footprints so the point satisfies the Hu rows the CNF never
-    materialized.  The caller validates the result with
-    :func:`repro.core.warmstart.violated_rows` before trusting it.
+    These are all :meth:`~repro.core.formulation.Formulation.extract`
+    reads; the caller checks the extracted schedule before trusting it.
     """
     values: Dict[Variable, float] = {}
-    n = formulation.ddg.num_ops
-    slots: List[int] = []
-    for i in range(n):
-        chosen = -1
-        for t, lit in encoding.slot_lits[i].items():
-            is_set = model[lit]
-            values[formulation.a[t][i]] = 1.0 if is_set else 0.0
-            if is_set:
-                chosen = t
-        slots.append(chosen)
+    for i, lits in enumerate(encoding.slot_lits):
+        for t, lit in lits.items():
+            values[formulation.a[t][i]] = 1.0 if model[lit] else 0.0
     for i, var in enumerate(formulation.k):
         count = sum(1 for lit in encoding.k_lits[i] if model[lit])
         values[var] = float(encoding.k_lb[i] + count)
@@ -385,75 +324,4 @@ def decode_model(
         lits = encoding.color_lits[i]
         color = next(r for r, lit in enumerate(lits) if model[lit])
         values[var] = float(color + 1)
-
-    footprints = {
-        i: _footprint(formulation, i, slots[i])
-        for i in set(formulation.color)
-        | {i for pair in formulation.sign_var for i in pair}
-    }
-    for (i, j), var in formulation.overlap_var.items():
-        overlaps = bool(footprints[i] & footprints[j])
-        values[var] = 1.0 if overlaps else 0.0
-    for (i, j), var in formulation.sign_var.items():
-        overlap_var = formulation.overlap_var.get((i, j))
-        overlapping = (
-            overlap_var is None or values[overlap_var] == 1.0
-        )
-        if overlapping:
-            higher = (
-                values[formulation.color[i]]
-                > values[formulation.color[j]]
-            )
-            values[var] = 1.0 if higher else 0.0
-        else:
-            values[var] = 0.0
     return values
-
-
-def phase_hints(
-    encoding: SatEncoding, values: Dict[Variable, float], formulation
-) -> Dict[int, bool]:
-    """Map an (possibly partial) ILP assignment onto literal phases.
-
-    Used to seed the CDCL phase store from a warm-start incumbent: the
-    search then explores the incumbent's neighborhood first without the
-    hard commitment of assumptions.
-    """
-    hints: Dict[int, bool] = {}
-    for i, lits in enumerate(encoding.slot_lits):
-        for t, lit in lits.items():
-            var = formulation.a[t][i]
-            if var in values:
-                hints[lit] = values[var] > 0.5
-    for i, var in enumerate(formulation.k):
-        if var not in values:
-            continue
-        k_val = int(round(values[var]))
-        for j, lit in enumerate(encoding.k_lits[i]):
-            hints[lit] = k_val >= encoding.k_lb[i] + j + 1
-    for i, lits in encoding.color_lits.items():
-        var = formulation.color.get(i)
-        if var is None or var not in values:
-            continue
-        color = int(round(values[var]))
-        for r, lit in enumerate(lits):
-            hints[lit] = color == r + 1
-    return hints
-
-
-def seed_assumptions(
-    encoding: SatEncoding, values: Dict[Variable, float], formulation
-) -> List[int]:
-    """Slot-pinning assumption literals from an incumbent assignment.
-
-    Stronger than phase hints: the solver must extend exactly these
-    slot choices, reporting ``assumption_conflict`` if they cannot be
-    extended (callers then retry unassumed).
-    """
-    assumptions: List[int] = []
-    for i, lits in enumerate(encoding.slot_lits):
-        for t, lit in lits.items():
-            var = formulation.a[t][i]
-            if var in values and values[var] > 0.5:
-                assumptions.append(lit)
-    return assumptions

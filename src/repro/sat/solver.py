@@ -11,8 +11,7 @@ modern kernel:
   asserting clause, backjump to its second-highest level;
 * **VSIDS** — exponentially decayed activity with a lazy max-heap that
   holds one live entry per unassigned variable (see below);
-* **phase saving** — decisions reuse the last value a variable held,
-  seedable from an external hint (the warm-start incumbent);
+* **phase saving** — decisions reuse the last value a variable held;
 * **Luby restarts** — universal-sequence restart intervals, with the
   learned-clause database reduced (by LBD) at restart time, when the
   trail is at the root level and watches can be rebuilt safely;
@@ -131,7 +130,6 @@ class CdclSolver:
         self,
         num_vars: int,
         clauses: Iterable[Sequence[int]],
-        phase_hints: Optional[Dict[int, bool]] = None,
     ) -> None:
         self.nvars = num_vars
         # value[lit]: 1 true, -1 false, 0 unassigned (-v wraps to the top)
@@ -152,10 +150,6 @@ class CdclSolver:
         heapify(self.order)
         self.queued = [True] * (num_vars + 1)
         self.phase = [False] * (num_vars + 1)
-        if phase_hints:
-            for var, value in phase_hints.items():
-                if 1 <= var <= num_vars:
-                    self.phase[var] = bool(value)
         self.clauses: List[List[int]] = []
         self.learned: List[List[int]] = []
         self.lbd: Dict[int, int] = {}

@@ -62,8 +62,8 @@ import time
 import uuid
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.formulation import BACKENDS
 from repro.ddg.builders import parse_ddg
-from repro.ilp.solve import BACKENDS
 from repro.machine import presets
 from repro.serve.admission import FairQueue, TokenBucket
 from repro.serve.breaker import CircuitBreaker

@@ -134,19 +134,25 @@ class TestHistoryIndependence:
     def test_each_backend_records_its_own_attempts(self):
         # Regression: a banked INFEASIBLE verdict from the HiGHS sweep
         # was once replayed under the SAT request, with backend "" and
-        # no model sizes.
+        # no model sizes.  SAT attempts carry CNF sizes, not ILP ones;
+        # a period presolve refutes is never lowered.
         ddg, machine = motivating_example(), motivating_machine()
         schedule_loop(ddg, machine, backend="highs")
-        result = schedule_loop(ddg, machine, backend="sat")
+        result = schedule_loop(ddg, machine, backend="sat",
+                               warmstart=False)
         solved = [
             a for a in result.attempts
             if a.status not in ("modulo_infeasible", "heuristic")
         ]
         assert any(a.status == "infeasible" for a in solved)
+        lowered = [a for a in solved
+                   if "presolve_reason" not in a.model_stats]
+        assert lowered
         for attempt in solved:
             assert attempt.backend == "sat"
-            assert attempt.model_stats["variables"] > 0
-            assert attempt.model_stats["constraints"] > 0
+            assert attempt.model_stats["variables"] == 0
+        for attempt in lowered:
+            assert attempt.model_stats["sat_clauses"] > 0
 
     @pytest.mark.parametrize("backend", ["highs", "sat"])
     def test_repeated_sweep_is_identical(self, backend):

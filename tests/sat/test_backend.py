@@ -1,17 +1,19 @@
-"""The ``backend="sat"`` entry point, differentially against the ILP
-backends.
+"""The ``backend="sat"`` entry point, differentially against HiGHS.
 
-Agreement is structural (every decoded model is re-checked against the
-ILP rows before being returned), so these tests focus on the status
-surface: SAT and the ILP backends must return the same
-feasible/infeasible verdict per (loop, T), and the Solution metadata
-(stats, budget clamps, warm-start short-circuit) must round-trip.
+The backend lowers the formulation's structure and never builds its ILP
+rows, so agreement with HiGHS is asserted here: SAT and HiGHS return
+the same feasible/infeasible verdict per (loop, T), and every SAT
+schedule lifts to a point of the HiGHS model.  The backend's own decode
+check (every answer verified before it is returned) must still catch a
+broken encoding, and the Solution metadata must round-trip.
 """
 
+import copy
 import pathlib
 
 import pytest
 
+from repro.core import schedule_loop
 from repro.core.bounds import lower_bounds, modulo_feasible_t
 from repro.core.formulation import Formulation, FormulationOptions
 from repro.core.scheduler import AttemptConfig, attempt_period
@@ -20,14 +22,15 @@ from repro.core.warmstart import compute_warmstart, warmstart_assignment
 from repro.ddg.builders import parse_ddg
 from repro.ddg.generators import suite
 from repro.ddg.kernels import motivating_example
-from repro.ilp import Model
 from repro.ilp.errors import SolverError
 from repro.ilp.solution import SolveStatus
-from repro.ilp.solve import solve
 from repro.machine.presets import motivating_machine, powerpc604
+from repro.sat import backend as sat_backend
 from repro.sat import cardinality
+from repro.sat import encode as sat_encode
 from repro.sat.encode import encode_formulation
 from repro.sat.errors import SatEncodeError
+from repro.supervision.records import SupervisionPolicy
 
 CORPUS = pathlib.Path(__file__).resolve().parents[2] / "corpus"
 
@@ -38,29 +41,27 @@ def machine():
 
 
 def _formulation(ddg, machine, t_period, **options):
-    f = Formulation(
+    return Formulation(
         ddg, machine, t_period, FormulationOptions(**options)
     )
-    f.build()
-    return f
 
 
 class TestStatusSurface:
     def test_infeasible_period_maps_to_infeasible(self, machine):
         f = _formulation(motivating_example(), machine, 3)
-        solution = solve(f.model, backend="sat")
+        solution = f.solve(backend="sat")
         assert solution.status == SolveStatus.INFEASIBLE
         assert solution.backend == "sat"
 
     def test_feasible_period_maps_to_optimal(self, machine):
         f = _formulation(motivating_example(), machine, 4)
-        solution = solve(f.model, backend="sat")
+        solution = f.solve(backend="sat")
         assert solution.status == SolveStatus.OPTIMAL
         assert solution.values
 
     def test_phase_stats_recorded(self, machine):
         f = _formulation(motivating_example(), machine, 4)
-        solution = solve(f.model, backend="sat")
+        solution = f.solve(backend="sat")
         for key in (
             "sat_encode_seconds",
             "sat_search_seconds",
@@ -72,21 +73,13 @@ class TestStatusSurface:
         ):
             assert key in solution.stats, key
 
-    def test_bare_model_rejected(self):
-        m = Model("bare")
-        x = m.add_var("x", lb=0, ub=1, integer=True)
-        m.add(x >= 1)
-        m.minimize(x)
-        with pytest.raises(SolverError, match="bare"):
-            solve(m, backend="sat")
-
     def test_non_feasibility_objective_rejected(self, machine):
         f = _formulation(
             motivating_example(), machine, 4, objective="min_sum_t"
         )
         with pytest.raises((SatEncodeError, SolverError),
                            match="feasibility-only"):
-            solve(f.model, backend="sat")
+            f.solve(backend="sat")
 
     def test_valid_start_does_not_bypass_the_objective_check(self):
         # A valid warm start proves feasibility, not min_fu optimality:
@@ -95,10 +88,9 @@ class TestStatusSurface:
         machine = powerpc604()
         ws = compute_warmstart(ddg, machine, 10)
         f = _formulation(ddg, machine, ws.ii, objective="min_fu")
-        start = warmstart_assignment(f, ws.schedule)
-        assert start is not None
+        assert warmstart_assignment(f, ws.schedule) is not None
         with pytest.raises(SatEncodeError, match="feasibility-only"):
-            solve(f.model, backend="sat", mip_start=start)
+            f.solve(backend="sat")
 
 
 class TestAttemptPeriodIntegration:
@@ -119,24 +111,83 @@ class TestAttemptPeriodIntegration:
         assert outcome.attempt.status == "infeasible"
         assert outcome.attempt.backend == "sat"
 
+    def test_rows_are_never_built(self, machine, monkeypatch):
+        def no_rows(self):
+            raise AssertionError("the sat backend built ILP rows")
+
+        monkeypatch.setattr(Formulation, "build", no_rows)
+        outcome = attempt_period(
+            motivating_example(), machine, 4,
+            AttemptConfig(backend="sat"),
+        )
+        assert outcome.attempt.status == "optimal"
+        assert outcome.attempt.model_stats["sat_clauses"] > 0
+        verify_schedule(outcome.schedule)
+
+
+def _drop_dependence_clauses(monkeypatch):
+    """Make the SAT backend encode every loop as if it had no edges."""
+    real = sat_encode.encode_formulation
+
+    def encode_without_dependences(formulation):
+        shadow = copy.copy(formulation)
+        shadow.ddg = copy.copy(formulation.ddg)
+        shadow.ddg.deps = []
+        return real(shadow)
+
+    monkeypatch.setattr(sat_backend, "encode_formulation",
+                        encode_without_dependences)
+
+
+class TestDecodeCheck:
+    """A broken encoding must surface as a solver error, never as a
+    schedule: the backend verifies every decoded answer."""
+
+    def test_solve_raises(self, machine, monkeypatch):
+        _drop_dependence_clauses(monkeypatch)
+        f = _formulation(motivating_example(), machine, 4)
+        with pytest.raises(SolverError, match="encoding bug"):
+            f.solve(backend="sat")
+
+    def test_sweep_records_solver_error(self, machine, monkeypatch):
+        _drop_dependence_clauses(monkeypatch)
+        result = schedule_loop(
+            motivating_example(), machine, backend="sat",
+            warmstart=False, max_extra=2,
+            policy=SupervisionPolicy(max_retries=0),
+        )
+        assert result.schedule is None
+        statuses = {a.t_period: a.status for a in result.attempts}
+        assert statuses == {
+            3: "infeasible", 4: "solver_error", 5: "solver_error",
+        }
+
 
 class TestDifferentialAgainstIlp:
     def test_verdicts_agree_on_seeded_suite(self, machine):
-        checked = 0
+        checked = lifted = 0
         for ddg in suite(6, machine, seed=604):
             bounds = lower_bounds(ddg, machine)
             for t in range(bounds.t_lb, bounds.t_lb + 3):
                 if not modulo_feasible_t(ddg, machine, t):
                     continue
                 f = _formulation(ddg, machine, t)
-                sat = solve(f.model, backend="sat", time_limit=30.0)
-                ilp = solve(f.model, backend="highs", time_limit=30.0)
+                sat = f.solve(backend="sat", time_limit=30.0)
+                ilp = f.solve(backend="highs", time_limit=30.0)
                 assert (
                     sat.status.has_solution == ilp.status.has_solution
                 ), f"{ddg.name} T={t}: sat={sat.status} ilp={ilp.status}"
+                if sat.status.has_solution:
+                    # The SAT schedule is a point of the HiGHS model.
+                    schedule = f.extract(sat)
+                    assert warmstart_assignment(
+                        _formulation(ddg, machine, t), schedule
+                    ) is not None, f"{ddg.name} T={t}"
+                    lifted += 1
                 checked += 1
                 break  # first admissible T per loop keeps this fast
         assert checked >= 4
+        assert lifted >= 1
 
     @pytest.mark.parametrize("card,min_lits", [
         pytest.param("sequential", 10**9, id="sequential"),
@@ -154,29 +205,10 @@ class TestDifferentialAgainstIlp:
         baseline = {}
         for t in (3, 4):
             f = _formulation(ddg, machine, t, presolve=presolve_at[t])
-            baseline[t] = solve(f.model, backend="sat").status
+            baseline[t] = f.solve(backend="sat").status
         monkeypatch.setattr(cardinality, "_TOTALIZER_MIN_LITS", min_lits)
         for t in (3, 4):
             f = _formulation(ddg, machine, t, presolve=presolve_at[t])
             assert card in encode_formulation(f).card_encodings
-            solution = solve(f.model, backend="sat")
+            solution = f.solve(backend="sat")
             assert solution.status == baseline[t], f"card={card} T={t}"
-
-
-class TestWarmStartAndMemo:
-    def test_valid_start_short_circuits(self, machine):
-        f = _formulation(motivating_example(), machine, 4)
-        incumbent = solve(f.model, backend="sat")
-        assert incumbent.status == SolveStatus.OPTIMAL
-        again = solve(
-            f.model, backend="sat", mip_start=incumbent.values
-        )
-        assert again.status == SolveStatus.OPTIMAL
-        assert again.stats.get("sat_warm_shortcircuit") == 1.0
-
-    def test_invalid_start_still_solves(self, machine):
-        f = _formulation(motivating_example(), machine, 4)
-        bogus = {var: 0.0 for var in f.model.variables}
-        solution = solve(f.model, backend="sat", mip_start=bogus)
-        assert solution.status == SolveStatus.OPTIMAL
-        assert "sat_warm_shortcircuit" not in solution.stats

@@ -162,22 +162,6 @@ class TestBudgets:
         assert result.status in (UNKNOWN, UNSAT)
 
 
-class TestPhaseHints:
-    def test_hints_steer_first_model(self):
-        # Fully unconstrained: the first decision follows the saved
-        # phase, so hints pick which model comes out.
-        hinted = CdclSolver(
-            2, [[1, 2]], phase_hints={1: True, 2: False}
-        ).solve()
-        assert hinted.status == SAT
-        assert hinted.model[1] and not hinted.model[2]
-        opposite = CdclSolver(
-            2, [[1, 2]], phase_hints={1: False, 2: True}
-        ).solve()
-        assert opposite.status == SAT
-        assert not opposite.model[1] and opposite.model[2]
-
-
 class TestInputValidation:
     @pytest.mark.parametrize("clause", [
         [1, 4],        # duplicate-free

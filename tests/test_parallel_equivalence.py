@@ -116,15 +116,22 @@ def _timed_out_below_winner(result):
     )
 
 
+def _asked(result, backend):
+    return any(a.backend == backend for a in result.attempts)
+
+
 def _assert_triple_equivalent(ddg, machine, backend, time_limit, store_root):
+    # Warm start off in every leg: with it on, the heuristic settles
+    # nearly every generated loop and no leg would ask the backend.
     seq = schedule_loop(
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
-        max_extra=30,
+        max_extra=30, warmstart=False,
     )
     par = schedule_loop(
         ddg, machine, backend=backend, time_limit_per_t=time_limit,
-        max_extra=30, jobs=2,
+        max_extra=30, jobs=2, warmstart=False,
     )
+    assert _asked(seq, backend) and _asked(par, backend), ddg.name
     assert par.achieved_t == seq.achieved_t, ddg.name
     if not (_timed_out_below_winner(seq) or _timed_out_below_winner(par)):
         assert par.is_rate_optimal_proven == seq.is_rate_optimal_proven, \
@@ -140,9 +147,11 @@ def _assert_triple_equivalent(ddg, machine, backend, time_limit, store_root):
         report = run_batch(
             [ddg], machine, backend=backend, jobs=1,
             time_limit_per_t=time_limit, max_extra=30, store=store_root,
+            warmstart=False,
         )
         entry = report.entries[0]
         assert entry.error is None, (ddg.name, leg, entry.error)
+        assert _asked(entry.result, backend), (ddg.name, leg)
         assert entry.result.achieved_t == seq.achieved_t, (ddg.name, leg)
         if leg == "cold":
             cold = entry.result
