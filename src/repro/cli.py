@@ -162,7 +162,10 @@ def _cmd_schedule(args) -> int:
     print(result.summary())
     _print_store_line(result)
     for attempt in result.attempts:
-        tag = f" [{attempt.backend}]" if attempt.backend else ""
+        # Who settled the period: a backend, or presolve's reason.
+        reason = attempt.model_stats.get("presolve_reason")
+        proof = attempt.backend or (f"presolve: {reason}" if reason else "")
+        tag = f" [{proof}]" if proof else ""
         print(f"  T={attempt.t_period}: {attempt.status}{tag} "
               f"({attempt.seconds:.2f}s)")
     if args.explain:

@@ -1,22 +1,20 @@
 """Infeasibility diagnosis: *why* is a period impossible?
 
-Given a (loop, machine, T) that the unified ILP rejects, walks the
-relaxation chain the paper's sections correspond to and reports the
-first level that already fails:
+Reads the chain a scheduling attempt runs (modulo check, presolve,
+backend) and reports the first link that rules T out:
 
 1. ``MODULO``     — T violates the modulo scheduling constraint (§3);
-2. ``DEPENDENCE`` — the recurrences alone forbid T (with a critical
-   cycle as witness);
-3. ``CAPACITY``   — aggregate stage counts cannot fit (§4.1 relaxation
-   infeasible; the busiest stage is named);
-4. ``MAPPING``    — counts fit but no fixed FU assignment exists (§4.2:
-   the full ILP is infeasible while the counting relaxation is not; a
-   counting schedule whose greedy mapping fails is attached as witness);
+2. ``DEPENDENCE`` — presolve's dependence cycle or empty window: the
+   recurrences alone forbid T (a critical cycle is the witness);
+3. ``CAPACITY``   — presolve's resource floor for the named FU type
+   (§4.1), or, past presolve, an infeasible counting relaxation;
+4. ``MAPPING``    — no fixed FU assignment exists (§4.2): presolve's
+   copy packing, or the full ILP is infeasible while the counting
+   relaxation is not (a counting schedule is attached as witness);
 5. ``FEASIBLE``   — nothing fails: the period is achievable.
 
-This is the analysis a compiler engineer wants when the scheduler bumps
-T: on the motivating example at T=3 it answers ``MAPPING``, which is the
-paper's §2 story in one word.
+Only a period presolve leaves open is solved.  On the motivating example
+at T=3 it answers ``MAPPING``: the paper's §2 story in one word.
 """
 
 from __future__ import annotations
@@ -25,12 +23,13 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.bounds import modulo_feasible_t, per_type_t_res
+from repro.core.bounds import modulo_feasible_t
 from repro.core.errors import MappingError
 from repro.core.formulation import Formulation, FormulationOptions
 from repro.core.schedule import Schedule, greedy_mapping
-from repro.ddg.analysis import critical_cycle, dependence_feasible
+from repro.ddg.analysis import critical_cycle
 from repro.ddg.graph import Ddg
+from repro.ilp.solution import SolveStatus
 from repro.machine import Machine
 
 
@@ -73,6 +72,10 @@ def explain_infeasibility(
     time_limit: Optional[float] = 10.0,
 ) -> Diagnosis:
     """Diagnose why ``t_period`` fails (or confirm it is feasible)."""
+
+    def found(reason, detail="", ops=(), witness=None) -> Diagnosis:
+        return Diagnosis(t_period, reason, detail, list(ops), witness)
+
     ddg.validate_against(machine)
     if not modulo_feasible_t(ddg, machine, t_period):
         offenders = sorted({
@@ -81,95 +84,71 @@ def explain_infeasibility(
                 t_period
             )
         })
-        return Diagnosis(
-            t_period=t_period,
-            reason=Reason.MODULO,
-            detail=(
-                "reservation table(s) self-collide mod T for class(es): "
-                + ", ".join(offenders)
-            ),
-            critical_ops=[
-                op.index for op in ddg.ops if op.op_class in offenders
-            ],
-        )
-
-    if not dependence_feasible(ddg, machine, t_period):
-        cycle = critical_cycle(ddg, machine) or []
-        return Diagnosis(
-            t_period=t_period,
-            reason=Reason.DEPENDENCE,
-            detail="a recurrence cycle needs more than T cycles per "
-                   "iteration",
-            critical_ops=list(cycle),
-        )
-
-    per_type = per_type_t_res(ddg, machine)
-    over = [name for name, bound in per_type.items() if bound > t_period]
-    if over:
-        worst = max(over, key=lambda name: per_type[name])
-        return Diagnosis(
-            t_period=t_period,
-            reason=Reason.CAPACITY,
-            detail=(
-                f"FU type {worst!r} needs T >= {per_type[worst]} "
-                "(busiest-stage bound)"
-            ),
-            critical_ops=[
-                op.index for op in ddg.ops
-                if machine.op_class(op.op_class).fu_type == worst
-            ],
-        )
-
-    counting = Formulation(
-        ddg, machine, t_period,
-        FormulationOptions(mapping=False),
-    )
-    counting_solution = counting.solve(backend=backend,
-                                       time_limit=time_limit)
-    if not counting_solution.status.has_solution:
-        if counting_solution.status.value == "infeasible":
-            return Diagnosis(
-                t_period=t_period,
-                reason=Reason.CAPACITY,
-                detail="the counting relaxation (aggregate usage + "
-                       "dependences combined) is infeasible",
-                critical_ops=[],
-            )
-        return Diagnosis(
-            t_period=t_period, reason=Reason.UNKNOWN,
-            detail="counting relaxation hit the budget", critical_ops=[],
+        return found(
+            Reason.MODULO,
+            "reservation table(s) self-collide mod T for class(es): "
+            + ", ".join(offenders),
+            [op.index for op in ddg.ops if op.op_class in offenders],
         )
 
     full = Formulation(ddg, machine, t_period)
-    full_solution = full.solve(backend=backend, time_limit=time_limit)
-    if full_solution.status.has_solution:
-        return Diagnosis(
-            t_period=t_period, reason=Reason.FEASIBLE, detail="",
-            critical_ops=[],
+    reason, fu = full.ruled_out, full.presolve_info.fu_type
+    if reason in ("dependence_cycle", "empty_window"):
+        return found(
+            Reason.DEPENDENCE,
+            "a recurrence cycle needs more than T cycles per iteration",
+            critical_cycle(ddg, machine) or [],
         )
-    if full_solution.status.value != "infeasible":
-        return Diagnosis(
-            t_period=t_period, reason=Reason.UNKNOWN,
-            detail="full formulation hit the budget", critical_ops=[],
+    type_ops = [
+        op.index for op in ddg.ops
+        if machine.op_class(op.op_class).fu_type == fu
+    ]
+    if reason == "resource_floor":
+        return found(
+            Reason.CAPACITY,
+            f"FU type {fu!r}: its busiest stage is used more than "
+            f"{machine.fu_type(fu).count} x T times (busiest-stage bound)",
+            type_ops,
         )
 
-    witness = counting.extract(counting_solution, require_mapping=False)
-    involved: List[int] = []
+    counting = Formulation(
+        ddg, machine, t_period, FormulationOptions(mapping=False)
+    )
+    counted = counting.solve(backend=backend, time_limit=time_limit)
+    witness = (
+        counting.extract(counted, require_mapping=False)
+        if counted.status.has_solution else None
+    )
+    if reason == "copy_packing":
+        return found(
+            Reason.MAPPING,
+            f"FU type {fu!r}: its ops' stage uses cannot be split over "
+            f"{machine.fu_type(fu).count} copies with no copy's stage "
+            "used more than T times — no fixed FU assignment exists",
+            type_ops, witness,
+        )
+    if witness is None:
+        if counted.status == SolveStatus.INFEASIBLE:
+            return found(Reason.CAPACITY,
+                         "the counting relaxation (aggregate usage + "
+                         "dependences combined) is infeasible")
+        return found(Reason.UNKNOWN, "counting relaxation hit the budget")
+
+    solution = full.solve(backend=backend, time_limit=time_limit)
+    if solution.status.has_solution:
+        return found(Reason.FEASIBLE)
+    if solution.status != SolveStatus.INFEASIBLE:
+        return found(Reason.UNKNOWN, "full formulation hit the budget")
     try:
         greedy_mapping(ddg, machine, witness.starts, t_period)
-        detail = ("coloring infeasible although one counting schedule "
-                  "happens to map greedily — the dependence/mapping "
-                  "interaction rules out every mappable offset choice")
     except MappingError as exc:
-        detail = str(exc)
-        involved = [
+        unclean = [
             op.index for op in ddg.ops
             if not machine.reservation_for(op.op_class).is_clean
         ]
-    return Diagnosis(
-        t_period=t_period,
-        reason=Reason.MAPPING,
-        detail=detail,
-        critical_ops=involved,
-        counting_schedule=witness,
-    )
+        return found(Reason.MAPPING, str(exc), unclean, witness)
+    return found(Reason.MAPPING,
+                 "coloring infeasible although one counting schedule "
+                 "happens to map greedily — the dependence/mapping "
+                 "interaction rules out every mappable offset choice",
+                 witness=witness)

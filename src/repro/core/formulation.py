@@ -61,7 +61,9 @@ from repro.core.errors import CoreError, MappingError, ModuloInfeasibleError
 from repro.core.presolve import ALWAYS, MAYBE, NEVER, PresolveInfo, presolve
 from repro.core.schedule import Schedule, greedy_mapping
 from repro.ddg.graph import Ddg
-from repro.ilp import LinExpr, Model, Solution, Variable, lin_sum
+from repro.ilp import (
+    LinExpr, Model, Solution, SolveStatus, SolverError, Variable, lin_sum,
+)
 from repro.ilp.model import GE, LE, EQ, ModelStats, RowSpec
 from repro.ilp.solve import ILP_BACKENDS, _validate_time_limit
 from repro.ilp.solve import solve as solve_ilp
@@ -166,11 +168,13 @@ class Formulation:
                 k_max=k_max,
                 colored=colored,
             )
+        #: None only under ``presolve=False``.  When presolve rules T
+        #: out, construction stops here: nothing to build or encode.
         self.presolve_info = info
-        # The presolve that narrowed this model; None when it was off or
-        # proved the period infeasible (the plain encoding is kept then).
-        pruning = None if info is None or info.infeasible else info
-        self._pruning = pruning
+        presolve_seconds = info.seconds if info is not None else 0.0
+        self.model_stats = ModelStats(presolve_seconds=presolve_seconds)
+        if self.ruled_out:
+            return
         n = ddg.num_ops
 
         # Variables: A matrix (windowed) and K vector (bounded).
@@ -178,14 +182,14 @@ class Formulation:
         for t in range(t_period):
             row: List[Optional[Variable]] = []
             for i in range(n):
-                if pruning is not None and not pruning.slot_allowed(i, t):
+                if info is not None and not info.slot_allowed(i, t):
                     row.append(None)
                     self._elim_vars += 1
                 else:
                     row.append(self.model.add_binary(f"a[{t},{i}]"))
             self.a.append(row)
         k_bounds = (
-            pruning.k_bounds if pruning is not None else [(0, k_max)] * n
+            info.k_bounds if info is not None else [(0, k_max)] * n
         )
         self.k: List[Variable] = [
             self.model.add_var(f"k[{i}]", lb=lo, ub=hi, integer=True)
@@ -223,19 +227,28 @@ class Formulation:
                     f"c[{i}]", lb=1, ub=count, integer=True
                 )
             self.color_order[fu_name] = (
-                sorted(op_indices, key=lambda i: (pruning.asap[i], i))
-                if pruning is not None else list(op_indices)
+                sorted(op_indices, key=lambda i: (info.asap[i], i))
+                if info is not None else list(op_indices)
             )
 
         #: ``U_s[t][i]`` per Eq. 25, keyed (op, stage, slot).
         self.usage = self._usage_terms()
-        presolve_seconds = info.seconds if info is not None else 0.0
-        self.model_stats = ModelStats(
-            presolve_seconds=presolve_seconds,
-            build_seconds=time.monotonic() - start - presolve_seconds,
+        self.model_stats.build_seconds = (
+            time.monotonic() - start - presolve_seconds
         )
 
     # -- structure ----------------------------------------------------------------
+    @property
+    def ruled_out(self) -> str:
+        """Presolve's reason that no schedule exists at this T, or ""."""
+        return self.presolve_info.reason if self.presolve_info else ""
+
+    def require_open(self) -> None:
+        """Refuse to lower a period presolve ruled out."""
+        if self.ruled_out:
+            raise CoreError(f"presolve ruled out T={self.t_period} for "
+                            f"{self.ddg.name!r} ({self.ruled_out})")
+
     def _needs_coloring(self, fu_name: str, ops_on: List[int]) -> bool:
         """Whether mapping must be decided by the model for this FU type."""
         if self.options.mapping is False:
@@ -352,7 +365,7 @@ class Formulation:
         (no presolve) caps the first op only.
         """
         ordered = self.color_order[fu_name]
-        if self._pruning is None:
+        if self.presolve_info is None:
             return ordered[:1]
         return ordered[:self.machine.fu_type(fu_name).count - 1]
 
@@ -371,7 +384,7 @@ class Formulation:
         """
         op_indices = self.ops_by_type[fu_name]
         stages = self.machine.stage_count(fu_name)
-        pruning = self._pruning
+        pruning = self.presolve_info
         for pos, i in enumerate(op_indices):
             for j in op_indices[pos + 1:]:
                 shared = [
@@ -395,17 +408,11 @@ class Formulation:
         """Emit the ILP rows over the structure (idempotent; HiGHS only)."""
         if self._built:
             return self.model
+        self.require_open()
         self._built = True
         build_start = time.monotonic()
         t_period = self.t_period
         model = self.model
-        info = self.presolve_info
-        if info is not None and info.infeasible:
-            # No schedule at this T (see ``info.reason``): record the
-            # verdict as a trivially unsatisfiable row (0 == 1) so the
-            # solver returns INFEASIBLE without search, then fall
-            # through to the plain encoding for introspection.
-            model.add(LinExpr() == 1, name="presolve_infeasible")
 
         # Assignment: each op starts at exactly one slot.   (Eq. 9/23)
         assign_rows: List[RowSpec] = []
@@ -458,7 +465,7 @@ class Formulation:
         under the capacity floor are dropped, and rows identical to an
         earlier one are emitted once.
         """
-        active = self._pruning is not None
+        active = self.presolve_info is not None
         rows: List[RowSpec] = []
         seen: set = set()
         for fu_name, stage, users, slots in self.capacity_cells():
@@ -507,7 +514,7 @@ class Formulation:
         """
         t_period = self.t_period
         model = self.model
-        active = self._pruning is not None
+        active = self.presolve_info is not None
         for fu_name in self.colored_types:
             big_m = self.machine.fu_type(fu_name).count
             if self.options.objective == "min_fu":
@@ -643,18 +650,25 @@ class Formulation:
     ) -> Solution:
         """Solve with ``backend``; the one backend dispatch.
 
-        ``sat`` lowers the structure to CNF and never builds the ILP
-        rows (:mod:`repro.sat.backend`); ``auto`` and ``highs`` build
-        them and hand them to :func:`repro.ilp.solve.solve`, with
-        ``mip_start`` as HiGHS's starting incumbent (SAT search takes
-        no start).  Both return a :class:`Solution` that
-        :meth:`extract` reads.
+        A period presolve ruled out is answered INFEASIBLE here, with
+        ``backend=""``.  Otherwise ``sat`` lowers the structure to CNF
+        and never builds the ILP rows (:mod:`repro.sat.backend`);
+        ``auto`` and ``highs`` build them and hand them to
+        :func:`repro.ilp.solve.solve`, with ``mip_start`` as HiGHS's
+        starting incumbent (SAT search takes no start).  Both return an
+        unverified :class:`Solution` that :meth:`extract` reads.
         """
+        if backend not in BACKENDS:
+            raise SolverError(
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            )
+        if time_limit is not None:
+            _validate_time_limit(time_limit)
+        if self.ruled_out:
+            return Solution(status=SolveStatus.INFEASIBLE)
         if backend == "sat":
             from repro.sat.backend import solve_formulation
 
-            if time_limit is not None:
-                _validate_time_limit(time_limit)
             solution = solve_formulation(self, time_limit=time_limit)
         else:
             solution = solve_ilp(self.build(), backend=backend,

@@ -92,6 +92,9 @@ class PresolveInfo:
     #: reason: ``dependence_cycle``, ``resource_floor``, ``copy_packing``
     #: or ``empty_window``.
     reason: str = ""
+    #: The FU type a ``resource_floor`` or ``copy_packing`` reason names
+    #: (the busiest type, or the one whose ops do not pack), else "".
+    fu_type: str = ""
     #: Op anchored to pattern slot 0, or None (min_sum_t, or disabled).
     anchor: Optional[int] = None
     #: Effective stage-count bound (may exceed the caller's k_max by one
@@ -228,7 +231,6 @@ def _packs(
 
 def _ruled_out(info: PresolveInfo, reason: str, start: float) -> PresolveInfo:
     info.reason = reason
-    info.slot_windows = [None] * len(info.slot_windows)
     info.seconds = time.monotonic() - start
     return info
 
@@ -272,8 +274,9 @@ def presolve(
     # one of the R_r * T modulo slot-copies, so T below the busiest
     # stage's ceil(uses / count) admits no schedule (the emitted
     # capacity rows are LP-infeasible by the same counting argument).
-    res_floor = max(per_type_t_res(ddg, machine).values(), default=1)
-    if t_period < res_floor:
+    per_type = per_type_t_res(ddg, machine)
+    if t_period < max(per_type.values(), default=1):
+        info.fu_type = max(per_type, key=per_type.get)
         return _ruled_out(info, "resource_floor", start)
 
     # Copy packing: a colored op runs on one copy of its type, and one
@@ -286,6 +289,7 @@ def presolve(
         vectors = [tuple(t.stage_usage_counts())
                    + (0,) * (stages - t.num_stages) for t in tables]
         if not _packs(vectors, machine.fu_type(fu_name).count, t_period):
+            info.fu_type = fu_name
             return _ruled_out(info, "copy_packing", start)
 
     allow_ub = objective in _UB_OBJECTIVES

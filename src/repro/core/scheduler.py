@@ -89,7 +89,8 @@ class ScheduleAttempt:
     failure: Optional[FailureRecord] = None
     #: Which solver actually produced this attempt's verdict ("highs",
     #: "sat"; "" for attempts that never reached a backend —
-    #: modulo-infeasible, cut skips, heuristic settles, cancellations).
+    #: modulo-infeasible, ruled out by presolve, heuristic settles,
+    #: cancellations).
     #: Older reports may name a backend that has since been deleted.
     #: Provenance only: never part of any cache or store fingerprint.
     backend: str = ""
@@ -150,13 +151,14 @@ class WarmStartStats:
     heuristic_mii: Optional[int] = None
     heuristic_seconds: float = 0.0
     placements: int = 0
-    #: ILP solves actually performed during the sweep (modulo-infeasible
-    #: classifications and heuristic short-circuits don't count).
+    #: Attempts that reached a backend (``attempt.backend`` set);
+    #: modulo-infeasible periods, periods presolve ruled out, heuristic
+    #: settles, cancellations and lost cells don't count.
     ilp_solves: int = 0
 
     @property
     def skipped_all_ilp(self) -> bool:
-        """The heuristic alone settled the loop — zero ILP solves."""
+        """The heuristic settled the loop without any backend solve."""
         return (self.enabled and self.heuristic_ii is not None
                 and self.ilp_solves == 0)
 
@@ -247,9 +249,10 @@ class SchedulingResult:
     def is_rate_optimal_proven(self) -> bool:
         """Schedule found and every smaller admissible T proven infeasible.
 
-        Every period in ``[t_lb, T)`` must carry a proof — solver
-        INFEASIBLE, a recycled cut, or the modulo-admissibility check; a
-        gap (no attempt at all, or a non-proof one) means the claim
+        Every period in ``[t_lb, T)`` must carry a proof — the
+        modulo-admissibility check, presolve's reason
+        (``model_stats["presolve_reason"]``) or a solver's INFEASIBLE;
+        a gap (no attempt at all, or a non-proof one) means the claim
         would be unsupported.
         """
         if self.schedule is None:
@@ -483,9 +486,8 @@ def attempt_period(
         verify_schedule(schedule, check_mapping=require_mapping)
         verify_seconds = time.monotonic() - verify_start
     stats = formulation.model_stats.to_dict()
-    info = formulation.presolve_info
-    if info is not None and info.infeasible:
-        stats["presolve_reason"] = info.reason
+    if formulation.ruled_out:
+        stats["presolve_reason"] = formulation.ruled_out
     stats["lower_seconds"] = solution.lower_seconds
     stats["solve_seconds"] = solution.solve_seconds
     stats["verify_seconds"] = verify_seconds
@@ -703,12 +705,7 @@ def run_sweep(
             f"no candidate periods for loop {ddg.name!r} "
             f"(T_lb={bounds.t_lb}, max_extra={max_extra})"
         )
-    ws_stats.ilp_solves = sum(
-        1 for a in attempts
-        if a.status not in ("modulo_infeasible", HEURISTIC, CANCELLED,
-                            DEGRADED)
-        and a.failure is None
-    )
+    ws_stats.ilp_solves = sum(1 for a in attempts if a.backend)
     result = SchedulingResult(
         loop_name=ddg.name,
         bounds=bounds,

@@ -125,7 +125,7 @@ def _normalized_point(
     n = ddg.num_ops
     starts = schedule.starts
     info = formulation.presolve_info
-    active = info is not None and not info.infeasible
+    active = info is not None
 
     if not active:
         slots = [s % t_period for s in starts]

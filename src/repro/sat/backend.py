@@ -13,12 +13,13 @@ supervision layer and the store work unchanged.  Status maps as
 * budget expired -> ``TIME_LIMIT`` (no incumbent — SAT search has no
   anytime relaxation to report).
 
-Every satisfying model is decoded to its ``a``/``k``/``c`` values,
-extracted into a schedule and checked by
-:func:`repro.core.verify.verify_schedule` before being returned; a
-decode that fails the check raises :class:`SolverError`, never a wrong
-schedule.  Agreement with HiGHS is a test (``tests/sat/test_backend.py``
-lifts every SAT schedule to a point of the ILP).
+A period presolve ruled out never gets here: ``Formulation.solve``
+answers it first.  A satisfying model is decoded to its ``a``/``k``/``c``
+values and returned unchecked, like a HiGHS answer:
+:func:`repro.core.scheduler.attempt_period` extracts and verifies every
+backend's schedule, once.  Agreement with HiGHS is a test
+(``tests/sat/test_backend.py`` lifts every SAT schedule to a point of
+the ILP).
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from repro.core.errors import MappingError, VerificationError
-from repro.core.verify import verify_schedule
-from repro.ilp.errors import SolverError
 from repro.ilp.solution import Solution, SolveStatus
 from repro.sat.encode import decode_model, encode_formulation
 from repro.sat.solver import SAT, UNSAT, CdclSolver
@@ -46,14 +44,6 @@ def solve_formulation(
         "sat_vars": float(encoding.cnf.num_vars),
         "sat_clauses": float(encoding.cnf.num_clauses),
     }
-    if encoding.trivially_unsat:
-        return Solution(
-            status=SolveStatus.INFEASIBLE,
-            solve_seconds=time.monotonic() - start,
-            backend="sat",
-            stats=stats,
-        )
-
     search_start = time.monotonic()
     solver = CdclSolver(encoding.cnf.num_vars, encoding.cnf.clauses)
     remaining = (
@@ -79,29 +69,18 @@ def solve_formulation(
         )
 
     decode_start = time.monotonic()
-    solution = Solution(
+    values = decode_model(formulation, encoding, result.model)
+    stats["sat_decode_seconds"] = round(
+        time.monotonic() - decode_start, 6
+    )
+    return Solution(
         status=SolveStatus.OPTIMAL,
         objective=0.0,
-        values=decode_model(formulation, encoding, result.model),
+        values=values,
         bound=0.0,
         gap=0.0,
+        solve_seconds=time.monotonic() - start,
         lower_seconds=encoding.encode_seconds,
         backend="sat",
         stats=stats,
     )
-    require_mapping = formulation.options.mapping is not False
-    try:
-        schedule = formulation.extract(
-            solution, require_mapping=require_mapping
-        )
-        verify_schedule(schedule, check_mapping=require_mapping)
-    except (MappingError, VerificationError) as exc:
-        raise SolverError(
-            f"sat decode produced an invalid schedule ({exc}) — "
-            "encoding bug, refusing to return it"
-        ) from exc
-    stats["sat_decode_seconds"] = round(
-        time.monotonic() - decode_start, 6
-    )
-    solution.solve_seconds = time.monotonic() - start
-    return solution

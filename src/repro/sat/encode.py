@@ -30,7 +30,8 @@ Only the feasibility objective is supported — the sweep's hot path;
 any other raises :class:`repro.sat.errors.SatEncodeError` so the
 dispatcher can fail fast with a clear message.  Periods are always
 modulo-feasible (:class:`repro.core.Formulation` refuses the rest), so
-every usage expression is 0-1.
+every usage expression is 0-1, and never ruled out by presolve
+(``Formulation.solve`` answers those before any backend).
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class SatEncoding:
     """A lowered formulation plus the maps needed to decode models."""
 
     cnf: Cnf = field(default_factory=Cnf)
-    #: Refuted during encoding (presolve verdict, empty window, ...).
-    trivially_unsat: bool = False
-    unsat_reason: str = ""
     #: Per op: surviving slot -> slot literal.
     slot_lits: List[Dict[int, int]] = field(default_factory=list)
     #: Per op: k lower bound and order literals (g_j <=> k >= lb+j+1).
@@ -81,7 +79,8 @@ class SatEncoding:
 
 
 def encode_formulation(formulation) -> SatEncoding:
-    """Lower ``formulation`` to CNF; raises SatEncodeError if unsupported."""
+    """Lower ``formulation`` to CNF; raises SatEncodeError if unsupported
+    and CoreError if presolve ruled its period out."""
     start = time.monotonic()
     if formulation.options.objective != "feasibility":
         raise SatEncodeError(
@@ -89,15 +88,9 @@ def encode_formulation(formulation) -> SatEncoding:
             f"{formulation.options.objective!r} needs an ILP backend "
             "(highs)"
         )
+    formulation.require_open()
 
     encoding = SatEncoding()
-    info = formulation.presolve_info
-    if info is not None and info.infeasible:
-        encoding.trivially_unsat = True
-        encoding.unsat_reason = info.reason
-        encoding.encode_seconds = time.monotonic() - start
-        return encoding
-
     cnf = encoding.cnf
     ddg = formulation.ddg
     machine = formulation.machine
@@ -114,11 +107,6 @@ def encode_formulation(formulation) -> SatEncoding:
                 lit = cnf.new_var()
                 lits[t] = lit
                 sat_of[var] = lit
-        if not lits:
-            encoding.trivially_unsat = True
-            encoding.unsat_reason = f"empty_window[{i}]"
-            encoding.encode_seconds = time.monotonic() - start
-            return encoding
         encoding.slot_lits.append(lits)
         exactly_one(cnf, list(lits.values()))
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core import Formulation, FormulationOptions, verify_schedule
 import repro.core.presolve as presolve_module
 from repro.core.bounds import lower_bounds, modulo_feasible_t
+from repro.core.errors import CoreError
 from repro.core.presolve import ALWAYS, MAYBE, NEVER, presolve
 from repro.core.scheduler import AttemptConfig, attempt_period
 from repro.corpusgen import default_families, generate_corpus
@@ -189,10 +190,14 @@ class TestCopyPacking:
     def test_rules_out_unpackable_period(self):
         machine = motivating_machine()
         f = Formulation(_fp_ops(7), machine, 7)
-        f.build()
         assert f.presolve_info.reason == "copy_packing"
+        assert f.presolve_info.fu_type == "FP"
         assert not f.solve(backend="highs").status.has_solution
-        assert encode_formulation(f).unsat_reason == "copy_packing"
+        # Nothing was built to emit rows or clauses from.
+        with pytest.raises(CoreError, match="copy_packing"):
+            f.build()
+        with pytest.raises(CoreError, match="copy_packing"):
+            encode_formulation(f)
 
         f = Formulation(_fp_ops(7), machine, 8)
         f.build()
@@ -247,7 +252,6 @@ def test_copy_packing_agrees_with_exact_searches():
             if not modulo_feasible_t(ddg, machine, t_period):
                 continue
             f = Formulation(ddg, machine, t_period)
-            f.build()
             if f.presolve_info.reason != "copy_packing":
                 break  # bins of a larger T only pack more easily
             verdicts += 1

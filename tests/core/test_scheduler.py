@@ -91,14 +91,18 @@ class TestDriverBehaviour:
         assert result.achieved_t == 4
 
     def test_attempts_record_model_stats(self):
-        result = schedule_loop(motivating_example(), motivating_machine())
-        solved = [
-            a for a in result.attempts
-            if a.status not in ("modulo_infeasible", "heuristic")
-        ]
+        result = schedule_loop(motivating_example(), motivating_machine(),
+                               warmstart=False)
+        solved = [a for a in result.attempts if a.backend]
         assert solved
         for attempt in solved:
             assert attempt.model_stats["variables"] > 0
+        # T=3 is ruled out by presolve: no model was built for it.
+        ruled_out = [a for a in result.attempts if not a.backend]
+        assert [a.model_stats["presolve_reason"] for a in ruled_out] == [
+            "copy_packing"
+        ]
+        assert ruled_out[0].model_stats["variables"] == 0
 
     def test_objectives_pass_through(self):
         result = schedule_loop(
@@ -122,7 +126,8 @@ def _attempt_log(ddg, machine, backend):
     result = schedule_loop(ddg, machine, backend=backend,
                            time_limit_per_t=10.0)
     return [
-        (a.t_period, a.status, a.backend, a.model_stats.get("variables"))
+        (a.t_period, a.status, a.backend, a.model_stats.get("variables"),
+         a.model_stats.get("presolve_reason", ""))
         for a in result.attempts
     ]
 
@@ -135,7 +140,7 @@ class TestHistoryIndependence:
         # Regression: a banked INFEASIBLE verdict from the HiGHS sweep
         # was once replayed under the SAT request, with backend "" and
         # no model sizes.  SAT attempts carry CNF sizes, not ILP ones;
-        # a period presolve refutes is never lowered.
+        # a period presolve refutes never reaches a backend.
         ddg, machine = motivating_example(), motivating_machine()
         schedule_loop(ddg, machine, backend="highs")
         result = schedule_loop(ddg, machine, backend="sat",
@@ -149,7 +154,9 @@ class TestHistoryIndependence:
                    if "presolve_reason" not in a.model_stats]
         assert lowered
         for attempt in solved:
-            assert attempt.backend == "sat"
+            assert attempt.backend == (
+                "" if "presolve_reason" in attempt.model_stats else "sat"
+            )
             assert attempt.model_stats["variables"] == 0
         for attempt in lowered:
             assert attempt.model_stats["sat_clauses"] > 0
@@ -159,7 +166,10 @@ class TestHistoryIndependence:
         ddg, machine = motivating_example(), motivating_machine()
         first = _attempt_log(ddg, machine, backend)
         assert first == _attempt_log(ddg, machine, backend)
-        assert all(b == backend for _, status, b, _ in first
+        # A verdict comes from this sweep's backend, or from presolve
+        # before any backend.
+        assert all(b == ("" if reason else backend)
+                   for _, status, b, _, reason in first
                    if status == "infeasible")
 
     @pytest.mark.parametrize(

@@ -3,9 +3,10 @@
 The backend lowers the formulation's structure and never builds its ILP
 rows, so agreement with HiGHS is asserted here: SAT and HiGHS return
 the same feasible/infeasible verdict per (loop, T), and every SAT
-schedule lifts to a point of the HiGHS model.  The backend's own decode
-check (every answer verified before it is returned) must still catch a
-broken encoding, and the Solution metadata must round-trip.
+schedule lifts to a point of the HiGHS model.  The attempt's one
+verify (every backend's answer checked before it becomes a schedule)
+must still catch a broken encoding, and the Solution metadata must
+round-trip.
 """
 
 import copy
@@ -15,10 +16,12 @@ import pytest
 
 from repro.core import schedule_loop
 from repro.core.bounds import lower_bounds, modulo_feasible_t
+from repro.core.errors import VerificationError
 from repro.core.formulation import Formulation, FormulationOptions
 from repro.core.scheduler import AttemptConfig, attempt_period
 from repro.core.verify import verify_schedule
 from repro.core.warmstart import compute_warmstart, warmstart_assignment
+from repro.corpusgen import default_families, iter_corpus, resolve_machine
 from repro.ddg.builders import parse_ddg
 from repro.ddg.generators import suite
 from repro.ddg.kernels import motivating_example
@@ -48,10 +51,24 @@ def _formulation(ddg, machine, t_period, **options):
 
 class TestStatusSurface:
     def test_infeasible_period_maps_to_infeasible(self, machine):
-        f = _formulation(motivating_example(), machine, 3)
+        # Without presolve, T=3 reaches the solver, which answers UNSAT.
+        f = _formulation(motivating_example(), machine, 3, presolve=False)
         solution = f.solve(backend="sat")
         assert solution.status == SolveStatus.INFEASIBLE
         assert solution.backend == "sat"
+
+    def test_ruled_out_period_never_reaches_the_backend(
+        self, machine, monkeypatch
+    ):
+        def no_encode(formulation):
+            raise AssertionError("a ruled-out period was encoded")
+
+        monkeypatch.setattr(sat_backend, "encode_formulation", no_encode)
+        f = _formulation(motivating_example(), machine, 3)
+        assert f.ruled_out == "copy_packing"
+        solution = f.solve(backend="sat")
+        assert solution.status == SolveStatus.INFEASIBLE
+        assert solution.backend == ""
 
     def test_feasible_period_maps_to_optimal(self, machine):
         f = _formulation(motivating_example(), machine, 4)
@@ -104,12 +121,31 @@ class TestAttemptPeriodIntegration:
         verify_schedule(outcome.schedule)
 
     def test_infeasible_attempt(self, machine):
+        # Presolve rules T=3 out (copy packing): no backend is reached.
         outcome = attempt_period(
             motivating_example(), machine, 3,
             AttemptConfig(backend="sat"),
         )
         assert outcome.attempt.status == "infeasible"
+        assert outcome.attempt.backend == ""
+        assert outcome.attempt.model_stats["presolve_reason"] == (
+            "copy_packing"
+        )
+
+    def test_solver_unsat_attempt(self):
+        # A slice loop whose T=6 presolve leaves open and CDCL refutes.
+        machine = resolve_machine("deep-unclean")
+        ddg = next(
+            ddg for _, _, ddg in iter_corpus(11, machine,
+                                             default_families(40))
+            if ddg.name == "gen00018"
+        )
+        outcome = attempt_period(ddg, machine, 6,
+                                 AttemptConfig(backend="sat"))
+        assert outcome.attempt.status == "infeasible"
         assert outcome.attempt.backend == "sat"
+        assert "presolve_reason" not in outcome.attempt.model_stats
+        assert outcome.attempt.model_stats["sat_clauses"] > 0
 
     def test_rows_are_never_built(self, machine, monkeypatch):
         def no_rows(self):
@@ -140,14 +176,14 @@ def _drop_dependence_clauses(monkeypatch):
 
 
 class TestDecodeCheck:
-    """A broken encoding must surface as a solver error, never as a
-    schedule: the backend verifies every decoded answer."""
+    """A broken encoding must surface as a failed attempt, never as a
+    schedule: the attempt verifies every backend's answer."""
 
-    def test_solve_raises(self, machine, monkeypatch):
+    def test_attempt_raises(self, machine, monkeypatch):
         _drop_dependence_clauses(monkeypatch)
-        f = _formulation(motivating_example(), machine, 4)
-        with pytest.raises(SolverError, match="encoding bug"):
-            f.solve(backend="sat")
+        with pytest.raises(VerificationError, match="dependence"):
+            attempt_period(motivating_example(), machine, 4,
+                           AttemptConfig(backend="sat"))
 
     def test_sweep_records_solver_error(self, machine, monkeypatch):
         _drop_dependence_clauses(monkeypatch)

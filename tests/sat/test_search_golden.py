@@ -66,10 +66,9 @@ def _cnf(ddg, machine, t_period):
     if not modulo_feasible_t(ddg, machine, t_period):
         return None
     formulation = Formulation(ddg, machine, t_period, FormulationOptions())
-    encoding = encode_formulation(formulation)
-    if encoding.trivially_unsat:
+    if formulation.presolve_info.infeasible:
         return None
-    return encoding.cnf
+    return encode_formulation(formulation).cnf
 
 
 def _digest(model):
