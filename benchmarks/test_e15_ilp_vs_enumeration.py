@@ -23,8 +23,10 @@ def test_e15_ilp_vs_enumeration(benchmark, tiny_corpus, ppc604):
         for ddg in loops:
             # Cold: with the warm start on, the heuristic settles
             # almost every loop and "ilp s" would time it, not the MILP.
-            ilp = schedule_loop(ddg, ppc604, time_limit_per_t=10.0,
-                                max_extra=6, warmstart=False)
+            # HiGHS by name: under feasibility ``auto`` runs SAT.
+            ilp = schedule_loop(ddg, ppc604, backend="highs",
+                                time_limit_per_t=10.0, max_extra=6,
+                                warmstart=False)
             enumerated = enumerative_schedule_loop(
                 ddg, ppc604, time_limit_per_t=10.0, max_extra=6
             )

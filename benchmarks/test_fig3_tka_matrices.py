@@ -2,9 +2,11 @@
 
 The paper publishes ``T = [0,1,3,5,7,11]'``, ``K = [0,0,0,1,1,2]'`` and
 the two non-trivial A rows ``[0 1 0 1 0 0]`` (t=1) and ``[0 0 1 0 1 1]``
-(t=3).  Our min-sum-t schedule reproduces K and the A-row structure
-exactly (the store lands at 10 rather than 11 — one cycle tighter,
-equally valid).
+(t=3).  The min-sum-t objective has two optima, ``[0,1,3,5,7,10]`` and
+``[0,2,3,5,7,9]`` (exhaustive search over starts 0..15), and which one
+the solver returns is not part of the model.  So the test asserts what
+both share: the paper's K, ``sum(T) = 26`` (one cycle tighter than the
+published 27) and i2, i4 at slot 3.
 """
 
 from conftest import once
@@ -30,10 +32,10 @@ def test_fig3_tka_matrices(benchmark, motivating):
                               [f"i{i}" for i in range(6)]))
 
     assert schedule.k_vector == [0, 0, 0, 1, 1, 2]  # matches the paper
+    assert sum(schedule.starts) == 26  # the published T sums to 27
+    # The published T also places i5 at slot 3; every min-sum-t optimum
+    # keeps i2 and i4 there.
     a = schedule.a_matrix
-    assert a[1].tolist() == [0, 1, 0, 1, 0, 0]
-    # The paper's published T places i5 at slot 3; ours at slot 2 (t=10
-    # vs 11).  Both rows carry i2 and i4 at slot 3.
     assert a[3][2] == 1 and a[3][4] == 1
 
     # The published start times themselves decompose consistently (Eq. 1).

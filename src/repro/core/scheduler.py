@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Union
 from repro.core.bounds import LowerBounds, lower_bounds, modulo_feasible_t
 from repro.core.errors import SchedulingError
 from repro.core.formulation import (
-    BACKENDS, OBJECTIVES, Formulation, FormulationOptions,
+    BACKENDS, OBJECTIVES, Formulation, FormulationOptions, resolve_backend,
 )
 from repro.core.schedule import Schedule
 from repro.core.verify import verify_schedule
@@ -448,7 +448,7 @@ def attempt_period(
     """
     config = config or AttemptConfig()
     faults.fire("attempt", loop=ddg.name, t=t_period,
-                backend=config.backend)
+                backend=resolve_backend(config.backend, config.objective))
     attempt_machine = machine
     repaired = False
     if not modulo_feasible_t(ddg, machine, t_period):

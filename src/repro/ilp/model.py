@@ -429,9 +429,10 @@ class Model:
     ):
         """Solve the model with HiGHS; return a :class:`repro.ilp.Solution`.
 
-        ``backend`` is ``"highs"`` or ``"auto"``, which is HiGHS (the SAT
-        backend reads a scheduling formulation's structure, not rows:
-        see :meth:`repro.core.formulation.Formulation.solve`).
+        ``backend`` is ``"highs"`` or ``"auto"``; a model is rows, so both
+        mean HiGHS here.  Only a scheduling formulation's ``auto`` can
+        mean SAT, which reads its structure, not rows: see
+        :func:`repro.core.formulation.resolve_backend`.
         ``mip_start`` optionally warm-starts the search with a feasible
         assignment.
         """

@@ -8,12 +8,16 @@ without building its ILP rows:
   exactly-one row per op (the windowed assignment constraint);
 * **stages** — each ``k_i`` is order-encoded over its presolved bounds
   (``g_j`` reads "k_i >= lb+j+1", chained so the encoding is monotone);
-* **dependences** — ``t_dst - t_src >= rho`` decomposes per slot pair
-  into a stage-difference bound ``k_dst - k_src >= L`` with
-  ``L = ceil((rho + v_src - v_dst) / T)``: always-true pairs vanish,
-  impossible pairs become binary conflict clauses, the rest share an
-  implication ladder over the order literals (grouped by ``L`` behind
-  one activation literal when several slot pairs agree);
+* **residues** — each op's slot ``v_i`` is also order-encoded over its
+  surviving slots (``r_j`` reads "v_i >= w_j" for the j-th slot past
+  the first), channelled to the slot literals;
+* **dependences** — ``T*(k_dst - k_src) + v_dst - v_src >= rho`` splits
+  on the stage difference ``D``: values too small for any residue pair
+  become one unconditional ladder over the ``k`` order literals, values
+  every residue pair satisfies vanish, and each of the (at most two)
+  values in between gets a gate ``g`` with ``!g -> D >= d+1`` (a
+  ladder) and ``g -> v_dst - v_src >= rho - T*d`` (one ternary clause
+  per source slot), so the clause count is linear in T and K;
 * **capacities** — per (FU type, stage, slot) occupancy literals
   bounded by the FU count through a sequential-counter or totalizer
   cardinality encoding (:mod:`repro.sat.cardinality`), over the cells
@@ -37,17 +41,16 @@ every usage expression is 0-1, and never ruled out by presolve
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.presolve import ALWAYS, NEVER
 from repro.ilp.model import Variable
 from repro.sat.cardinality import at_most_k, exactly_one
 from repro.sat.cnf import Cnf
 from repro.sat.errors import SatEncodeError
-
-#: Slot-pair buckets at least this large share one activation literal.
-_LADDER_GROUP_MIN = 2
 
 
 @dataclass
@@ -60,6 +63,10 @@ class SatEncoding:
     #: Per op: k lower bound and order literals (g_j <=> k >= lb+j+1).
     k_lb: List[int] = field(default_factory=list)
     k_lits: List[List[int]] = field(default_factory=list)
+    #: Per op: surviving slots ascending, and order literals
+    #: (r_j <=> v >= slots[j+1]).
+    v_slots: List[List[int]] = field(default_factory=list)
+    v_lits: List[List[int]] = field(default_factory=list)
     #: Per colored op: one literal per color 1..R.
     color_lits: Dict[int, List[int]] = field(default_factory=dict)
     #: Cardinality encoding(s) actually used for capacity rows.
@@ -76,6 +83,16 @@ class SatEncoding:
         if j >= len(lits):
             return 0
         return lits[j]
+
+    def v_ge(self, op_index: int, bound: int) -> Optional[int]:
+        """Literal for ``v_op >= bound``; None = constant true, 0 = false."""
+        slots = self.v_slots[op_index]
+        j = bisect_left(slots, bound)
+        if j == 0:
+            return None
+        if j == len(slots):
+            return 0
+        return self.v_lits[op_index][j - 1]
 
 
 def encode_formulation(formulation) -> SatEncoding:
@@ -119,6 +136,26 @@ def encode_formulation(formulation) -> SatEncoding:
         encoding.k_lb.append(lb)
         encoding.k_lits.append(lits)
 
+    # -- slot residues (order encoding) --------------------------------------
+    for lits in encoding.slot_lits:
+        slots = sorted(lits)
+        order = [cnf.new_var() for _ in slots[1:]]
+        for j in range(1, len(order)):
+            cnf.add(-order[j], order[j - 1])
+        # Slot w_j holds exactly when r_{j-1} and not r_j (r_{-1} is
+        # true and r_last false).
+        for j, v in enumerate(slots if order else ()):
+            clause = [lits[v]]
+            if j > 0:
+                cnf.add(-lits[v], order[j - 1])
+                clause.append(-order[j - 1])
+            if j < len(order):
+                cnf.add(-lits[v], -order[j])
+                clause.append(order[j])
+            cnf.add_clause(clause)
+        encoding.v_slots.append(slots)
+        encoding.v_lits.append(order)
+
     # -- dependences ---------------------------------------------------------
     separations = ddg.dep_latencies(machine)
     for e, dep in enumerate(ddg.deps):
@@ -128,35 +165,7 @@ def encode_formulation(formulation) -> SatEncoding:
             if rhs > 0:
                 cnf.add_clause([])
             continue
-        src_lb, src_ub = encoding.k_lb[src], (
-            encoding.k_lb[src] + len(encoding.k_lits[src])
-        )
-        dst_lb, dst_ub = encoding.k_lb[dst], (
-            encoding.k_lb[dst] + len(encoding.k_lits[dst])
-        )
-        buckets: Dict[int, List[Tuple[int, int]]] = {}
-        for v_src, s_src in encoding.slot_lits[src].items():
-            for v_dst, s_dst in encoding.slot_lits[dst].items():
-                bound = rhs + v_src - v_dst
-                level = -((-bound) // t_period)  # ceil(bound / T)
-                if level <= dst_lb - src_ub:
-                    continue  # satisfied for every stage choice
-                if level > dst_ub - src_lb:
-                    cnf.add(-s_src, -s_dst)
-                    continue
-                buckets.setdefault(level, []).append((s_src, s_dst))
-        for level in sorted(buckets):
-            pairs = buckets[level]
-            if len(pairs) >= _LADDER_GROUP_MIN:
-                trigger = cnf.new_var()
-                for s_src, s_dst in pairs:
-                    cnf.add(-s_src, -s_dst, trigger)
-                _emit_ladder(encoding, src, dst, level, [-trigger])
-            else:
-                for s_src, s_dst in pairs:
-                    _emit_ladder(
-                        encoding, src, dst, level, [-s_src, -s_dst]
-                    )
+        _encode_dependence(encoding, src, dst, rhs, t_period)
 
     # -- capacities ----------------------------------------------------------
     seen_rows: set = set()
@@ -209,38 +218,65 @@ def encode_formulation(formulation) -> SatEncoding:
     return encoding
 
 
-def _emit_ladder(
-    encoding: SatEncoding,
-    src: int,
-    dst: int,
-    level: int,
-    premise: List[int],
+def _encode_dependence(
+    encoding: SatEncoding, src: int, dst: int, rhs: int, t_period: int
 ) -> None:
-    """Clauses for ``premise -> (k_dst - k_src >= level)``.
+    """Clauses for ``T*(k_dst - k_src) + v_dst - v_src >= rhs``.
 
-    Uses the order-literal ladder: for each admissible ``a``,
-    ``(k_src >= a) -> (k_dst >= a + level)``.  Constant-true
+    At most two gated residue chains plus three stage ladders: O(T + K)
+    clauses, whatever the slot windows.
+    """
+    cnf = encoding.cnf
+    src_slots, dst_slots = encoding.v_slots[src], encoding.v_slots[dst]
+    v_src, v_dst = partial(encoding.v_ge, src), partial(encoding.v_ge, dst)
+    k_src, k_dst = partial(encoding.k_ge, src), partial(encoding.k_ge, dst)
+    src_lb = encoding.k_lb[src]
+    stages = range(src_lb, src_lb + len(encoding.k_lits[src]) + 1)
+    diff_lb = encoding.k_lb[dst] - stages[-1]
+    diff_ub = encoding.k_lb[dst] + len(encoding.k_lits[dst]) - src_lb
+    # D >= need for some residue pair to fit; every pair fits from
+    # D >= settled on (ceil divisions).
+    need = -((dst_slots[-1] - src_slots[0] - rhs) // t_period)
+    settled = -((dst_slots[0] - src_slots[-1] - rhs) // t_period)
+    if need > diff_lb:
+        _emit_difference(cnf, [], stages, k_src, k_dst, need)
+    for level in range(max(need, diff_lb), min(settled, diff_ub + 1)):
+        gate = cnf.new_var()
+        _emit_difference(cnf, [gate], stages, k_src, k_dst, level + 1)
+        _emit_difference(cnf, [-gate], src_slots, v_src, v_dst,
+                         rhs - t_period * level)
+
+
+def _emit_difference(
+    cnf: Cnf,
+    premise: List[int],
+    points: Sequence[int],
+    src_ge: Callable[[int], Optional[int]],
+    dst_ge: Callable[[int], Optional[int]],
+    gap: int,
+) -> None:
+    """Clauses ``premise | (x_dst - x_src >= gap)`` over order literals.
+
+    ``points`` is ``x_src``'s domain, ascending; ``*_ge(b)`` is the
+    literal for ``x >= b`` (None = constant true, 0 = false).  For each
+    point ``a``: ``(x_src >= a) -> (x_dst >= a + gap)``.  Constant-true
     conclusions are skipped; the first constant-false conclusion
     subsumes all later ones (the order encoding is monotone), so the
-    ladder stops there.
+    chain stops there.
     """
-    src_lb = encoding.k_lb[src]
-    src_ub = src_lb + len(encoding.k_lits[src])
-    dst_lb = encoding.k_lb[dst]
-    start = max(src_lb, dst_lb - level + 1)
-    for a in range(start, src_ub + 1):
-        conclusion = encoding.k_ge(dst, a + level)
+    for a in points:
+        conclusion = dst_ge(a + gap)
         if conclusion is None:
             continue
         clause = list(premise)
-        prem_lit = encoding.k_ge(src, a)
-        if prem_lit is not None and prem_lit != 0:
+        prem_lit = src_ge(a)
+        if prem_lit is not None:
             clause.append(-prem_lit)
         if conclusion == 0:
-            encoding.cnf.add_clause(clause)
+            cnf.add_clause(clause)
             break
         clause.append(conclusion)
-        encoding.cnf.add_clause(clause)
+        cnf.add_clause(clause)
 
 
 def _encode_pair_conflict(

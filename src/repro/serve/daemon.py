@@ -13,8 +13,9 @@ Architecture — two threads, one direction of ownership:
   ``workers`` cells are in flight it pulls jobs off the weighted fair
   queue (the rest wait there, bounded and weighted), adds one cell per
   job on the job's one backend, and steps the race.  A job settles
-  when its cell reports, and every finished job on a named backend
-  feeds that backend's circuit breaker.
+  when its cell reports, and every finished job feeds the circuit
+  breaker of the backend it ran (``auto`` counts as the backend
+  :func:`~repro.core.formulation.resolve_backend` picks).
 
 Shared state (job registry, fair queue, stats, breaker, journal) is
 individually thread-safe; jobs signal completion through a
@@ -62,7 +63,7 @@ import time
 import uuid
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.formulation import BACKENDS
+from repro.core.formulation import BACKENDS, resolve_backend
 from repro.ddg.builders import parse_ddg
 from repro.machine import presets
 from repro.serve.admission import FairQueue, TokenBucket
@@ -110,9 +111,15 @@ def _entry_doc_verdict(entry: dict) -> int:
     return WIN if entry.get("achieved_t") is not None else CLEAN
 
 
-def _breaker_tracks(backend) -> bool:
-    """The breaker watches every named solver; ``auto`` is not one."""
-    return backend != "auto" and backend in BACKENDS
+def _breaker_backend(request: dict) -> Optional[str]:
+    """The backend a request runs, which its breaker tracks; ``auto``
+    resolves first, and an unknown name (an older journal's) is none."""
+    backend = request.get("backend", "auto")
+    if backend not in BACKENDS:
+        return None
+    return resolve_backend(
+        backend, str(request.get("objective", "feasibility"))
+    )
 
 
 def _close_inherited_fds(fds) -> None:
@@ -387,8 +394,8 @@ class ServeDaemon:
             return 400, {"error": f"{type(exc).__name__}: {exc}"}, []
         # Backend health: refuse now rather than queue work that would
         # only feed a backend the breaker has tripped.
-        backend = config.backend
-        if _breaker_tracks(backend) and not self.breaker.allows(backend):
+        backend = resolve_backend(config.backend, config.objective)
+        if not self.breaker.allows(backend):
             retry = math.ceil(self.breaker.retry_after(backend) or 1)
             self.stats.bump("breaker_rejected")
             return (
@@ -501,16 +508,16 @@ class ServeDaemon:
 
     def _settle_job(self, job: Job, cell) -> None:
         """Answer ``job`` from its settled cell; feed the breaker."""
-        backend = job.request.get("backend")
+        backend = _breaker_backend(job.request)
         if cell.result is not None:
-            if _breaker_tracks(backend):
+            if backend is not None:
                 self.breaker.record_success(backend)
             self._finish_job(job, DONE, entry=cell.result)
             return
         failure = cell.failure or FailureRecord(
             kind=INTERRUPTED, detail="dispatch interrupted",
         )
-        if cell.failure is not None and _breaker_tracks(backend):
+        if cell.failure is not None and backend is not None:
             self.breaker.record_failure(backend, failure.kind)
         self._finish_job(
             job, FAILED,

@@ -9,6 +9,7 @@ from repro.core import (
     verify_schedule,
 )
 from repro.core.errors import CoreError, MappingError
+from repro.core.formulation import OBJECTIVES, resolve_backend
 from repro.ddg import Ddg
 from repro.ddg.kernels import motivating_example
 from repro.machine.presets import (
@@ -172,6 +173,28 @@ class TestSolveAndExtract:
                 )
                 status = f.solve(backend=backend).status
                 assert status.has_solution == feasible, (t_period, backend)
+
+    def test_auto_runs_sat_for_feasibility_and_highs_otherwise(self):
+        f = Formulation(motivating_example(), motivating_machine(), 4)
+        assert f.solve().backend == "sat"
+        options = FormulationOptions(objective="min_sum_t")
+        f = Formulation(
+            motivating_example(), motivating_machine(), 4, options
+        )
+        assert f.solve().backend == "highs"
+
+
+class TestResolveBackend:
+    def test_auto_is_sat_for_feasibility(self):
+        assert resolve_backend("auto", "feasibility") == "sat"
+
+    @pytest.mark.parametrize("objective", OBJECTIVES[1:])
+    def test_auto_is_highs_beyond_feasibility(self, objective):
+        assert resolve_backend("auto", objective) == "highs"
+
+    @pytest.mark.parametrize("backend", ("highs", "sat"))
+    def test_named_backends_resolve_to_themselves(self, backend):
+        assert resolve_backend(backend, "feasibility") == backend
 
 
 class TestObjectives:

@@ -92,10 +92,11 @@ class TestDriverBehaviour:
 
     def test_attempts_record_model_stats(self):
         result = schedule_loop(motivating_example(), motivating_machine(),
-                               warmstart=False)
+                               backend="highs", warmstart=False)
         solved = [a for a in result.attempts if a.backend]
         assert solved
         for attempt in solved:
+            assert attempt.backend == "highs"
             assert attempt.model_stats["variables"] > 0
         # T=3 is ruled out by presolve: no model was built for it.
         ruled_out = [a for a in result.attempts if not a.backend]
@@ -103,6 +104,14 @@ class TestDriverBehaviour:
             "copy_packing"
         ]
         assert ruled_out[0].model_stats["variables"] == 0
+        # auto runs SAT under feasibility: its attempts carry CNF sizes.
+        result = schedule_loop(motivating_example(), motivating_machine(),
+                               warmstart=False)
+        solved = [a for a in result.attempts if a.backend]
+        assert solved
+        for attempt in solved:
+            assert attempt.backend == "sat"
+            assert attempt.model_stats["sat_clauses"] > 0
 
     def test_objectives_pass_through(self):
         result = schedule_loop(

@@ -21,12 +21,14 @@ from repro.machine.presets import motivating_machine
 def good():
     """A verified schedule of the §2 motivating loop (T=4).
 
-    The mutations below target the specific feasible point the ILP
-    returns; disable the heuristic warm start so the fixture stays
-    pinned to that solution rather than the modulo scheduler's.
+    The mutations below target the specific feasible point HiGHS
+    returns; name the backend and disable the heuristic warm start so
+    the fixture stays pinned to that solution rather than the SAT
+    backend's or the modulo scheduler's.
     """
     result = schedule_loop(
-        motivating_example(), motivating_machine(), warmstart=False
+        motivating_example(), motivating_machine(), backend="highs",
+        warmstart=False,
     )
     assert result.schedule is not None
     verify_schedule(result.schedule)

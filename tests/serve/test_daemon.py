@@ -131,7 +131,10 @@ class TestSubmitPoll:
         doc = client.wait_for(job, timeout=60)
         assert doc["state"] == "done"
         assert doc["entry"]["achieved_t"] >= doc["entry"]["t_lb"]
-        assert client.stats()["breakers"] == {}  # auto is untracked
+        # auto runs SAT under feasibility, and its breaker tracks it.
+        breakers = client.stats()["breakers"]
+        assert set(breakers) == {"sat"}
+        assert breakers["sat"]["state"] == "closed"
 
 
 class TestCoalescing:
@@ -355,6 +358,29 @@ class TestBreakerConfinement:
         doc = client.wait_for(probe["job"], timeout=60)
         assert doc["state"] == "failed"
         assert host.daemon.breaker.state("sat") == "open"
+
+    def test_auto_job_failures_feed_the_sat_breaker(
+        self, daemon_factory, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "crash@attempt:backend=sat")
+        host = daemon_factory(
+            breaker_threshold=1, breaker_cooldown=60.0, max_retries=0,
+        )
+        client = host.start()
+        failed = client.submit(DOT, MACHINE, warmstart=False)
+        doc = client.wait_for(failed["job"], timeout=60)
+        assert doc["state"] == "failed"
+        assert host.daemon.breaker.state("sat") == "open"
+        # A later auto feasibility job resolves to the tripped backend.
+        status, _body = client.submit_raw(DAXPY, MACHINE)
+        assert status == 503
+        # auto under any other objective runs HiGHS and still serves.
+        survived = client.submit(DAXPY, MACHINE, objective="min_sum_t",
+                                 warmstart=False)
+        doc = client.wait_for(survived["job"], timeout=60)
+        assert doc["state"] == "done"
+        assert doc["entry"]["attempts"][-1]["backend"] == "highs"
+        assert host.daemon.breaker.state("highs") == "closed"
 
 
 def _raw_request(sock, method, path, body=None):

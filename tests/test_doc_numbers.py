@@ -62,3 +62,19 @@ def test_warmstart_paragraph_matches_bench_warmstart():
     )
     assert on["scheduled"] == off["scheduled"] == 40
     assert "all 40 scheduled both ways" in text
+
+
+def test_store_paragraph_matches_bench_store():
+    doc = json.loads((ROOT / "BENCH_store.json").read_text(encoding="utf-8"))
+    runs = doc["runs"]
+    speedup = f"{doc['warm_speedup']:.1f}x"
+    text = _flat_text("docs/performance.md")
+    assert (
+        f"cold {runs['cold']['seconds']:.3f}s → warm "
+        f"{runs['warm']['seconds']:.3f}s (**{speedup}**, "
+        f"{runs['warm']['store_hits']}/40 hits, zero ILP solves)" in text
+    )
+    assert runs["warm"]["ilp_solves"] == 0
+    assert f"Measured: {speedup} wall-clock reduction" in _flat_text(
+        "README.md"
+    )
