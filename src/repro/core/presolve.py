@@ -121,12 +121,6 @@ class PresolveInfo:
         window = self.slot_windows[op]
         return window is None or slot in window
 
-    def allowed_slots(self, op: int) -> Sequence[int]:
-        window = self.slot_windows[op]
-        if window is None:
-            return range(self.t_period)
-        return sorted(window)
-
 
 def _collapsed_edges(
     ddg: Ddg, machine: Machine, t_period: int

@@ -267,14 +267,6 @@ class Schedule:
             path, json.dumps(self.to_dict(), indent=2, sort_keys=True)
         )
 
-    @classmethod
-    def load_json(cls, path, ddg: Ddg, machine: Machine) -> "Schedule":
-        """Read a schedule saved by :meth:`save_json`."""
-        import json
-
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle), ddg, machine)
-
     def __repr__(self) -> str:
         return (
             f"Schedule({self.ddg.name!r}, T={self.t_period}, "

@@ -68,11 +68,6 @@ class WarmStart:
     seconds: float
     placements: int
 
-    @property
-    def hit_lower_bound(self) -> bool:
-        """The heuristic alone proved rate-optimality (``II == T_lb``)."""
-        return self.ii is not None and self.ii == self.mii
-
 
 def compute_warmstart(
     ddg: Ddg, machine: Machine, max_extra: int = 10

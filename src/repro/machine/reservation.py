@@ -102,13 +102,6 @@ class ReservationTable:
         return not any(lat % t_period == 0 for lat in self.forbidden_latencies())
 
     # -- modulo wrapping -------------------------------------------------------------
-    def extend_to(self, t_period: int) -> "ReservationTable":
-        """Zero-pad columns up to ``T`` (technique of [8]); no-op if d >= T."""
-        if t_period <= self.length:
-            return self
-        pad = np.zeros((self.num_stages, t_period - self.length), dtype=int)
-        return ReservationTable(np.hstack([self._matrix, pad]))
-
     def modulo_table(self, t_period: int) -> np.ndarray:
         """Wrap the table mod ``T``: counts of uses per (stage, slot).
 

@@ -3,7 +3,13 @@
 :meth:`repro.core.formulation.Formulation.solve` calls
 :func:`solve_formulation` for ``backend="sat"``.  It lowers the
 formulation's structure to CNF (:mod:`repro.sat.encode`) and never
-builds the ILP rows.  The result is a standard
+builds the ILP rows.  The kernel branches like a list scheduler: it is
+seeded with every op's slot literals (:func:`decision_order`: ops in
+index order, slots ascending, each preferred true), so its first
+decisions place op after op in the earliest slot left to it, with the
+stage literals at their default ``False``, the lowest stage.  After the
+first conflict VSIDS takes over.  The order changes which model is
+found, never whether one exists.  The result is a standard
 :class:`repro.ilp.Solution`, so extraction, verification, the
 supervision layer and the store work unchanged.  Status maps as
 
@@ -25,11 +31,16 @@ the ILP).
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.ilp.solution import Solution, SolveStatus
-from repro.sat.encode import decode_model, encode_formulation
+from repro.sat.encode import SatEncoding, decode_model, encode_formulation
 from repro.sat.solver import SAT, UNSAT, CdclSolver
+
+
+def decision_order(encoding: SatEncoding) -> List[int]:
+    """Every op's slot literals: ops in index order, slots ascending."""
+    return [lit for lits in encoding.slot_lits for lit in lits.values()]
 
 
 def solve_formulation(
@@ -45,7 +56,8 @@ def solve_formulation(
         "sat_clauses": float(encoding.cnf.num_clauses),
     }
     search_start = time.monotonic()
-    solver = CdclSolver(encoding.cnf.num_vars, encoding.cnf.clauses)
+    solver = CdclSolver(encoding.cnf.num_vars, encoding.cnf.clauses,
+                        prefer=decision_order(encoding))
     remaining = (
         None if deadline is None
         else max(0.001, deadline - time.monotonic())

@@ -34,11 +34,17 @@ clears it again.  Every unassigned variable therefore has its live entry
 in the heap, older entries are skipped on pop, and a decision picks the
 unassigned variable with the greatest ``(activity, var)``.  When the
 activities are rescaled the heap is rebuilt from the unassigned
-variables, so stale keys never steer a decision.
+variables, so stale keys never steer a decision.  Every variable starts
+at activity 0 with saved phase ``False``, unless the caller ranks some
+literals in ``prefer``: the literal of rank ``r`` of ``n`` starts at
+activity ``1e-3 * (n - r) / n`` with its own sign as the phase, so the
+first decisions take them in order, and the first conflict's bump
+(1.0) outweighs every seed from then on.
 
 The kernel's search — decisions, conflicts, propagations, learned
 clauses and models — is pinned by ``tests/sat/test_search_golden.py``;
-a change meant only to make it faster must reproduce that record.
+a change meant only to make it faster must reproduce that record,
+both with and without a ``prefer`` order.
 
 Satisfying assignments are re-checked against every input clause, as
 given, before being returned: the solver never hands back a model it
@@ -130,6 +136,7 @@ class CdclSolver:
         self,
         num_vars: int,
         clauses: Iterable[Sequence[int]],
+        prefer: Sequence[int] = (),
     ) -> None:
         self.nvars = num_vars
         # value[lit]: 1 true, -1 false, 0 unassigned (-v wraps to the top)
@@ -146,8 +153,6 @@ class CdclSolver:
         self.activity = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
         self.var_decay = 1.0 / 0.95
-        self.order: List = [(0.0, -v) for v in range(num_vars, 0, -1)]
-        heapify(self.order)
         self.queued = [True] * (num_vars + 1)
         self.phase = [False] * (num_vars + 1)
         self.clauses: List[List[int]] = []
@@ -159,6 +164,18 @@ class CdclSolver:
         self._audit: List[Sequence[int]] = []
         literals = set(range(-num_vars, num_vars + 1))
         literals.discard(0)
+        for rank, lit in enumerate(prefer):
+            if lit not in literals:
+                raise ValueError(
+                    f"literal {lit} out of range for {num_vars} vars"
+                )
+            var = abs(lit)
+            self.activity[var] = 1e-3 * (len(prefer) - rank) / len(prefer)
+            self.phase[var] = lit > 0
+        self.order: List = [
+            (-self.activity[v], -v) for v in range(num_vars, 0, -1)
+        ]
+        heapify(self.order)
         for clause in clauses:
             self._add_input_clause(clause, literals)
 

@@ -71,7 +71,8 @@ class TestAnalysis:
         ddg = motivating_example()
         info = presolve(ddg, motivating_machine(), 4, k_max=20)
         assert info.anchor is not None
-        assert info.allowed_slots(info.anchor) == [0]
+        assert [t for t in range(4)
+                if info.slot_allowed(info.anchor, t)] == [0]
 
     def test_positive_cycle_marks_infeasible(self):
         # Cycle separation 4 with distance 1 forces T >= 4.

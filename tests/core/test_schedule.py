@@ -145,12 +145,15 @@ class TestSerialization:
         assert rebuilt.t_period == schedule_b.t_period
 
     def test_json_file_round_trip(self, schedule_b, tmp_path):
+        import json
+
         from repro.core import verify_schedule
 
         path = tmp_path / "schedule.json"
         schedule_b.save_json(path)
-        rebuilt = Schedule.load_json(
-            path, schedule_b.ddg, schedule_b.machine
+        rebuilt = Schedule.from_dict(
+            json.loads(path.read_text(encoding="utf-8")),
+            schedule_b.ddg, schedule_b.machine,
         )
         verify_schedule(rebuilt)
         assert rebuilt.k_vector == schedule_b.k_vector

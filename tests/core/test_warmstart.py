@@ -49,13 +49,11 @@ class TestComputeWarmstart:
     def test_motivating_loop(self):
         ws = compute_warmstart(motivating_example(), motivating_machine())
         assert ws.ii == 4 and ws.mii == 3
-        assert not ws.hit_lower_bound
         assert ws.schedule is not None
         verify_schedule(ws.schedule, check_mapping=True)
 
     def test_hit_lower_bound(self):
         ws = compute_warmstart(KERNELS["dotprod"](), powerpc604())
-        assert ws.hit_lower_bound
         assert ws.ii == ws.mii
 
     def test_stats_dict_shape(self):

@@ -137,17 +137,6 @@ class TestModuloWrap:
         wrapped = table.modulo_table(2)
         assert wrapped[0, 0] == 2  # cycles 0 and 2 both land on slot 0
 
-    def test_extend_to_pads_zero_columns(self):
-        table = ReservationTable.from_rows([1, 0], [0, 1])
-        extended = table.extend_to(5)
-        assert extended.length == 5
-        assert (extended.matrix[:, 2:] == 0).all()
-        assert extended.forbidden_latencies() == table.forbidden_latencies()
-
-    def test_extend_to_noop_when_longer(self):
-        table = ReservationTable.non_pipelined(6)
-        assert table.extend_to(3) is table
-
     def test_modulo_table_rejects_bad_period(self):
         with pytest.raises(MachineError):
             ReservationTable.clean(1).modulo_table(0)

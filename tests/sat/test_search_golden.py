@@ -12,8 +12,12 @@ The CNFs come from :func:`repro.sat.encode.encode_formulation` on the
 ``corpus/`` loops (PowerPC 604) and on the ``repro.corpusgen`` slice
 with seed 11 and ``default_families(40)`` on ``motivating``,
 ``powerpc604`` and ``deep-unclean``, each at T_lb and at the period the
-cold SAT sweep achieves.  Only CNFs the solver settles in at most 300
-conflicts with at most 12,000 clauses are kept, so the test stays fast.
+cold SAT sweep achieves.  Each CNF is searched twice: plain, and with
+the decision order the SAT backend passes
+(:func:`repro.sat.backend.decision_order`; those records carry
+``"prefer": true`` and follow all plain ones).  Only searches the solver
+settles in at most 300 conflicts on at most 12,000 clauses are kept,
+so the test stays fast.
 
 Regenerate (from the repository root)::
 
@@ -29,6 +33,7 @@ from repro.core.bounds import modulo_feasible_t
 from repro.core.formulation import Formulation, FormulationOptions
 from repro.corpusgen import default_families, iter_corpus, resolve_machine
 from repro.ddg.builders import parse_ddg
+from repro.sat.backend import decision_order
 from repro.sat.encode import encode_formulation
 from repro.sat.solver import CdclSolver
 
@@ -61,14 +66,14 @@ def _loops():
     return loops
 
 
-def _cnf(ddg, machine, t_period):
-    """The CNF the SAT backend solves at ``t_period``, or None."""
+def _encoding(ddg, machine, t_period):
+    """The encoding the SAT backend solves at ``t_period``, or None."""
     if not modulo_feasible_t(ddg, machine, t_period):
         return None
     formulation = Formulation(ddg, machine, t_period, FormulationOptions())
     if formulation.presolve_info.infeasible:
         return None
-    return encode_formulation(formulation).cnf
+    return encode_formulation(formulation)
 
 
 def _digest(model):
@@ -78,8 +83,10 @@ def _digest(model):
     return hashlib.sha256(bits.encode("ascii")).hexdigest()[:16]
 
 
-def _record(cnf):
-    result = CdclSolver(cnf.num_vars, cnf.clauses).solve()
+def _record(encoding, seeded=False):
+    cnf = encoding.cnf
+    prefer = decision_order(encoding) if seeded else ()
+    result = CdclSolver(cnf.num_vars, cnf.clauses, prefer=prefer).solve()
     record = {"status": result.status}
     for name in COUNTERS:
         record[name] = getattr(result.stats, name)
@@ -93,9 +100,9 @@ def test_kernel_reproduces_every_pinned_search():
     mismatches = []
     for case in golden["cases"]:
         ddg, machine = loops[(case["source"], case["machine"], case["loop"])]
-        cnf = _cnf(ddg, machine, case["t"])
-        assert cnf is not None, case
-        got = _record(cnf)
+        encoding = _encoding(ddg, machine, case["t"])
+        assert encoding is not None, case
+        got = _record(encoding, case.get("prefer", False))
         want = {key: case[key] for key in got}
         if got != want:
             mismatches.append((case["machine"], case["loop"], case["t"],
@@ -114,26 +121,41 @@ def test_pinned_set_exercises_the_search():
     }
     assert sum(case["restarts"] for case in cases) > 0
     assert sum(case["learned_clauses"] for case in cases) > 1000
+    seeded = [case for case in cases if case.get("prefer")]
+    assert len(seeded) >= 100
+    assert {case["status"] for case in seeded} == {"sat", "unsat"}
+
+
+def _golden_case(predicate):
+    """The first pinned case matching ``predicate``, and its encoding."""
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    case = next(case for case in golden["cases"] if predicate(case))
+    ddg, machine = _loops()[(case["source"], case["machine"], case["loop"])]
+    return case, _encoding(ddg, machine, case["t"])
 
 
 def _write():
     """Record the current kernel's search on every selected CNF."""
     from repro.core import schedule_loop
 
-    cases = []
+    cases, seeded = [], []
     for (source, machine_name, name), (ddg, machine) in _loops().items():
         result = schedule_loop(ddg, machine, backend="sat",
                                warmstart=False, time_limit_per_t=10.0)
         periods = {result.bounds.t_lb, result.achieved_t} - {None}
         for t_period in sorted(periods):
-            cnf = _cnf(ddg, machine, t_period)
-            if cnf is None or cnf.num_clauses > MAX_CLAUSES:
+            encoding = _encoding(ddg, machine, t_period)
+            if encoding is None or encoding.cnf.num_clauses > MAX_CLAUSES:
                 continue
-            record = _record(cnf)
-            if record["conflicts"] > MAX_CONFLICTS:
-                continue
-            cases.append({"source": source, "machine": machine_name,
-                          "loop": name, "t": t_period, **record})
+            key = {"source": source, "machine": machine_name,
+                   "loop": name, "t": t_period}
+            record = _record(encoding)
+            if record["conflicts"] <= MAX_CONFLICTS:
+                cases.append({**key, **record})
+            record = _record(encoding, seeded=True)
+            if record["conflicts"] <= MAX_CONFLICTS:
+                seeded.append({**key, "prefer": True, **record})
+    cases += seeded
     lines = ",\n".join(json.dumps(case) for case in cases)
     DATA.write_text('{"cases": [\n' + lines + "\n]}\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {DATA}")

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.sat.solver import SAT, UNKNOWN, UNSAT, CdclSolver
+from tests.sat.test_search_golden import COUNTERS, _golden_case
 
 
 def _brute_force(num_vars, clauses):
@@ -222,3 +223,37 @@ class TestActivityRescale:
         free = [v for v in range(1, num_vars + 1) if solver.value[v] == 0]
         expected = max(free, key=lambda v: (solver.activity[v], v))
         assert solver._pick_branch_var() == expected
+
+
+class TestPrefer:
+    def test_first_decision_is_the_first_preferred_literal(self):
+        # Unseeded, the highest variable is decided first, False.
+        assert CdclSolver(3, [[1, 2, 3]]).solve().model[1:] == [
+            True, False, False]
+        result = CdclSolver(3, [[1, 2, 3]], prefer=[2]).solve()
+        assert result.model[1:] == [False, True, False]
+        assert result.stats.decisions == 3
+        result = CdclSolver(3, [[1, 2, 3]], prefer=[-1, 3]).solve()
+        assert result.model[1:] == [False, False, True]
+
+    def test_decisions_follow_the_preferred_rank(self):
+        solver = CdclSolver(5, [], prefer=[-3, 1, 4])
+        picks = [solver._pick_branch_var() for _ in range(5)]
+        assert picks == [3, 1, 4, 5, 2]
+        assert [solver.phase[v] for v in picks] == [
+            False, True, True, False, False]
+
+    @pytest.mark.parametrize("prefer", [[0], [4], [-4], [1, 5]])
+    def test_out_of_range_literal_rejected(self, prefer):
+        with pytest.raises(ValueError, match="out of range for 3 vars"):
+            CdclSolver(3, [[1, 2]], prefer=prefer)
+
+    def test_empty_order_replays_a_golden_search(self):
+        case, encoding = _golden_case(lambda c: c["source"] == "corpus"
+                                      and not c.get("prefer")
+                                      and c["conflicts"] > 0)
+        cnf = encoding.cnf
+        stats = CdclSolver(cnf.num_vars, cnf.clauses, prefer=()).solve().stats
+        assert stats.conflicts > 0
+        assert {name: getattr(stats, name) for name in COUNTERS} == {
+            name: case[name] for name in COUNTERS}
