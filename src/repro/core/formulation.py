@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.bounds import modulo_feasible_t
@@ -205,15 +206,6 @@ class Formulation:
             self.model.add_var(f"k[{i}]", lb=lo, ub=hi, integer=True)
             for i, (lo, hi) in enumerate(k_bounds)
         ]
-        # Start-time expressions t_i = T*k_i + sum_t t*a[t][i]   (Eq. 7/22)
-        self.t_expr: List[LinExpr] = [
-            lin_sum(
-                [self.k[i] * t_period]
-                + [self.a[t][i] * t for t in range(1, t_period)
-                   if self.a[t][i] is not None]
-            )
-            for i in range(n)
-        ]
         if self.options.objective == "min_fu":
             # FU counts as variables (HiGHS only; they bound the colors).
             for fu_name in self.ops_by_type:
@@ -252,6 +244,21 @@ class Formulation:
     def ruled_out(self) -> str:
         """Presolve's reason that no schedule exists at this T, or ""."""
         return self.presolve_info.reason if self.presolve_info else ""
+
+    @cached_property
+    def t_expr(self) -> List[LinExpr]:
+        """Start times ``t_i = T*k_i + sum_t t*a[t][i]`` (Eq. 7/22).
+
+        Only the ILP rows read them, so they are built on first use.
+        """
+        return [
+            lin_sum(
+                [self.k[i] * self.t_period]
+                + [self.a[t][i] * t for t in range(1, self.t_period)
+                   if self.a[t][i] is not None]
+            )
+            for i in range(self.ddg.num_ops)
+        ]
 
     def require_open(self) -> None:
         """Refuse to lower a period presolve ruled out."""
@@ -700,10 +707,16 @@ class Formulation:
             raise CoreError(
                 f"cannot extract a schedule from status {solution.status}"
             )
-        starts = [
-            int(round(solution.value(self.t_expr[i])))
-            for i in range(self.ddg.num_ops)
-        ]
+        # t_i = T*k_i + sum_t t*a[t][i], read straight from the values.
+        values = solution.values
+        starts = []
+        for i, k in enumerate(self.k):
+            start = self.t_period * values[k]
+            for t in range(1, self.t_period):
+                var = self.a[t][i]
+                if var is not None:
+                    start += t * values[var]
+            starts.append(int(round(start)))
         colors: Dict[int, int] = {
             i: solution.int_value(var) - 1 for i, var in self.color.items()
         }

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.ddg.errors import DdgError
 from repro.ddg.graph import Ddg
 
@@ -45,6 +43,8 @@ def _positive_cycle(
     node with weight 0; a relaxation succeeding on pass ``n`` exposes a
     positive cycle, which is recovered by walking predecessors.
     """
+    if not edges:
+        return None
     dist = [0.0] * num_ops
     pred: List[Optional[int]] = [None] * num_ops
     updated_node = None
@@ -118,28 +118,22 @@ def critical_cycle(ddg: Ddg, machine: "Machine") -> Optional[List[int]]:
     """
     bound = t_dep(ddg, machine)
     if bound <= 1:
-        # Check there is any recurrence at all.
-        if not has_recurrence(ddg):
-            return None
-    edges = _edge_weights(ddg, machine, bound - 1)
-    if bound - 1 >= 1:
-        return _positive_cycle(ddg.num_ops, edges)
-    # T_dep == 1: any recurrence is "critical" only vacuously; report the
-    # heaviest simple cycle found by networkx for display purposes.
-    graph = ddg.to_networkx()
-    try:
-        cycle_edges = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+        # Any recurrence is "critical" only vacuously: report some cycle.
+        return _any_cycle(ddg)
+    return _positive_cycle(ddg.num_ops, _edge_weights(ddg, machine, bound - 1))
+
+
+def _any_cycle(ddg: Ddg) -> Optional[List[int]]:
+    """Some dependence cycle (op indices in order), or None if acyclic.
+
+    With every edge weighted 1, every cycle is a positive cycle.
+    """
+    return _positive_cycle(ddg.num_ops, [(d.src, d.dst, 1) for d in ddg.deps])
 
 
 def has_recurrence(ddg: Ddg) -> bool:
     """True when the DDG contains at least one dependence cycle."""
-    graph = ddg.to_networkx()
-    return any(len(scc) > 1 for scc in nx.strongly_connected_components(graph)) or any(
-        graph.has_edge(n, n) for n in graph.nodes
-    )
+    return _any_cycle(ddg) is not None
 
 
 def cycle_ratio(ddg: Ddg, machine: "Machine", cycle: List[int]) -> Tuple[int, int]:

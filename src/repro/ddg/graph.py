@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
-
 from repro.ddg.errors import DdgError
 
 if TYPE_CHECKING:
@@ -174,20 +172,6 @@ class Ddg:
             dep.latency if dep.latency is not None else lat[dep.src]
             for dep in self.deps
         ]
-
-    # -- conversions --------------------------------------------------------------------
-    def to_networkx(self, machine: Optional["Machine"] = None) -> nx.MultiDiGraph:
-        """Export to a networkx multigraph (parallel edges preserved)."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for op in self.ops:
-            attrs = {"op_class": op.op_class}
-            if machine is not None:
-                attrs["latency"] = machine.latency(op.op_class)
-            graph.add_node(op.index, name=op.name, **attrs)
-        for dep in self.deps:
-            graph.add_edge(dep.src, dep.dst, distance=dep.distance,
-                           kind=dep.kind)
-        return graph
 
     def copy(self, name: Optional[str] = None) -> "Ddg":
         clone = Ddg(name or self.name)

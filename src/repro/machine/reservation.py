@@ -22,7 +22,13 @@ from repro.machine.errors import MachineError
 
 
 class ReservationTable:
-    """An immutable stages-by-cycles usage matrix."""
+    """An immutable stages-by-cycles usage matrix.
+
+    The matrix is read-only, so what the schedulers ask of it on every
+    period is derived once, on construction: each stage's occupied
+    cycles and the forbidden latencies.  The accessors hand out fresh
+    copies, so no caller can change the cache.
+    """
 
     def __init__(self, rows: Sequence[Sequence[int]]) -> None:
         matrix = np.asarray(rows, dtype=int)
@@ -34,6 +40,15 @@ class ReservationTable:
             raise MachineError("reservation table must use at least one stage")
         matrix.setflags(write=False)
         self._matrix = matrix
+        self._stage_cycles = [
+            [int(c) for c in np.flatnonzero(row)] for row in matrix
+        ]
+        self._forbidden = frozenset(
+            b - a
+            for cycles in self._stage_cycles
+            for pos, a in enumerate(cycles)
+            for b in cycles[pos + 1:]
+        )
 
     # -- basic shape -----------------------------------------------------------
     @property
@@ -42,7 +57,7 @@ class ReservationTable:
 
     @property
     def num_stages(self) -> int:
-        return int(self._matrix.shape[0])
+        return len(self._stage_cycles)
 
     @property
     def length(self) -> int:
@@ -57,7 +72,7 @@ class ReservationTable:
 
     def stage_cycles(self, stage: int) -> List[int]:
         """Cycles at which ``stage`` is occupied."""
-        return [int(c) for c in np.where(self._matrix[stage])[0]]
+        return list(self._stage_cycles[stage])
 
     def stage_usage_counts(self) -> List[int]:
         """Total uses of each stage by one operation."""
@@ -77,18 +92,12 @@ class ReservationTable:
         pipeline has no forbidden latencies; a non-pipelined unit of
         execution time ``d`` forbids ``1..d-1``.
         """
-        forbidden: Set[int] = set()
-        for stage in range(self.num_stages):
-            cycles = self.stage_cycles(stage)
-            for a_idx, a_cycle in enumerate(cycles):
-                for b_cycle in cycles[a_idx + 1:]:
-                    forbidden.add(b_cycle - a_cycle)
-        return forbidden
+        return set(self._forbidden)
 
     @property
     def is_clean(self) -> bool:
         """True when a new operation may be issued every cycle."""
-        return not self.forbidden_latencies()
+        return not self._forbidden
 
     def modulo_feasible(self, t_period: int) -> bool:
         """Check the paper's modulo scheduling constraint for period ``T``.
@@ -99,7 +108,7 @@ class ReservationTable:
         """
         if t_period <= 0:
             raise MachineError(f"period must be positive, got {t_period}")
-        return not any(lat % t_period == 0 for lat in self.forbidden_latencies())
+        return not any(lat % t_period == 0 for lat in self._forbidden)
 
     # -- modulo wrapping -------------------------------------------------------------
     def modulo_table(self, t_period: int) -> np.ndarray:
@@ -113,7 +122,7 @@ class ReservationTable:
             raise MachineError(f"period must be positive, got {t_period}")
         wrapped = np.zeros((self.num_stages, t_period), dtype=int)
         for stage in range(self.num_stages):
-            for cycle in self.stage_cycles(stage):
+            for cycle in self._stage_cycles[stage]:
                 wrapped[stage, cycle % t_period] += 1
         return wrapped
 

@@ -85,7 +85,7 @@ def _sequential(cnf: Cnf, lits: Sequence[int], k: int) -> None:
     prev: List[int] = []
     for i in range(n - 1):
         x = lits[i]
-        cur = [cnf.new_var() for _ in range(k)]
+        cur = cnf.new_vars(k)
         cnf.add(-x, cur[0])
         if prev:
             for j in range(k):
@@ -118,7 +118,7 @@ def _totalizer(cnf: Cnf, lits: Sequence[int], k: int) -> None:
         left = build(lo, mid)
         right = build(mid, hi)
         m = min(hi - lo, limit)
-        out = [cnf.new_var() for _ in range(m)]
+        out = cnf.new_vars(m)
         for alpha in range(min(len(left), m) + 1):
             for beta in range(min(len(right), m) + 1):
                 sigma = alpha + beta

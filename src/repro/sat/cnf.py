@@ -26,6 +26,12 @@ class Cnf:
         self.num_vars += 1
         return self.num_vars
 
+    def new_vars(self, count: int) -> List[int]:
+        """Allocate ``count`` fresh variables in one block, ascending."""
+        first = self.num_vars + 1
+        self.num_vars += max(count, 0)
+        return list(range(first, self.num_vars + 1))
+
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add one clause (a disjunction of literals).
 

@@ -113,46 +113,47 @@ def encode_formulation(formulation) -> SatEncoding:
     machine = formulation.machine
     t_period = formulation.t_period
     n = ddg.num_ops
+    append = cnf.clauses.append
 
     # -- slots ---------------------------------------------------------------
-    sat_of: Dict[Variable, int] = {}
+    # Slot literals by the ``index`` of their ``a`` variable.
+    sat_of: Dict[int, int] = {}
     for i in range(n):
+        column = [(t, row[i]) for t, row in enumerate(formulation.a)
+                  if row[i] is not None]
         lits: Dict[int, int] = {}
-        for t in range(t_period):
-            var = formulation.a[t][i]
-            if var is not None:
-                lit = cnf.new_var()
-                lits[t] = lit
-                sat_of[var] = lit
+        for (t, var), lit in zip(column, cnf.new_vars(len(column))):
+            lits[t] = lit
+            sat_of[var.index] = lit
         encoding.slot_lits.append(lits)
         exactly_one(cnf, list(lits.values()))
 
     # -- stage counters (order encoding) -------------------------------------
     for var in formulation.k:
-        lb, ub = int(var.lb), int(var.ub)
-        lits = [cnf.new_var() for _ in range(ub - lb)]
+        lb = int(var.lb)
+        lits = cnf.new_vars(int(var.ub) - lb)
         for j in range(1, len(lits)):
-            cnf.add(-lits[j], lits[j - 1])
+            append([-lits[j], lits[j - 1]])
         encoding.k_lb.append(lb)
         encoding.k_lits.append(lits)
 
     # -- slot residues (order encoding) --------------------------------------
     for lits in encoding.slot_lits:
-        slots = sorted(lits)
-        order = [cnf.new_var() for _ in slots[1:]]
+        slots = list(lits)  # ascending: filled in slot order
+        order = cnf.new_vars(len(slots) - 1)
         for j in range(1, len(order)):
-            cnf.add(-order[j], order[j - 1])
+            append([-order[j], order[j - 1]])
         # Slot w_j holds exactly when r_{j-1} and not r_j (r_{-1} is
         # true and r_last false).
         for j, v in enumerate(slots if order else ()):
             clause = [lits[v]]
             if j > 0:
-                cnf.add(-lits[v], order[j - 1])
+                append([-lits[v], order[j - 1]])
                 clause.append(-order[j - 1])
             if j < len(order):
-                cnf.add(-lits[v], -order[j])
+                append([-lits[v], -order[j]])
                 clause.append(order[j])
-            cnf.add_clause(clause)
+            append(clause)
         encoding.v_slots.append(slots)
         encoding.v_lits.append(order)
 
@@ -182,7 +183,7 @@ def encode_formulation(formulation) -> SatEncoding:
             seen_rows.add(key)
             occ_lits = []
             for i, part in occupants:
-                lits = tuple(sorted(sat_of[var] for var in part))
+                lits = tuple(sorted(sat_of[var.index] for var in part))
                 if len(lits) == 1:
                     occ_lits.append(lits[0])
                     continue
@@ -201,7 +202,7 @@ def encode_formulation(formulation) -> SatEncoding:
     for fu_name in formulation.colored_types:
         count = machine.fu_type(fu_name).count
         for i in formulation.ops_by_type[fu_name]:
-            lits = [cnf.new_var() for _ in range(count)]
+            lits = cnf.new_vars(count)
             encoding.color_lits[i] = lits
             exactly_one(cnf, lits)
         for rank, i in enumerate(formulation.symmetry_caps(fu_name)):

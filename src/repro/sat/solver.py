@@ -24,6 +24,12 @@ itself: both lists have ``2n + 1`` slots, ``value[v]``/``watches[v]``
 serve literal ``v`` and Python's negative indexing sends ``-v`` to the
 top half, so ``value[lit]`` is 1 (true), -1 (false) or 0 (unassigned)
 with no sign flip, and assigning a variable writes both of its slots.
+Input clauses load in order.  Binary and ternary ones of distinct,
+non-complementary, in-range literals (99% of a scheduling CNF) are
+checked and attached inline with plain comparisons; every other clause
+(units, empty and longer clauses, repeated or complementary literals)
+takes the general path, whose sets drop tautologies and collapse
+repeats.
 
 Decision heap.  ``order`` holds ``(-activity, -var)`` entries and
 ``queued[var]`` says that an entry with the variable's current activity
@@ -162,10 +168,9 @@ class CdclSolver:
         self.ok = True
         # The input clauses as given, kept for the final model audit.
         self._audit: List[Sequence[int]] = []
-        literals = set(range(-num_vars, num_vars + 1))
-        literals.discard(0)
+        nv = num_vars
         for rank, lit in enumerate(prefer):
-            if lit not in literals:
+            if not (lit and -nv <= lit <= nv):
                 raise ValueError(
                     f"literal {lit} out of range for {num_vars} vars"
                 )
@@ -176,18 +181,41 @@ class CdclSolver:
             (-self.activity[v], -v) for v in range(num_vars, 0, -1)
         ]
         heapify(self.order)
-        for clause in clauses:
-            self._add_input_clause(clause, literals)
+        # Plain binary and ternary clauses load inline, as
+        # _add_input_clause would load them; the rest take that path.
+        watches = self.watches
+        for raw in clauses:
+            size = len(raw)
+            if size == 2:
+                a, b = raw
+                plain = (a and b and -nv <= a <= nv and -nv <= b <= nv
+                         and a != b and a != -b)
+            elif size == 3:
+                a, b, c = raw
+                plain = (a and b and c and -nv <= a <= nv
+                         and -nv <= b <= nv and -nv <= c <= nv
+                         and a != b and a != -b and a != c and a != -c
+                         and b != c and b != -c)
+            else:
+                plain = False
+            if not plain:
+                self._add_input_clause(raw)
+                continue
+            self._audit.append(raw)
+            if self.ok:
+                clause = list(raw)
+                self.clauses.append(clause)
+                watches[a].append(clause)
+                watches[b].append(clause)
 
     # -- construction --------------------------------------------------------
-    def _add_input_clause(self, raw: Sequence[int], literals: set) -> None:
-        """Load one clause; ``literals`` is the set of valid literals."""
+    def _add_input_clause(self, raw: Sequence[int]) -> None:
+        """Load one clause of any length (the general path)."""
+        nv = self.nvars
+        for lit in raw:
+            if not (lit and -nv <= lit <= nv):
+                raise ValueError(f"literal {lit} out of range for {nv} vars")
         lits = set(raw)
-        if not lits <= literals:
-            bad = next(lit for lit in raw if lit not in literals)
-            raise ValueError(
-                f"literal {bad} out of range for {self.nvars} vars"
-            )
         if not lits.isdisjoint(map(neg, raw)):
             return  # tautology
         self._audit.append(raw)

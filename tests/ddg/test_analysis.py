@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.ddg import analysis
 from repro.ddg.generators import GeneratorConfig, random_ddg
 from repro.ddg.kernels import motivating_example
 from repro.machine.presets import clean_machine, motivating_machine, powerpc604
+from tests.ddg.nxgraph import to_networkx
 
 
 @pytest.fixture
@@ -116,6 +118,27 @@ class TestCriticalCycle:
         latency, distance = analysis.cycle_ratio(g, machine, cycle)
         bound = analysis.t_dep(g, machine)
         assert -(-latency // distance) == bound
+
+    @pytest.mark.parametrize("deps", [
+        [("b", "b")],                 # a self-loop
+        [("a", "b"), ("b", "a")],     # a 2-cycle
+    ])
+    def test_t_dep_one_reports_the_cycle_networkx_finds(self, machine, deps):
+        # One cycle of latency 1 per iteration carried keeps T_dep at 1.
+        g = Ddg()
+        g.add_op("a", "load")
+        g.add_op("b", "fadd")
+        g.add_op("c", "store")
+        g.add_dep("a", "c")
+        for src, dst in deps:
+            g.add_dep(src, dst, distance=1, latency=1)
+        assert analysis.t_dep(g, machine) == 1
+        cycle = analysis.critical_cycle(g, machine)
+        expected = [edge[0] for edge in nx.find_cycle(to_networkx(g))]
+        assert sorted(cycle) == sorted(expected)
+        for pos, src in enumerate(cycle):
+            dst = cycle[(pos + 1) % len(cycle)]
+            assert any(d.src == src and d.dst == dst for d in g.deps)
 
     def test_cycle_ratio_rejects_non_cycle(self, machine):
         g = Ddg()

@@ -27,6 +27,7 @@ from repro.ddg.generators import (
 )
 from repro.ddg.transforms import scrambled
 from repro.machine.presets import coreblocks, deep_unclean, powerpc604
+from tests.ddg.nxgraph import to_networkx
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestRandomDdg:
         rng = random.Random(3)
         for _ in range(20):
             g = random_ddg(rng, machine)
-            undirected = g.to_networkx().to_undirected()
+            undirected = to_networkx(g).to_undirected()
             assert nx.is_connected(undirected)
 
     def test_classes_valid_on_machine(self, machine):
@@ -203,7 +204,7 @@ class TestParameterizedDdg:
         p = GenParams(cycles=2, cycle_depth=3)
         for _ in range(30):
             g = parameterized_ddg(rng, machine, p)
-            assert nx.is_connected(g.to_networkx().to_undirected())
+            assert nx.is_connected(to_networkx(g).to_undirected())
             seen = set()
             for d in g.deps:
                 assert (d.src, d.dst) not in seen
@@ -282,7 +283,7 @@ class TestParameterizedDdg:
                                edge_prob=0.0, min_ops=8, max_ops=8)
         disconnected = any(
             not nx.is_connected(
-                parameterized_ddg(rng, machine, p).to_networkx()
+                to_networkx(parameterized_ddg(rng, machine, p))
                 .to_undirected()
             )
             for _ in range(10)

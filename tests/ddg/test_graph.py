@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ddg import Ddg, DdgError
+from tests.ddg.nxgraph import to_networkx
 
 
 @pytest.fixture
@@ -105,14 +106,14 @@ class TestQueries:
             graph.validate_against(nonpipelined_machine())
 
     def test_to_networkx(self, graph):
-        nxg = graph.to_networkx()
+        nxg = to_networkx(graph)
         assert nxg.number_of_nodes() == 3
         assert nxg.number_of_edges() == 3
 
     def test_to_networkx_with_latencies(self, graph):
         from repro.machine.presets import motivating_machine
 
-        nxg = graph.to_networkx(motivating_machine())
+        nxg = to_networkx(graph, motivating_machine())
         assert nxg.nodes[0]["latency"] == 3
 
     def test_copy_is_deep_enough(self, graph):
@@ -125,4 +126,4 @@ class TestQueries:
     def test_parallel_edges_preserved(self, graph):
         graph.add_dep("a", "b", distance=1)
         assert graph.num_deps == 4
-        assert graph.to_networkx().number_of_edges() == 4
+        assert to_networkx(graph).number_of_edges() == 4

@@ -191,3 +191,56 @@ def test_forbidden_latencies_rule_out_their_divisors(table):
         for divisor in range(1, latency + 1):
             if latency % divisor == 0:
                 assert not table.modulo_feasible(divisor)
+
+
+def _preset_tables():
+    from repro.machine.presets import PRESETS
+
+    tables = {}
+    for name, factory in PRESETS.items():
+        machine = factory()
+        for fu in machine.fu_types.values():
+            tables[f"{name}/{fu.name}"] = fu.table
+        for cls in machine.op_classes.values():
+            tables[f"{name}/{cls.name}"] = machine.reservation_for(cls.name)
+    return sorted(tables.items())
+
+
+class TestCachedAnswers:
+    """What the table caches on construction agrees with its matrix."""
+
+    @pytest.mark.parametrize("name,table", _preset_tables())
+    def test_preset_table_matches_matrix(self, name, table):
+        matrix = table.matrix
+        cycles_of = [
+            [c for c in range(matrix.shape[1]) if matrix[s, c]]
+            for s in range(matrix.shape[0])
+        ]
+        forbidden = {
+            b - a for cycles in cycles_of for a in cycles for b in cycles
+            if b > a
+        }
+        assert table.num_stages == len(cycles_of)
+        for stage, cycles in enumerate(cycles_of):
+            assert table.stage_cycles(stage) == cycles
+        assert table.forbidden_latencies() == forbidden
+        assert table.is_clean == (not forbidden)
+        for t_period in range(1, 41):
+            # No stage holds one op at two cycles congruent mod T.
+            expected = all(
+                len({c % t_period for c in cycles}) == len(cycles)
+                for cycles in cycles_of
+            )
+            assert table.modulo_feasible(t_period) == expected
+
+    def test_returned_collections_are_copies(self):
+        table = ReservationTable([[1, 0, 1], [0, 1, 0]])
+        table.stage_cycles(0).append(7)
+        table.stage_cycles(1).clear()
+        table.forbidden_latencies().add(1)
+        table.forbidden_latencies().clear()
+        assert table.stage_cycles(0) == [0, 2]
+        assert table.stage_cycles(1) == [1]
+        assert table.forbidden_latencies() == {2}
+        assert not table.is_clean
+        assert table.modulo_feasible(3) and not table.modulo_feasible(2)

@@ -7,12 +7,15 @@ any shortcut bug shows up as a wrong SAT answer, not a slow one).
 """
 
 import itertools
+import json
 import random
 
 import pytest
 
 from repro.sat.solver import SAT, UNKNOWN, UNSAT, CdclSolver
-from tests.sat.test_search_golden import COUNTERS, _golden_case
+from tests.sat.test_search_golden import (
+    COUNTERS, DATA, _encoding, _golden_case, _loops,
+)
 
 
 def _brute_force(num_vars, clauses):
@@ -163,6 +166,19 @@ class TestBudgets:
         assert result.status in (UNKNOWN, UNSAT)
 
 
+def _load_one_by_one(num_vars, clauses):
+    """A solver whose clauses all went through the general path."""
+    solver = CdclSolver(num_vars, [])
+    for clause in clauses:
+        solver._add_input_clause(clause)
+    return solver
+
+
+def _loaded_state(solver):
+    return (solver.clauses, solver.watches, solver._audit, solver.trail,
+            solver.ok)
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("clause", [
         [1, 4],        # duplicate-free
@@ -171,10 +187,43 @@ class TestInputValidation:
         [1, 1, 4],     # repeated literal
         [2, 0, 2],
         [1, -1, 4],    # a tautology is checked too
+        [1, 2, 4],     # ternary
+        [-4, 1, 2],
+        [1, 2, 0],
+        [1, 0, -1],
     ])
     def test_out_of_range_literal_rejected(self, clause):
         with pytest.raises(ValueError, match="out of range for 3 vars"):
             CdclSolver(3, [[1, 2], clause])
+
+    def test_error_names_the_first_bad_literal(self):
+        with pytest.raises(ValueError, match="literal -5 out of range"):
+            CdclSolver(3, [[1, -5, 0]])
+        with pytest.raises(ValueError, match="literal 0 out of range"):
+            CdclSolver(3, [[0, 9]])
+
+    @pytest.mark.parametrize("clause", [[1, 2, -1], [1, -2, 2], [-3, 3, 1]])
+    def test_ternary_tautology_dropped(self, clause):
+        solver = CdclSolver(3, [[1, 2], clause])
+        assert solver.clauses == [[1, 2]]
+        assert solver._audit == [[1, 2]]
+
+    @pytest.mark.parametrize("clause,loaded", [
+        ([1, 2, 1], [1, 2]),
+        ([1, 1, 2], [1, 2]),
+        ([1, 2, 2], [1, 2]),
+    ])
+    def test_ternary_repeat_collapsed(self, clause, loaded):
+        solver = CdclSolver(3, [clause])
+        assert solver.clauses == [loaded]
+        assert solver._audit == [clause]
+
+    @pytest.mark.parametrize("clause", [[2, 2], [2, 2, 2]])
+    def test_repeated_literal_becomes_unit(self, clause):
+        solver = CdclSolver(3, [[1, 3], clause])
+        assert solver.clauses == [[1, 3]]
+        assert solver.trail == [2]
+        assert solver._audit == [[1, 3], clause]
 
     def test_repeated_literals_and_tautologies_load(self):
         clauses = [[1, 2, 1, 2], [-1, -1], [3, -3], [2, -3, 2]]
@@ -182,6 +231,37 @@ class TestInputValidation:
         assert result.status == SAT
         assert not result.model[1] and result.model[2]
         _check_model(clauses, result.model)
+
+    def test_inline_load_matches_general_path_on_golden_cnfs(self):
+        """Inline short-clause loading equals the general path's."""
+        golden = json.loads(DATA.read_text(encoding="utf-8"))
+        keys = sorted({(c["source"], c["machine"], c["loop"], c["t"])
+                       for c in golden["cases"]})
+        loops = _loops()
+        for source, machine_name, loop, t_period in keys:
+            ddg, machine = loops[(source, machine_name, loop)]
+            cnf = _encoding(ddg, machine, t_period).cnf
+            inline = CdclSolver(cnf.num_vars, cnf.clauses)
+            general = _load_one_by_one(cnf.num_vars, cnf.clauses)
+            assert _loaded_state(inline) == _loaded_state(general), loop
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_inline_load_matches_general_path_on_mixed_clauses(
+            self, seed):
+        # Lengths 1 to 4 (and an empty clause every fifth seed), with
+        # repeats and complements, so the two paths interleave.
+        rng = random.Random(seed)
+        num_vars = 6
+        clauses = [
+            [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+             for _ in range(rng.choice((1, 2, 2, 3, 3, 3, 4)))]
+            for _ in range(60)
+        ]
+        if seed % 5 == 0:
+            clauses.insert(30, [])
+        inline = CdclSolver(num_vars, clauses)
+        general = _load_one_by_one(num_vars, clauses)
+        assert _loaded_state(inline) == _loaded_state(general)
 
 
 class TestModelAudit:
