@@ -160,6 +160,14 @@ class Formulation:
         self._elim_vars = 0
         self._elim_rows = 0
         self._elim_nnz = 0
+        #: Each op's reservation table, and per stage of it the cycles
+        #: the op holds that stage.
+        self._tables = [machine.reservation_for(op.op_class)
+                        for op in ddg.ops]
+        self._cycles = [
+            [table.stage_cycles(s) for s in range(table.num_stages)]
+            for table in self._tables
+        ]
 
         #: Op indices grouped by FU type, in first-occurrence order.
         self.ops_by_type: Dict[str, List[int]] = {}
@@ -276,12 +284,7 @@ class Formulation:
             return False
         if self.options.mapping is True:
             return True
-        return any(
-            not self.machine.reservation_for(
-                self.ddg.ops[i].op_class
-            ).is_clean
-            for i in ops_on
-        )
+        return not all(self._tables[i].is_clean for i in ops_on)
 
     def _default_k_max(self) -> int:
         total_latency = sum(self.ddg.latencies(self.machine))
@@ -290,13 +293,10 @@ class Formulation:
         return max(1, math.ceil(horizon / self.t_period) + 1)
 
     def stage_cycles(self, op_index: int, stage: int) -> List[int]:
-        """Reservation-table cycles op ``op_index`` holds ``stage``."""
-        table = self.machine.reservation_for(
-            self.ddg.ops[op_index].op_class
-        )
-        if stage >= table.num_stages:
-            return []
-        return table.stage_cycles(stage)
+        """Reservation-table cycles op ``op_index`` holds ``stage``
+        (the formulation's own list: read it, do not change it)."""
+        cycles = self._cycles[op_index]
+        return cycles[stage] if stage < len(cycles) else []
 
     def _usage_terms(self) -> Dict[Tuple[int, int, int], Dict[Variable, float]]:
         """``U_s[t][i]`` per Eq. 25 as raw coefficient dicts.
@@ -307,13 +307,7 @@ class Formulation:
         t_period = self.t_period
         usage: Dict[Tuple[int, int, int], Dict[Variable, float]] = {}
         for op in self.ddg.ops:
-            table = self.machine.reservation_for(op.op_class)
-            op_stages = [
-                (stage, table.stage_cycles(stage))
-                for stage in range(table.num_stages)
-                if table.stage_cycles(stage)
-            ]
-            for stage, cycles in op_stages:
+            for stage, cycles in enumerate(self._cycles[op.index]):
                 for t in range(t_period):
                     terms: Dict[Variable, float] = {}
                     for latency in cycles:

@@ -7,16 +7,14 @@ to :class:`repro.ilp.SolveStatus`, the time budget maps to
 
 scipy's ``milp`` wrapper exposes no MIP-start parameter — and no basis
 I/O either (HiGHS itself has ``setSolution``/``setBasis``, but the scipy
-surface carries neither) — so hints are injected by the two moves the
-wrapper does allow:
-
-* a **feasibility model** (constant objective) is answered from the start
-  directly — any feasible integer point is optimal, no solve needed;
-* otherwise an **objective cutoff row** ``c @ x <= c @ x0`` is appended,
-  which lets HiGHS's own presolve/bounding discard everything worse than
-  the incumbent, and if the budget still expires without HiGHS finding a
-  point, the validated start itself is returned as the ``FEASIBLE``
-  fallback instead of an empty ``TIME_LIMIT``.
+surface carries neither) — so a hint is injected the one way the
+wrapper does allow: an **objective cutoff row** ``c @ x <= c @ x0`` is
+appended, which lets HiGHS's own presolve/bounding discard everything
+worse than the incumbent, and if the budget still expires without HiGHS
+finding a point, the validated start itself is returned as the
+``FEASIBLE`` fallback instead of an empty ``TIME_LIMIT``.  (The sweep
+hands a start only to objectives beyond feasibility; under a constant
+objective the row is vacuous and HiGHS simply solves.)
 
 Each period of the T-sweep is an independent solve: no LP basis or
 certificate crosses from one period to the next, and the cutoff-row
@@ -56,13 +54,6 @@ def solve_highs(
 
     x0 = start_vector(model, form, mip_start)
     inc_obj = None if x0 is None else float(form.c @ x0 + form.c0)
-    if x0 is not None and not np.any(form.c):
-        # Pure feasibility: the validated start is already optimal.
-        return _from_vector(
-            model, form, SolveStatus.OPTIMAL, x0,
-            bound=form.user_objective(inc_obj),
-            start=start, lower_seconds=lower_seconds, nodes=0,
-        )
 
     constraints = []
     if form.num_rows:

@@ -6,7 +6,7 @@ Architecture — two threads, one direction of ownership:
   admission decisions: rate limits, load shedding, coalescing, breaker
   rejection, journaling of accepted jobs.  Handlers never block on a
   solve — a submit returns a job id immediately and ``GET /jobs/<id>``
-  long-polls the job's completion event.
+  long-polls the job's completion event (an :class:`asyncio.Event`).
 * the **dispatcher thread** exclusively owns the cell race
   (:class:`repro.supervision.cells.CellRace`, over a single-threaded
   :class:`~repro.supervision.SupervisedExecutor`): while fewer than
@@ -18,9 +18,10 @@ Architecture — two threads, one direction of ownership:
   :func:`~repro.core.formulation.resolve_backend` picks).
 
 Shared state (job registry, fair queue, stats, breaker, journal) is
-individually thread-safe; jobs signal completion through a
-``threading.Event`` the HTTP side polls, so no asyncio primitive is
-ever touched from the dispatcher thread.
+individually thread-safe.  No side sleeps on a timer: the loop writes
+a byte to the dispatcher's wake-up pipe after each queue push, drain
+and halt, and the dispatcher sets a job's completion event on the loop
+through ``call_soon_threadsafe``, never touching it directly.
 
 The HTTP protocol is deliberately minimal — HTTP/1.1, JSON bodies,
 ``Connection: close`` — parsed directly off the asyncio streams so the
@@ -56,6 +57,7 @@ import json
 import logging
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -165,6 +167,8 @@ class ServeDaemon:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: Set the moment the daemon halts; answers every long poll.
+        self._halted: Optional[asyncio.Event] = None
         self.port: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -176,7 +180,11 @@ class ServeDaemon:
     async def start(self) -> None:
         """Open the journal, start the server and the dispatcher."""
         self._stopped = asyncio.Event()
+        self._halted = asyncio.Event()
         self._loop = asyncio.get_running_loop()
+        #: The dispatcher's wake-up pipe (see :meth:`_wake`).
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
         if self.config.journal is not None:
             self._open_journal()
         # Bind before spawning the dispatcher: workers must know the
@@ -218,10 +226,12 @@ class ServeDaemon:
         if self._mode != _RUNNING:
             return
         self._mode = _DRAINING
+        self._wake()
         deadline = time.monotonic() + self.config.drain_grace
         while (self._mode == _DRAINING and time.monotonic() < deadline
-               and self._unfinished() > 0):
-            await asyncio.sleep(0.1)
+               and (unfinished := self._unfinished())):
+            await self._until(unfinished[0].event,
+                              deadline - time.monotonic())
         if self._mode == _HALTED:
             return  # the dispatcher died; its shutdown is under way
         self._mode = _HALTED
@@ -230,10 +240,14 @@ class ServeDaemon:
     async def _shutdown(self) -> None:
         """Join the dispatcher, close the journal, answer the open
         connections and stop the server (mode already halted)."""
+        self._halted.set()
+        self._wake()
         if self._dispatcher is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._dispatcher.join
             )
+        os.close(self._wake_r)
+        os.close(self._wake_w)
         with self._journal_lock:
             if self._journal is not None:
                 self._journal.close()
@@ -250,11 +264,33 @@ class ServeDaemon:
         if self._stopped is not None:
             self._stopped.set()
 
-    def _unfinished(self) -> int:
+    async def _until(self, event: asyncio.Event, timeout: float) -> None:
+        """Wait for ``event`` or the halt, at most ``timeout`` seconds."""
+        waits = [asyncio.ensure_future(e.wait())
+                 for e in (event, self._halted)]
+        await asyncio.wait(waits, timeout=timeout,
+                           return_when=asyncio.FIRST_COMPLETED)
+        for waiter in waits:
+            waiter.cancel()
+
+    def _wake(self) -> None:
+        """Wake the dispatcher (loop thread; never blocks)."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: the dispatcher is awake anyway
+
+    def _signal(self, job: Job) -> None:
+        """Set ``job``'s completion event on the loop (any thread)."""
+        if self._loop is None:  # never started: nothing awaits it
+            job.event.set()
+        else:
+            self._loop.call_soon_threadsafe(job.event.set)
+
+    def _unfinished(self) -> List[Job]:
         with self._registry_lock:
-            return sum(
-                1 for job in self._registry.values() if not job.finished
-            )
+            return [job for job in self._registry.values()
+                    if not job.finished]
 
     def _open_journal(self) -> None:
         """Open the journal, refusing one written under different solve
@@ -433,6 +469,7 @@ class ServeDaemon:
                 )
             self._registry[job.id] = job
             self._inflight[_coalesce_key(job)] = job.id
+        self._wake()
         self._journal_accepted(job)
         self.stats.bump("accepted")
         return 200, {"job": job.id}, []
@@ -474,7 +511,7 @@ class ServeDaemon:
         race = CellRace(
             workers=self.config.workers, policy=self._policy(),
             deadline=self.config.deadline,
-            initializer=initializer, initargs=initargs,
+            initializer=initializer, initargs=initargs, wake=self._wake_r,
         )
         try:
             while self._mode != _HALTED:
@@ -494,13 +531,15 @@ class ServeDaemon:
                             self.config.store,
                         ),
                     )])
-                if race.idle():
-                    time.sleep(0.05)
-                    continue
-                for cell in race.step(timeout=0.2):
-                    with self._registry_lock:
-                        job = self._registry[cell.key]
-                    self._settle_job(job, cell)
+                if race.idle():  # until a submit, drain or halt
+                    multiprocessing.connection.wait([self._wake_r])
+                else:  # the race's wait ends on the same pipe
+                    for cell in race.step(timeout=0.2):
+                        with self._registry_lock:
+                            job = self._registry[cell.key]
+                        self._settle_job(job, cell)
+                if multiprocessing.connection.wait([self._wake_r], 0):
+                    os.read(self._wake_r, 1 << 16)  # empties the pipe
         finally:
             # Whatever is still outstanding stays accepted-but-
             # unfinished in the journal; the next incarnation re-admits.
@@ -541,7 +580,7 @@ class ServeDaemon:
             followers = list(job.followers)
         self._journal_done(job)
         self._account_finished(job)
-        job.event.set()
+        self._signal(job)
         for follower in followers:
             with self._registry_lock:
                 follower.state = state
@@ -551,7 +590,7 @@ class ServeDaemon:
                 follower.finished_at = job.finished_at
             self._journal_done(follower)
             self._account_finished(follower, coalesced=True)
-            follower.event.set()
+            self._signal(follower)
 
     def _account_finished(self, job: Job, coalesced: bool = False) -> None:
         if job.state == DONE:
@@ -576,7 +615,7 @@ class ServeDaemon:
         doc["queue"] = {
             "depth": len(self.queue),
             "capacity": self.config.queue_depth,
-            "unfinished_jobs": self._unfinished(),
+            "unfinished_jobs": len(self._unfinished()),
         }
         doc["breakers"] = self.breaker.snapshot()
         doc["mode"] = self._mode
@@ -612,11 +651,8 @@ class ServeDaemon:
                 job = self._registry.get(job_id)
             if job is None:
                 return 404, {"error": f"unknown job {job_id!r}"}, []
-            deadline = time.monotonic() + wait
-            while (not job.event.is_set()
-                   and time.monotonic() < deadline
-                   and self._mode != _HALTED):
-                await asyncio.sleep(0.05)
+            if wait > 0 and not job.event.is_set():
+                await self._until(job.event, wait)
             return 200, job.to_json_dict(), []
         return 405, {"error": f"no route for {method} {path}"}, []
 

@@ -12,7 +12,7 @@ solve raises surfaces through the supervisor's failure taxonomy
 
 from __future__ import annotations
 
-import threading
+import asyncio
 import time
 from typing import Dict, List, Optional
 
@@ -39,8 +39,9 @@ class Job:
     """One accepted submission and its (eventual) outcome.
 
     Mutated by the HTTP thread (creation) and the dispatcher thread
-    (completion); ``event`` flips exactly once, when the job reaches a
-    terminal state, and long-polling handlers wait on it.
+    (completion); ``event`` is an :class:`asyncio.Event` of the
+    daemon's loop, set there exactly once after the job reaches a
+    terminal state, and long-polling handlers await it.
     """
 
     def __init__(
@@ -66,7 +67,7 @@ class Job:
         self.entry: Optional[dict] = None
         self.error: Optional[str] = None
         self.failure: Optional[dict] = None
-        self.event = threading.Event()
+        self.event = asyncio.Event()
         #: Jobs coalesced onto this one (they share the solve).
         self.followers: List["Job"] = []
         #: Set on followers: the primary's job id.

@@ -105,6 +105,7 @@ class CellRace:
         deadline="policy",
         initializer: Optional[Callable] = None,
         initargs: tuple = (),
+        wake: Optional[int] = None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -114,6 +115,9 @@ class CellRace:
         self.deadline = deadline
         self._initializer = initializer
         self._initargs = initargs
+        #: A file descriptor whose readability ends a :meth:`step`'s
+        #: wait early (the serve dispatcher's wake-up pipe).
+        self.wake = wake
         self._executor: Optional[SupervisedExecutor] = None
         self._feed: Iterator[Cell] = iter(())
         self._open: List[Cell] = []
@@ -164,7 +168,8 @@ class CellRace:
         """Advance the race once; returns the cells settled meanwhile.
 
         In-process this runs one cell; with a pool it dispatches up to
-        the window and waits up to ``timeout`` for reports.
+        the window and waits up to ``timeout`` for reports, or until
+        ``wake`` is readable.
         """
         if not self.interrupted and interrupted():
             self._interrupt()
@@ -176,7 +181,8 @@ class CellRace:
         else:
             self._dispatch()
             if self._running:
-                for task in self._executor.poll(timeout=timeout):
+                for task in self._executor.poll(timeout=timeout,
+                                               wake=self.wake):
                     cell = self._running.pop(task, None)
                     if cell is None:
                         continue

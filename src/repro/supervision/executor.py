@@ -384,14 +384,17 @@ class SupervisedExecutor:
             1 for w in self._workers if w.busy
         )
 
-    def poll(self, timeout: Optional[float] = None) -> List[SupervisedTask]:
+    def poll(self, timeout: Optional[float] = None,
+             wake: Optional[int] = None) -> List[SupervisedTask]:
         """Advance the pool and return newly finished tasks.
 
         Blocks up to ``timeout`` seconds (forever when ``None``) waiting
         for at least one task to finish; returns possibly-empty on
-        timeout and immediately when nothing is outstanding.  Within one
-        call the supervisor keeps dispatching, reaping replies, killing
-        over-deadline workers and re-queuing retries.
+        timeout, immediately when nothing is outstanding, and as soon
+        as the file descriptor ``wake`` (if given) is readable — the
+        caller owns it and reads it.  Within one call the supervisor
+        keeps dispatching, reaping replies, killing over-deadline
+        workers and re-queuing retries.
         """
         wait_until = (
             None if timeout is None else time.monotonic() + timeout
@@ -408,7 +411,8 @@ class SupervisedExecutor:
             now = time.monotonic()
             if wait_until is not None and now >= wait_until:
                 return []
-            self._block(now, wait_until)
+            if self._block(now, wait_until, wake):
+                return []
 
     def abort(self, kind: str = INTERRUPTED,
               detail: str = "run aborted") -> List[SupervisedTask]:
@@ -579,8 +583,10 @@ class SupervisedExecutor:
         task.state = FAILED
         self._done.append(task)
 
-    def _block(self, now: float, wait_until: Optional[float]) -> None:
-        """Sleep until the next interesting event (reply/deadline/backoff)."""
+    def _block(self, now: float, wait_until: Optional[float],
+               wake: Optional[int]) -> bool:
+        """Sleep until the next interesting event (reply/deadline/backoff
+        or ``wake`` readable); True when ``wake`` ended the sleep."""
         horizon = now + _MAX_WAIT
         if wait_until is not None:
             horizon = min(horizon, wait_until)
@@ -595,8 +601,12 @@ class SupervisedExecutor:
             if task.eligible_at > now:
                 horizon = min(horizon, task.eligible_at)
         delay = max(_MIN_WAIT, horizon - now)
-        conns = [w.conn for w in self._workers if w.busy]
-        if conns:
-            multiprocessing.connection.wait(conns, timeout=delay)
-        else:
-            time.sleep(min(delay, _MAX_WAIT))
+        waits = [w.conn for w in self._workers if w.busy]
+        if wake is not None:
+            waits.append(wake)
+        if waits:
+            return wake in multiprocessing.connection.wait(
+                waits, timeout=delay
+            )
+        time.sleep(min(delay, _MAX_WAIT))
+        return False

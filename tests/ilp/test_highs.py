@@ -64,15 +64,17 @@ class TestHighsBackend:
 class TestHighsMipStart:
     """scipy's milp has no native start; the adapter adds a cutoff row."""
 
-    def test_feasibility_start_short_circuits(self):
-        # Constant objective + feasible start: proven optimal instantly.
+    def test_feasibility_start_is_honoured(self):
+        # Constant objective + feasible start: the vacuous cutoff row
+        # keeps every point, and HiGHS proves one optimal.
         m = Model()
         x = m.add_binary("x")
         y = m.add_binary("y")
         m.add(x + y == 1)
         sol = m.solve(backend="highs", mip_start={x: 1.0, y: 0.0})
         assert sol.status == SolveStatus.OPTIMAL
-        assert sol.nodes == 0
+        assert sol.int_value(x) + sol.int_value(y) == 1
+        assert sol.objective == pytest.approx(0.0)
 
     def test_optimal_start_keeps_optimum(self):
         m = Model()

@@ -9,6 +9,7 @@ the in-process daemon object, which is thread-safe by design.
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -138,7 +139,12 @@ class TestSubmitPoll:
 
 
 class TestCoalescing:
-    def test_identical_submissions_share_one_solve(self, daemon_factory):
+    def test_identical_submissions_share_one_solve(
+        self, daemon_factory, monkeypatch
+    ):
+        # The solve takes a second, so the repeat surely arrives while
+        # it is in flight (a plain DOT solve can end first).
+        monkeypatch.setenv("REPRO_FAULTS", "hang@solve:seconds=1")
         host = daemon_factory()
         client = host.start()
         first = client.submit(DOT, MACHINE, backend="auto")
@@ -234,7 +240,12 @@ class TestAdmissionControl:
 
 
 class TestDrain:
-    def test_drain_refuses_new_work_and_stops(self, daemon_factory):
+    def test_drain_refuses_new_work_and_stops(
+        self, daemon_factory, monkeypatch
+    ):
+        # The job takes a second, so the drain is still waiting for it
+        # while the probes below run (a plain DOT solve ends first).
+        monkeypatch.setenv("REPRO_FAULTS", "hang@solve:seconds=1")
         host = daemon_factory(drain_grace=10.0)
         client = host.start()
         accepted = client.submit(DOT, MACHINE, backend="auto")
@@ -249,6 +260,122 @@ class TestDrain:
         host._thread.join(timeout=30)
         assert not host._thread.is_alive()
         assert host.daemon._mode == "halted"
+
+    def test_idle_drain_ends_at_once(self, daemon_factory):
+        host = daemon_factory(drain_grace=30.0)
+        client = host.start()
+        start = time.monotonic()
+        client.drain()
+        host._thread.join(timeout=30)
+        assert not host._thread.is_alive()
+        assert time.monotonic() - start < 1.0
+
+
+class TestWakeUps:
+    """The dispatcher and long polls wake on events, not on timers."""
+
+    def test_idle_dispatcher_waits_on_its_pipe(
+        self, daemon_factory, monkeypatch
+    ):
+        rounds = []
+        idle = CellRace.idle
+
+        def counted(self):
+            rounds.append(time.monotonic())
+            return idle(self)
+
+        monkeypatch.setattr(CellRace, "idle", counted)
+        daemon_factory().start()
+        time.sleep(0.5)
+        assert len(rounds) <= 2  # a 50 ms sleep tick made about 10
+
+    def test_long_poll_answers_on_completion(self, daemon_factory):
+        client = daemon_factory().start()
+        job_id = client.submit(DOT, MACHINE)["job"]
+        start = time.monotonic()
+        doc = client.job(job_id, wait=30)
+        assert doc["state"] == "done"
+        assert time.monotonic() - start < 1.0
+
+    def test_queued_job_reaches_a_free_worker_at_once(
+        self, daemon_factory, monkeypatch
+    ):
+        # One worker is wedged, so the dispatcher sits in the race's
+        # wait; the next submit must end that wait, not its timeout.
+        monkeypatch.setenv("REPRO_FAULTS",
+                           "hang@solve:loop=dotprod:seconds=30")
+        host = daemon_factory(workers=2, deadline=20.0, drain_grace=0.2)
+        client = host.start()
+        wedged = client.submit(DOT, MACHINE)["job"]
+        deadline = time.monotonic() + 10
+        while client.job(wedged)["state"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        second = client.submit(DAXPY, MACHINE)["job"]
+        start = time.monotonic()
+        while (client.job(second)["state"] not in ("running", "done")
+               and time.monotonic() - start < 5):
+            time.sleep(0.005)
+        assert time.monotonic() - start < 0.15  # the race's timeout is 0.2
+
+    def test_a_submit_racing_the_idle_wait_is_not_lost(
+        self, daemon_factory, monkeypatch
+    ):
+        # This submit lands after the dispatcher found the queue empty
+        # and before it waits on the pipe: its byte must end that wait.
+        host = daemon_factory()
+        raced = []
+        idle = CellRace.idle
+
+        def racing(self):
+            if not raced:
+                _, body, _ = host.daemon.submit(
+                    {"ddg": DOT, "machine": MACHINE}
+                )
+                raced.append(body["job"])
+            return idle(self)
+
+        monkeypatch.setattr(CellRace, "idle", racing)
+        client = host.start()
+        deadline = time.monotonic() + 10
+        while not raced:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert client.job(raced[0], wait=5)["state"] == "done"
+
+    def test_no_wake_up_is_lost_under_concurrent_submits(
+        self, daemon_factory
+    ):
+        # More workers and submitting threads than cores, submits timed
+        # to land together while the dispatcher goes idle, and a short
+        # switch interval: a lost wake-up leaves a job queued while the
+        # dispatcher waits on an empty pipe, and its long poll times out.
+        client = daemon_factory(workers=3, rate=1000.0, burst=1000).start()
+        barrier = threading.Barrier(4)
+        states = []
+
+        def submit_and_wait(thread):
+            for k in range(10):
+                barrier.wait(timeout=30)
+                job_id = client.submit(
+                    f"loop s{thread}x{k}\nop a fadd\n", MACHINE,
+                    client=f"c{thread}",
+                )["job"]
+                states.append(client.job(job_id, wait=5)["state"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit_and_wait, args=(t,))
+                       for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert states == ["done"] * 40
 
 
 class TestJournalResume:
@@ -457,3 +584,43 @@ class TestDispatcherCrash:
         host = daemon_factory(journal=str(journal), time_limit=5.0)
         doc = host.start().wait_for(job_id, timeout=60)
         assert doc["state"] == "done"
+
+    def test_open_long_poll_is_answered_when_the_dispatcher_dies(
+        self, tmp_path, monkeypatch
+    ):
+        port_file = tmp_path / "port"
+        config = ServeConfig(port=0, workers=2, time_limit=5.0,
+                             port_file=str(port_file))
+        release = threading.Event()
+
+        def broken_step(self, timeout=None):
+            release.wait(30)
+            raise RuntimeError("injected dispatcher fault")
+
+        monkeypatch.setattr(CellRace, "step", broken_step)
+        exit_codes = []
+        thread = threading.Thread(
+            target=lambda: exit_codes.append(serve_main(config)),
+            daemon=True,
+        )
+        thread.start()
+        deadline = time.monotonic() + 30
+        while not port_file.exists() or not port_file.read_text():
+            assert time.monotonic() < deadline, "daemon never started"
+            time.sleep(0.02)
+        client = ServeClient("127.0.0.1", int(port_file.read_text()))
+        job_id = client.submit(DOT, MACHINE, warmstart=False)["job"]
+        answers = []
+        poll = threading.Thread(
+            target=lambda: answers.append(client.job(job_id, wait=60)),
+            daemon=True,
+        )
+        poll.start()
+        time.sleep(0.3)  # the long poll is open
+        died = time.monotonic()
+        release.set()
+        poll.join(timeout=30)
+        assert time.monotonic() - died < 5.0  # not its 60 s
+        assert answers and answers[0]["state"] == "running"
+        thread.join(timeout=30)
+        assert exit_codes == [1]

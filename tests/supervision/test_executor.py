@@ -9,6 +9,7 @@ import asyncio
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from repro.supervision.executor import (
     CANCELLED,
     DONE,
     FAILED,
+    RUNNING,
     SupervisedExecutor,
 )
 from repro.supervision.records import (
@@ -102,6 +104,25 @@ class TestResults:
             task = executor.submit(_sleep, 30.0)
             assert executor.poll(timeout=0.05) == []
             assert not task.finished
+
+    def test_poll_returns_once_the_wake_fd_is_written(self):
+        read_end, write_end = os.pipe()
+        try:
+            with SupervisedExecutor(max_workers=1) as executor:
+                task = executor.submit(_sleep, 30.0)
+                timer = threading.Timer(0.3, os.write, (write_end, b"\0"))
+                timer.start()
+                start = time.monotonic()
+                assert executor.poll(timeout=5.0, wake=read_end) == []
+                waited = time.monotonic() - start
+                timer.join(timeout=5)
+                assert 0.2 < waited < 1.3  # written at 0.3 s
+                assert task.state == RUNNING
+                # The caller owns the fd: poll leaves the byte unread.
+                assert os.read(read_end, 16) == b"\0"
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
     def test_submit_after_shutdown_rejected(self):
         executor = SupervisedExecutor(max_workers=1)
